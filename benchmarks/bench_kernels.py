@@ -1,8 +1,14 @@
-"""Timing and agreement check for the compiled kernels vs their numpy
-fallbacks.  Both variants are importable side by side, so this runs in one
-process regardless of STYLFACTS_NO_NUMBA.
+"""Timing of each numpy kernel, checked against its element-by-element loop.
 
-    python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 5]
+For every kernel the script first runs the numpy version and its `_*_loop`
+twin on a small input (n=2000) and prints their largest difference
+relative to the twin's largest magnitude; then it times the numpy version at
+--n (best of --repeat).  The Zumbach bootstrap is timed twice, once for the
+range-sum kernel that `kernels.zumbach_boot` runs and once for the direct
+gather it falls back to when n_lags > block_len.  Where numba is importable,
+the compiled loops are timed as an extra column.
+
+    python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
 """
 
 import argparse
@@ -12,6 +18,9 @@ import time
 import numpy as np
 
 from stylfacts import kernels
+
+ZUMBACH_LAGS = 10
+CHECK_N = 2000  # input length for the check against the loop twins
 
 
 def best_of(fn, repeat):
@@ -23,19 +32,9 @@ def best_of(fn, repeat):
     return out
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--n", type=int, default=100_000)
-    ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--boot", type=int, default=200, help="bootstrap resamples")
-    args = ap.parse_args()
-
-    if not kernels._HAVE_NUMBA:
-        print("numba is not importable; nothing to compare")
-        return
-
-    rng = np.random.default_rng(0)
-    n = args.n
+def make_args(n, n_boot, seed):
+    """Arguments per kernel name, on inputs of length n."""
+    rng = np.random.default_rng(seed)
     eps2 = rng.standard_normal(n) ** 2 * 1e-4
     neg = (rng.standard_normal(n) < 0).astype(np.float64)
     z = rng.standard_normal(n)
@@ -43,38 +42,67 @@ def main():
     a = np.abs(rng.standard_normal(n)) + 0.1
     b = np.abs(rng.standard_normal(n)) + 0.1
     block_len = math.ceil(n ** (1 / 3))
-    starts = rng.integers(0, n, size=(args.boot, math.ceil(n / block_len)), dtype=np.int64)
+    starts = rng.integers(0, n, size=(n_boot, math.ceil(n / block_len)), dtype=np.int64)
+    boot = (a, b, starts, block_len, ZUMBACH_LAGS)
+    return {
+        "garch_filter": (eps2, 1e-6, 0.1, 0.85, 2e-4),
+        "gjr_filter": (eps2, neg, 1e-6, 0.03, 0.1, 0.8, 2e-4),
+        "garch_sim": (z, 1e-6, 0.1, 0.0, 0.85, 2e-4, 0),
+        "ou_path": (z, 0.0, 0.0, math.exp(-0.05), 0.01),
+        "rolling_var": (x, 21, 1),
+        "rolling_mean": (x, 21, 1),
+        "zumbach_boot": boot,
+        "zumbach_boot_gather": boot,
+    }
 
-    cases = [
-        ("garch_filter", (kernels.garch_filter_np, kernels.garch_filter_nb),
-         (eps2, 1e-6, 0.1, 0.85, 2e-4)),
-        ("gjr_filter", (kernels.gjr_filter_np, kernels.gjr_filter_nb),
-         (eps2, neg, 1e-6, 0.03, 0.1, 0.8, 2e-4)),
-        ("garch_sim", (kernels.garch_sim_np, kernels.garch_sim_nb),
-         (z, 1e-6, 0.1, 0.0, 0.85, 2e-4, 0)),
-        ("ou_path", (kernels.ou_path_np, kernels.ou_path_nb),
-         (z, 0.0, 0.0, math.exp(-0.05), 0.01)),
-        ("rolling_var", (kernels.rolling_var_np, kernels.rolling_var_nb),
-         (x, 21, 1)),
-        ("rolling_mean", (kernels.rolling_mean_np, kernels.rolling_mean_nb),
-         (x, 21, 1)),
-        ("zumbach_boot", (kernels.zumbach_boot_np, kernels.zumbach_boot_nb),
-         (a, b, starts, block_len, 10)),
-    ]
 
-    print(f"n={n}, best of {args.repeat}")
-    print(f"{'kernel':<14} {'numpy':>10} {'numba':>10} {'speedup':>8}  agreement")
-    for name, (f_np, f_nb), call_args in cases:
-        r_np = f_np(*call_args)
-        r_nb = f_nb(*call_args)  # also triggers compilation before timing
-        r_np = r_np if isinstance(r_np, tuple) else (r_np,)
-        r_nb = r_nb if isinstance(r_nb, tuple) else (r_nb,)
-        err = max(float(np.max(np.abs(u - v))) if len(u) else 0.0
-                  for u, v in zip(r_np, r_nb))
-        t_np = best_of(lambda: f_np(*call_args), args.repeat)
-        t_nb = best_of(lambda: f_nb(*call_args), args.repeat)
-        print(f"{name:<14} {t_np * 1e3:>8.2f}ms {t_nb * 1e3:>8.2f}ms "
-              f"{t_np / t_nb:>7.1f}x  max|diff|={err:.2e}")
+# row label -> (numpy kernel, loop twin, numba name or None)
+CASES = {
+    "garch_filter": (kernels.garch_filter_np, kernels._garch_filter_loop, "garch_filter_nb"),
+    "gjr_filter": (kernels.gjr_filter_np, kernels._gjr_filter_loop, "gjr_filter_nb"),
+    "garch_sim": (kernels.garch_sim_np, kernels._garch_sim_loop, "garch_sim_nb"),
+    "ou_path": (kernels.ou_path_np, kernels._ou_path_loop, "ou_path_nb"),
+    "rolling_var": (kernels.rolling_var_np, kernels._rolling_var_loop, "rolling_var_nb"),
+    "rolling_mean": (kernels.rolling_mean_np, kernels._rolling_mean_loop, "rolling_mean_nb"),
+    "zumbach_boot": (kernels.zumbach_boot_np, kernels._zumbach_boot_loop, "zumbach_boot_nb"),
+    "zumbach_boot_gather": (kernels._zumbach_boot_gather, kernels._zumbach_boot_loop, None),
+}
+
+
+def rel_diff(got, ref):
+    got = got if isinstance(got, tuple) else (got,)
+    ref = ref if isinstance(ref, tuple) else (ref,)
+    return max(float(np.max(np.abs(u - v)) / max(np.max(np.abs(v)), 1e-300))
+               for u, v in zip(got, ref))
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--n", type=int, default=100_000)
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--boot", type=int, default=1000,
+                    help="bootstrap resamples at --n (F11 draws 1000)")
+    args = ap.parse_args()
+
+    small = make_args(CHECK_N, 5, seed=1)
+    big = make_args(args.n, args.boot, seed=0)
+    have_nb = kernels._HAVE_NUMBA
+
+    print(f"n={args.n}, {args.boot} bootstrap resamples, best of {args.repeat}; "
+          f"loop check at n={CHECK_N}; numba {'present' if have_nb else 'absent'}")
+    print(f"{'kernel':<20} {'numpy':>11} {'numba':>11}  max rel diff vs loop")
+    times = {}
+    for name, (f_np, f_loop, nb_name) in CASES.items():
+        err = rel_diff(f_np(*small[name]), f_loop(*small[name]))
+        times[name] = best_of(lambda: f_np(*big[name]), args.repeat)
+        nb_col = "-"
+        if have_nb and nb_name:
+            f_nb = getattr(kernels, nb_name)
+            f_nb(*small[name])  # compile before timing
+            nb_col = f"{best_of(lambda: f_nb(*big[name]), args.repeat) * 1e3:.2f}ms"
+        print(f"{name:<20} {times[name] * 1e3:>9.2f}ms {nb_col:>11}  {err:.1e}")
+    print(f"zumbach_boot: range sums {times['zumbach_boot_gather'] / times['zumbach_boot']:.1f}x "
+          f"faster than the direct gather")
 
 
 if __name__ == "__main__":

@@ -173,8 +173,10 @@ class FactConfig:
             raise ValueError("tail_fraction must lie in (0, 0.5)")
         if not (0.0 < self.f3_suffix_ratio < 1.0):
             raise ValueError("f3_suffix_ratio must lie in (0, 1)")
-        if self.f9_aggregate < 1:
-            raise ValueError("f9_aggregate must be >= 1")
+        for name in ("acf_lags", "f6_n_boot", "f9_aggregate", "f10_min_samples",
+                     "f11_lags", "f11_n_boot"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.f10_ladder_ratio < 2:
             raise ValueError("f10_ladder_ratio must be >= 2")
         if not (0.0 < self.f11_level < 1.0):

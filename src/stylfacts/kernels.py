@@ -1,10 +1,25 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Hot numeric kernels: numba-jitted loops with pure-numpy implementations.
 
 Path selection happens once at import time.  numba is used when it is
 importable unless the environment sets STYLFACTS_NO_NUMBA=1, in which case
-the numpy implementations take over.  Both paths implement the same
-arithmetic; `benchmarks/bench_kernels.py` times them against each other and
-checks agreement.
+the numpy implementations take over.  The exception is the Zumbach block
+bootstrap, which always runs `zumbach_boot_np`.  Each `*_np` kernel has a
+`_*_loop` twin that spells out the arithmetic one element at a time; the
+twins are what numba compiles and what the tests hold the numpy kernels to.
+`benchmarks/bench_kernels.py` times the numpy kernels (and the compiled
+loops, where numba exists) and checks them against the twins.
+
+The filters, the OU path and the rolling moments run the twin's arithmetic
+in another order (IIR filters, window views), which moves results at
+roundoff.  `zumbach_boot_np` computes the same statistic as
+`_zumbach_boot_loop` by another decomposition: it never builds a resample.
+Pairs of bars inside one block are read from a table of circular prefix-sum
+differences, one row per possible block start; pairs that straddle a block
+boundary come from one small matrix product per resample (see its
+docstring).  That takes O(n / block_len * n_lags^2) work per resample
+instead of O(n * n_lags).  When n_lags exceeds block_len, which happens for
+series shorter than about n_lags^3, a pair can span several blocks and the
+kernel falls back to gathering each resample in full.
 
 Kernels live here because they are the measured hot spots: the GARCH/GJR
 likelihood filter runs once per optimizer evaluation (thousands of times per
@@ -18,6 +33,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 try:
@@ -249,8 +265,95 @@ def _zumbach_boot_loop(a, b, starts, block_len, n_lags):
     return out
 
 
-def zumbach_boot_np(a, b, starts, block_len, n_lags, chunk=64):
-    """Vectorized fallback: processes resamples in chunks to bound memory."""
+def zumbach_boot_np(a, b, starts, block_len, n_lags, chunk=16):
+    """Z on circular-block resamples (see _zumbach_boot_loop) from block
+    range sums, without materialising any resample.
+
+    For each lag l the numerator is D_l - abar * (sum of the resample's first
+    l values of b - sum of its last l), where D_l = sum_t a_t b_{t-l} -
+    a_{t-l} b_t.  A pair (t, t-l) either lies inside one block, where D_l's
+    share is a range sum of c_l[i] = a_i b_{i-l} - a_{i-l} b_i over the
+    circular source index, or straddles the boundary between block j-1 and
+    block j (l <= block_len, so never more than one).  The straddling pairs
+    for every lag at once come from one product of the first n_lags values
+    of each block against the last n_lags of the block before it: lag l is
+    that product's diagonal at offset n_lags - l.  With n_lags > block_len a
+    pair can span several blocks, and the direct gather takes over.
+    """
+    if n_lags > block_len:
+        return _zumbach_boot_gather(a, b, starts, block_len, n_lags)
+    n = a.shape[0]
+    w = n_lags
+    n_res, n_blocks = starts.shape
+    last_len = n - (n_blocks - 1) * block_len
+    lags = np.arange(1, w + 1)
+
+    # Block table: one row per circular start s.  Column l-1 is the part of
+    # D_l inside a block of length m at s, sum_{k=l}^{m-1} c_l[s+k]; the last
+    # four are the block sums of ac, ac^2, bc, bc^2, where centering (the
+    # variances are shift-invariant) keeps sum(x^2)/n - mean^2 from cancelling
+    # digits.  Both come as differences of prefix sums over the source index,
+    # extended circularly by one block (and by n_lags before it for the
+    # lagged factors).
+    ext = np.arange(-w, n + block_len) % n
+    ae, be = a[ext], b[ext]
+    a_mean = a.mean()
+    ac = ae[w:] - a_mean
+    bc = be[w:] - b.mean()
+    cols = [ae[w:] * be[w - lag:-lag] - ae[w - lag:-lag] * be[w:] for lag in lags]
+    cols += [ac, ac * ac, bc, bc * bc]
+    prefix = np.zeros((n + block_len + 1, w + 4))
+    np.cumsum(np.stack(cols, axis=1), axis=0, out=prefix[1:])
+    src = np.arange(n)[:, None]
+    first = np.concatenate((lags, np.zeros(4, dtype=np.int64)))
+    col = np.arange(w + 4)
+
+    def block_table(m):
+        return prefix[m:m + n] - prefix[src + np.minimum(first, m), col]
+
+    full = block_table(block_len)
+    last = full if last_len == block_len else block_table(last_len)
+
+    # n_lags-long windows at every circular start: a block's head as (a, b)
+    # and the previous block's tail as (b, -a), so that one contraction over
+    # blocks gives sum_j head_a[k] tail_b[k'] - tail_a[k'] head_b[k].
+    aw = sliding_window_view(ae[w:n + 2 * w - 1], w)
+    bw = sliding_window_view(be[w:n + 2 * w - 1], w)
+    heads = np.concatenate((aw, bw), axis=1)
+    tails = np.concatenate((bw, -aw), axis=1)
+    # where the resample's first and last n_lags values of b come from
+    edge_block, edge_off = np.divmod(np.r_[0:w, n - w:n], block_len)
+    ones = np.ones(n_blocks - 1)
+
+    out = np.empty((n_res, w))
+    for lo in range(0, n_res, chunk):
+        hi = min(lo + chunk, n_res)
+        st = starts[lo:hi]
+        # np.take: several times faster than fancy indexing for row gathers
+        sums = ones @ np.take(full, st[:, :-1], axis=0) + last[st[:, -1]]
+        h = np.take(heads, st[:, 1:], axis=0)
+        if last_len < w:  # head values past the end of the resample
+            h[:, -1, last_len:w] = 0.0
+            h[:, -1, w + last_len:] = 0.0
+        t = np.take(tails, (st[:, :-1] + (block_len - w)) % n, axis=0)
+        cross = np.matmul(h.reshape(hi - lo, -1, w).transpose(0, 2, 1),
+                          t.reshape(hi - lo, -1, w))
+        d = sums[:, :w] + np.stack(
+            [np.trace(cross, offset=w - lag, axis1=1, axis2=2) for lag in lags], axis=1)
+        edge_b = b[(st[:, edge_block] + edge_off) % n]
+        head_b = np.cumsum(edge_b[:, :w], axis=1)
+        tail_b = np.cumsum(edge_b[:, w:][:, ::-1], axis=1)
+        sa, saa, sb, sbb = (sums[:, w + i] / n for i in range(4))
+        astd = np.sqrt(saa - sa * sa)
+        bstd = np.sqrt(sbb - sb * sb)
+        num = d - (a_mean + sa)[:, None] * (head_b - tail_b)
+        out[lo:hi] = num / ((n - lags) * (astd * bstd)[:, None])
+    return out
+
+
+def _zumbach_boot_gather(a, b, starts, block_len, n_lags, chunk=64):
+    """Direct form: gathers each chunk of resamples in full, then takes
+    per-lag dot products.  Handles any n_lags, at O(n * n_lags) per resample."""
     n = a.shape[0]
     n_res = starts.shape[0]
     offs = np.arange(block_len)
@@ -291,7 +394,6 @@ if USE_NUMBA:
     ou_path = ou_path_nb
     rolling_var = rolling_var_nb
     rolling_mean = rolling_mean_nb
-    zumbach_boot = zumbach_boot_nb
 else:
     garch_filter = garch_filter_np
     gjr_filter = gjr_filter_np
@@ -299,6 +401,9 @@ else:
     ou_path = ou_path_np
     rolling_var = rolling_var_np
     rolling_mean = rolling_mean_np
-    zumbach_boot = zumbach_boot_np
 
+# The range-sum kernel does O(n / block_len * n_lags^2) work per resample
+# against the loop's O(n * n_lags), so it runs whether or not numba is
+# present; zumbach_boot_nb stays for benchmarks/bench_kernels.py.
+zumbach_boot = zumbach_boot_np
 zumbach_z = zumbach_z_np

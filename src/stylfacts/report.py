@@ -80,6 +80,9 @@ class RunConfig:
         for k in self.fact_params:
             if k not in _TUNABLE:
                 raise ValueError(f"unknown fact parameter {k!r}")
+        # range checks live in FactConfig; running them here rejects a bad
+        # value before any asset is read
+        FactConfig(step_seconds=self.step_seconds, **self.fact_params)
 
 
 def load_config(path: str) -> RunConfig:

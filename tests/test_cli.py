@@ -163,6 +163,18 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("param", ["acf_lags", "f6_n_boot", "f10_min_samples",
+                                       "f11_lags", "f11_n_boot"])
+    def test_fact_param_below_one_exits_2_before_any_asset(self, tmp_path, capsys, param):
+        write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "assets": [{"id": "ok", "path": "ok.csv"}], "out_dir": "out",
+            "fact_params": {param: 0}}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert f"{param} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_asset_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

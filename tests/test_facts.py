@@ -370,12 +370,17 @@ class TestRunAllFacts:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
+        {"acf_lags": 0},
         {"f2_alpha_power": 3},
         {"tail_fraction": 0.0},
         {"tail_fraction": 0.5},
         {"f3_suffix_ratio": 1.0},
+        {"f6_n_boot": 0},
         {"f9_aggregate": 0},
         {"f10_ladder_ratio": 1},
+        {"f10_min_samples": 0},
+        {"f11_lags": 0},
+        {"f11_n_boot": 0},
         {"f11_level": 1.0},
     ])
     def test_bad_values_raise(self, kwargs):
