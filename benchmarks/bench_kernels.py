@@ -1,12 +1,12 @@
-"""Timing of each numpy kernel, checked against its element-by-element loop.
+"""Timing of each kernel, checked against its element-by-element loop.
 
-For every kernel the script first runs the numpy version and its `_*_loop`
-twin on a small input (n=2000) and prints their largest difference
-relative to the twin's largest magnitude; then it times the numpy version at
---n (best of --repeat).  The Zumbach bootstrap is timed twice, once for the
-range-sum kernel that `kernels.zumbach_boot` runs and once for the direct
-gather it falls back to when n_lags > block_len.  Where numba is importable,
-the compiled loops are timed as an extra column.
+For every kernel with a `_*_loop` twin the script first runs both on a small
+input (n=2000) and prints their largest difference relative to the twin's
+largest magnitude; then it times the kernel at --n (best of --repeat).
+`garch_sim` is a plain recursion with no twin, so it is only timed.  The
+Zumbach bootstrap is timed twice, once for the range-sum kernel that
+`kernels.zumbach_boot` runs and once for the direct gather it falls back to
+when n_lags > block_len.
 
     python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
 """
@@ -36,7 +36,6 @@ def make_args(n, n_boot, seed):
     """Arguments per kernel name, on inputs of length n."""
     rng = np.random.default_rng(seed)
     eps2 = rng.standard_normal(n) ** 2 * 1e-4
-    neg = (rng.standard_normal(n) < 0).astype(np.float64)
     z = rng.standard_normal(n)
     x = rng.standard_normal(n)
     a = np.abs(rng.standard_normal(n)) + 0.1
@@ -46,7 +45,6 @@ def make_args(n, n_boot, seed):
     boot = (a, b, starts, block_len, ZUMBACH_LAGS)
     return {
         "garch_filter": (eps2, 1e-6, 0.1, 0.85, 2e-4),
-        "gjr_filter": (eps2, neg, 1e-6, 0.03, 0.1, 0.8, 2e-4),
         "garch_sim": (z, 1e-6, 0.1, 0.0, 0.85, 2e-4, 0),
         "ou_path": (z, 0.0, 0.0, math.exp(-0.05), 0.01),
         "rolling_var": (x, 21, 1),
@@ -56,16 +54,15 @@ def make_args(n, n_boot, seed):
     }
 
 
-# row label -> (numpy kernel, loop twin, numba name or None)
+# row label -> (kernel, loop twin or None)
 CASES = {
-    "garch_filter": (kernels.garch_filter_np, kernels._garch_filter_loop, "garch_filter_nb"),
-    "gjr_filter": (kernels.gjr_filter_np, kernels._gjr_filter_loop, "gjr_filter_nb"),
-    "garch_sim": (kernels.garch_sim_np, kernels._garch_sim_loop, "garch_sim_nb"),
-    "ou_path": (kernels.ou_path_np, kernels._ou_path_loop, "ou_path_nb"),
-    "rolling_var": (kernels.rolling_var_np, kernels._rolling_var_loop, "rolling_var_nb"),
-    "rolling_mean": (kernels.rolling_mean_np, kernels._rolling_mean_loop, "rolling_mean_nb"),
-    "zumbach_boot": (kernels.zumbach_boot_np, kernels._zumbach_boot_loop, "zumbach_boot_nb"),
-    "zumbach_boot_gather": (kernels._zumbach_boot_gather, kernels._zumbach_boot_loop, None),
+    "garch_filter": (kernels.garch_filter, kernels._garch_filter_loop),
+    "garch_sim": (kernels.garch_sim, None),
+    "ou_path": (kernels.ou_path, kernels._ou_path_loop),
+    "rolling_var": (kernels.rolling_var, kernels._rolling_var_loop),
+    "rolling_mean": (kernels.rolling_mean, kernels._rolling_mean_loop),
+    "zumbach_boot": (kernels.zumbach_boot, kernels._zumbach_boot_loop),
+    "zumbach_boot_gather": (kernels._zumbach_boot_gather, kernels._zumbach_boot_loop),
 }
 
 
@@ -86,21 +83,15 @@ def main():
 
     small = make_args(CHECK_N, 5, seed=1)
     big = make_args(args.n, args.boot, seed=0)
-    have_nb = kernels._HAVE_NUMBA
 
     print(f"n={args.n}, {args.boot} bootstrap resamples, best of {args.repeat}; "
-          f"loop check at n={CHECK_N}; numba {'present' if have_nb else 'absent'}")
-    print(f"{'kernel':<20} {'numpy':>11} {'numba':>11}  max rel diff vs loop")
+          f"loop check at n={CHECK_N}")
+    print(f"{'kernel':<20} {'time':>11}  max rel diff vs loop")
     times = {}
-    for name, (f_np, f_loop, nb_name) in CASES.items():
-        err = rel_diff(f_np(*small[name]), f_loop(*small[name]))
-        times[name] = best_of(lambda: f_np(*big[name]), args.repeat)
-        nb_col = "-"
-        if have_nb and nb_name:
-            f_nb = getattr(kernels, nb_name)
-            f_nb(*small[name])  # compile before timing
-            nb_col = f"{best_of(lambda: f_nb(*big[name]), args.repeat) * 1e3:.2f}ms"
-        print(f"{name:<20} {times[name] * 1e3:>9.2f}ms {nb_col:>11}  {err:.1e}")
+    for name, (f, f_loop) in CASES.items():
+        err = "-" if f_loop is None else f"{rel_diff(f(*small[name]), f_loop(*small[name])):.1e}"
+        times[name] = best_of(lambda: f(*big[name]), args.repeat)
+        print(f"{name:<20} {times[name] * 1e3:>9.2f}ms  {err}")
     print(f"zumbach_boot: range sums {times['zumbach_boot_gather'] / times['zumbach_boot']:.1f}x "
           f"faster than the direct gather")
 

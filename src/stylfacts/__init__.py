@@ -11,7 +11,7 @@ known behavior for every test.
 
 __version__ = "0.1.0"
 
-from .errors import (DataQualityError, DegenerateInputError, FitError,
+from .errors import (DataQualityError, DegenerateInputError,
                      InsufficientDataError, NonMeanRevertingError,
                      RejectedInputError, StylfactsError)
 from .facts import (DEFAULT_CONFIG, EXCURSION_LEVELS, FACT_LABELS,
@@ -25,15 +25,15 @@ from .facts import (DEFAULT_CONFIG, EXCURSION_LEVELS, FACT_LABELS,
                     test_time_scale_asymmetry, test_unconditional_tail,
                     test_volatility_clustering, test_volume_volatility,
                     zumbach_statistic)
-from .fitting import (GarchFit, GarchParams, GjrParams, LmResult, OuFit,
-                      OuParams, PowerLawFit, TailFit, fit_garch11, fit_ou,
+from .fitting import (GarchFit, GarchParams, LmResult, OuFit, OuParams,
+                      PowerLawFit, TailFit, fit_garch11, fit_ou,
                       fit_power_law, fit_tail_exponent, garch_filter,
                       gaussian_log_likelihood, lm_minimize)
 from .report import (ALL_FACTS, REPORT_SCHEMA, AssetInput, RunConfig,
                      RunResult, asset_seed, load_config, merge_reports,
                      run_analyze)
-from .series import (GapReport, LogReturnSeries, OhlcBar, PriceSeries,
-                     SamplingGrid, aggregate_returns, compute_log_returns,
+from .series import (GapReport, LogReturnSeries, PriceSeries, SamplingGrid,
+                     aggregate_returns, compute_log_returns,
                      prices_from_returns, read_csv, validate_and_gapfill,
                      write_csv)
 from .simulate import (GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate,
@@ -51,9 +51,8 @@ __all__ = [
     # errors
     "StylfactsError", "RejectedInputError", "DataQualityError",
     "DegenerateInputError", "InsufficientDataError", "NonMeanRevertingError",
-    "FitError",
     # series
-    "OhlcBar", "PriceSeries", "LogReturnSeries", "SamplingGrid", "GapReport",
+    "PriceSeries", "LogReturnSeries", "SamplingGrid", "GapReport",
     "compute_log_returns", "aggregate_returns", "prices_from_returns",
     "validate_and_gapfill", "read_csv", "write_csv",
     # volatility
@@ -64,7 +63,7 @@ __all__ = [
     "QqData", "acf", "autocovariance", "cross_correlation", "pearson_corr",
     "ks_test_normal", "anderson_darling_normal", "adf_test", "qq_data",
     # fitting
-    "LmResult", "PowerLawFit", "GarchParams", "GjrParams", "GarchFit",
+    "LmResult", "PowerLawFit", "GarchParams", "GarchFit",
     "OuParams", "OuFit", "TailFit", "lm_minimize", "fit_power_law",
     "fit_garch11", "fit_ou", "fit_tail_exponent", "garch_filter",
     "gaussian_log_likelihood",

@@ -32,7 +32,3 @@ class InsufficientDataError(StylfactsError):
 
 class NonMeanRevertingError(StylfactsError):
     """OU fit rejected: the AR(1) coefficient does not indicate mean reversion."""
-
-
-class FitError(StylfactsError):
-    """A fit failed in a way that cannot be expressed as a result flag."""

@@ -25,7 +25,8 @@ Conventions shared by all tests:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Optional
 
@@ -36,7 +37,7 @@ from .errors import (DegenerateInputError, InsufficientDataError,
                      NonMeanRevertingError, StylfactsError)
 from .fitting import (GarchFit, fit_garch11, fit_ou, fit_power_law,
                       fit_tail_exponent, garch_filter)
-from .series import PriceSeries, compute_log_returns
+from .series import PriceSeries, block_sums, compute_log_returns
 from .simulate import GarchSpec, OuSpec, simulate
 from .stats import acf, adf_test, anderson_darling_normal, cross_correlation, \
     ks_test_normal, pearson_corr, qq_data
@@ -109,6 +110,53 @@ class ZumbachResult:
 
 EXCURSION_LEVELS = (1, 5, 25, 50, 90, 95, 99)
 
+_INT, _OPT_INT, _REAL = "an int", "an int or None", "a number"
+
+# Type and range of every FactConfig field: (kind, low, high), None for an
+# unbounded side.  Ints (never bools) must lie in [low, high]; reals (ints or
+# floats, never bools) in the open interval (low, high).  Windows, strides
+# and lags start at 1; the F2 power-law fit needs two lags.
+_FIELD_RULES = {
+    "seed": (_INT, 0, None),
+    "step_seconds": (_INT, 1, None),
+    "acf_lags": (_INT, 1, None),
+    "f1_band_mult": (_REAL, None, None),
+    "f1_min_in_band": (_REAL, None, None),
+    "f2_alpha_power": (_INT, 1, 2),
+    "f2_max_lag": (_INT, 1, None),
+    "f2_min_fit_lags": (_INT, 2, None),
+    "f2_range_low": (_REAL, None, None),
+    "f2_range_high": (_REAL, None, None),
+    "f3_min_segment": (_INT, None, None),
+    "f3_vol_window": (_INT, 1, None),
+    "f3_suffix_ratio": (_REAL, 0, 1),
+    "f4_window": (_INT, 1, None),
+    "f4_stride": (_INT, 1, None),
+    "f4_lags": (_INT, 1, None),
+    "f4_band_mult": (_REAL, None, None),
+    "f4_min_windows": (_INT, None, None),
+    "f5_max_lag": (_INT, 1, None),
+    "f5_band_mult": (_REAL, None, None),
+    "f5_frac_below": (_REAL, None, None),
+    "f6_window": (_OPT_INT, 1, None),
+    "f6_n_boot": (_INT, 1, None),
+    "f6_min_volume_fraction": (_REAL, None, None),
+    "tail_fraction": (_REAL, 0, 0.5),
+    "std_window": (_INT, 1, None),
+    "f8_min_returns": (_INT, None, None),
+    "tail_r2_min": (_REAL, None, None),
+    "tail_se_mult": (_REAL, None, None),
+    "f9_aggregate": (_INT, 1, None),
+    "f9_se_mult": (_REAL, None, None),
+    "f10_ladder_ratio": (_INT, 2, None),
+    "f10_min_samples": (_INT, 1, None),
+    "f10_min_step_frac": (_REAL, None, None),
+    "f11_lags": (_INT, 1, None),
+    "f11_n_boot": (_INT, 1, None),
+    "f11_level": (_REAL, 0, 1),
+    "f11_min_outside": (_REAL, None, None),
+}
+
 
 @dataclass(frozen=True)
 class FactConfig:
@@ -167,20 +215,22 @@ class FactConfig:
     f11_min_outside: float = 0.50
 
     def __post_init__(self):
-        if self.f2_alpha_power not in (1, 2):
-            raise ValueError("f2_alpha_power must be 1 or 2")
-        if not (0.0 < self.tail_fraction < 0.5):
-            raise ValueError("tail_fraction must lie in (0, 0.5)")
-        if not (0.0 < self.f3_suffix_ratio < 1.0):
-            raise ValueError("f3_suffix_ratio must lie in (0, 1)")
-        for name in ("acf_lags", "f6_n_boot", "f9_aggregate", "f10_min_samples",
-                     "f11_lags", "f11_n_boot"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.f10_ladder_ratio < 2:
-            raise ValueError("f10_ladder_ratio must be >= 2")
-        if not (0.0 < self.f11_level < 1.0):
-            raise ValueError("f11_level must lie in (0, 1)")
+        for f in fields(self):
+            kind, low, high = _FIELD_RULES[f.name]
+            value = getattr(self, f.name)
+            if value is None and kind == _OPT_INT:
+                continue
+            wanted = numbers.Real if kind == _REAL else numbers.Integral
+            if isinstance(value, bool) or not isinstance(value, wanted):
+                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
+            if kind == _REAL:
+                ok = (low is None or value > low) and (high is None or value < high)
+                bounds = f"lie in ({low}, {high})"
+            else:
+                ok = (low is None or value >= low) and (high is None or value <= high)
+                bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+            if not ok:
+                raise ValueError(f"{f.name} must {bounds}")
 
 
 DEFAULT_CONFIG = FactConfig()
@@ -224,25 +274,6 @@ def standardized_returns(returns, window: int) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = r[window:] / sd
     return out[np.isfinite(out)]
-
-
-def _aggregate(r: np.ndarray, k: int) -> np.ndarray:
-    m = len(r) // k
-    if m == 0:
-        return np.empty(0)
-    return r[: m * k].reshape(m, k).sum(axis=1)
-
-
-def _tail_points(z: np.ndarray, side: str, fraction: float):
-    """The (value, exceedance) pairs the tail fit regresses on, for plotting."""
-    sample = z[z > 0.0] if side == "right" else -z[z < 0.0]
-    sample = np.sort(sample)
-    m = len(sample)
-    n_tail = math.ceil(fraction * len(z))
-    top = sample[m - n_tail:]
-    exceed = (m - np.arange(m - n_tail + 1, m + 1)) / m
-    keep = exceed > 0.0
-    return top[keep], exceed[keep]
 
 
 def excursion_lengths(vol, levels=EXCURSION_LEVELS) -> ExcursionProfile:
@@ -606,6 +637,12 @@ def _fit_both_sides(z: np.ndarray, fraction: float):
             fit_tail_exponent(z, "right", fraction))
 
 
+def _tail_curves(left, right) -> dict:
+    """The points each side's tail fit regressed on, for plotting."""
+    return {"tail_left": {"value": left.values, "exceedance": left.exceedance},
+            "tail_right": {"value": right.values, "exceedance": right.exceedance}}
+
+
 def test_unconditional_tail(returns, config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
     """Tail exponents of volatility-standardized returns, both sides, against
     a Gaussian sample pushed through the identical pipeline."""
@@ -627,8 +664,6 @@ def test_unconditional_tail(returns, config: FactConfig = DEFAULT_CONFIG) -> Fac
     ok_l = _tail_side_check(left, ref_left, config)
     ok_r = _tail_side_check(right, ref_right, config)
     status = FactStatus.SUPPORTED if (ok_l and ok_r) else FactStatus.NOT_SUPPORTED
-    xl, pl = _tail_points(z, "left", config.tail_fraction)
-    xr, pr = _tail_points(z, "right", config.tail_fraction)
     return FactVerdict(
         FactId.F8, status,
         metrics={"n": len(z), "alpha_left": left.alpha, "alpha_right": right.alpha,
@@ -636,8 +671,7 @@ def test_unconditional_tail(returns, config: FactConfig = DEFAULT_CONFIG) -> Fac
                  "r2_left": left.r_squared, "r2_right": right.r_squared,
                  "ref_alpha_left": ref_left.alpha, "ref_alpha_right": ref_right.alpha,
                  "n_tail": left.n_tail},
-        curves={"tail_left": {"value": xl, "exceedance": pl},
-                "tail_right": {"value": xr, "exceedance": pr}})
+        curves=_tail_curves(left, right))
 
 
 def test_conditional_tail(returns, config: FactConfig = DEFAULT_CONFIG,
@@ -679,12 +713,9 @@ def test_conditional_tail(returns, config: FactConfig = DEFAULT_CONFIG,
         metrics["alpha_right_unconditional"] = ur.alpha
     except (InsufficientDataError, DegenerateInputError):
         pass
-    xl, pl = _tail_points(z, "left", config.tail_fraction)
-    xr, pr = _tail_points(z, "right", config.tail_fraction)
     return FactVerdict(
         FactId.F7, status, metrics,
-        curves={"tail_left": {"value": xl, "exceedance": pl},
-                "tail_right": {"value": xr, "exceedance": pr}})
+        curves=_tail_curves(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +738,7 @@ def test_gain_loss_asymmetry(returns, config: FactConfig = DEFAULT_CONFIG,
     except (InsufficientDataError, DegenerateInputError) as e:
         return _inconclusive(FactId.F9, f"standardization failed: {e}", n=len(r))
     k = config.f9_aggregate
-    zz = _aggregate(z, k)
+    zz = block_sums(z, k)
     try:
         left, right = _fit_both_sides(zz, config.tail_fraction)
     except (InsufficientDataError, DegenerateInputError) as e:
@@ -724,17 +755,14 @@ def test_gain_loss_asymmetry(returns, config: FactConfig = DEFAULT_CONFIG,
         h = garch_filter(r, garch_fit.params)
         resid = (r - garch_fit.params.mean) / np.sqrt(h)
         try:
-            cl, cr = _fit_both_sides(_aggregate(resid, k), config.tail_fraction)
+            cl, cr = _fit_both_sides(block_sums(resid, k), config.tail_fraction)
             metrics["alpha_left_conditional"] = cl.alpha
             metrics["alpha_right_conditional"] = cr.alpha
         except (InsufficientDataError, DegenerateInputError) as e:
             notes.append(f"conditional pipeline unavailable: {e}")
-    xl, pl = _tail_points(zz, "left", config.tail_fraction)
-    xr, pr = _tail_points(zz, "right", config.tail_fraction)
     return FactVerdict(
         FactId.F9, status, metrics,
-        curves={"tail_left": {"value": xl, "exceedance": pl},
-                "tail_right": {"value": xr, "exceedance": pr}},
+        curves=_tail_curves(left, right),
         notes=tuple(notes))
 
 
@@ -759,7 +787,7 @@ def test_aggregational_gaussianity(returns, config: FactConfig = DEFAULT_CONFIG)
     curves = {}
     metrics = {"n": len(r), "n_scales": len(ladder)}
     for k in ladder:
-        agg = _aggregate(r, k)
+        agg = block_sums(r, k)
         s = agg.std(ddof=1)
         if s == 0.0:
             return _inconclusive(FactId.F10, f"degenerate aggregate at k={k}", n=len(agg))
@@ -804,7 +832,7 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
 
     Z(delta) is the correlation-scale difference between "squared volatility
     explained by past squared returns" and the time-reversed pairing; see
-    kernels.zumbach_z_np for the exact normalization.  The band is the 95%
+    kernels.zumbach_z for the exact normalization.  The band is the 95%
     spread of Z on joint block resamples of the aligned pair, centered at
     zero: resampling preserves the series' dependence (and hence the sampling
     noise of Z) while the centering removes the asymmetry itself.

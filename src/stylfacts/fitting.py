@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -208,27 +208,6 @@ class GarchParams:
         return self.omega / (1.0 - self.alpha - self.beta)
 
 
-@dataclass(frozen=True)
-class GjrParams:
-    mean: float
-    omega: float
-    alpha: float
-    gamma: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise ValueError("omega must be > 0")
-        if self.alpha < 0.0 or self.beta < 0.0 or self.alpha + self.gamma < 0.0:
-            raise ValueError("ARCH coefficients must stay non-negative")
-        if self.alpha + 0.5 * self.gamma + self.beta >= 1.0:
-            raise ValueError("stationarity requires alpha + gamma/2 + beta < 1")
-
-    @property
-    def unconditional_variance(self) -> float:
-        return self.omega / (1.0 - self.alpha - 0.5 * self.gamma - self.beta)
-
-
 def garch_filter(returns, params: GarchParams) -> np.ndarray:
     """Conditional variance path; h_1 is the unconditional variance."""
     r = np.asarray(returns, dtype=float).reshape(-1)
@@ -396,6 +375,9 @@ class TailFit:
     n_tail: int
     x_min: float
     side: str
+    # the (value, exceedance) points the regression ran on, ascending in value
+    values: np.ndarray = field(repr=False, compare=False)
+    exceedance: np.ndarray = field(repr=False, compare=False)
 
 
 def fit_tail_exponent(x, side: str = "right", tail_fraction: float = 0.05) -> TailFit:
@@ -417,8 +399,9 @@ def fit_tail_exponent(x, side: str = "right", tail_fraction: float = 0.05) -> Ta
     top = sample[m - n_tail:]
     exceed = (m - np.arange(m - n_tail + 1, m + 1)) / m
     keep = exceed > 0.0
-    lx = np.log(top[keep])
-    lp = np.log(exceed[keep])
+    values, exceedance = top[keep], exceed[keep]
+    lx = np.log(values)
+    lp = np.log(exceedance)
     n_used = len(lx)
     dlx = lx - lx.mean()
     sxx = float(np.dot(dlx, dlx))
@@ -433,4 +416,5 @@ def fit_tail_exponent(x, side: str = "right", tail_fraction: float = 0.05) -> Ta
     alpha = -slope
     alpha_se = abs(alpha) * math.sqrt(2.0 / n_used)
     return TailFit(alpha=alpha, alpha_se=alpha_se, r_squared=r2, intercept=intercept,
-                   n_tail=n_used, x_min=float(top[0]), side=side)
+                   n_tail=n_used, x_min=float(top[0]), side=side, values=values,
+                   exceedance=exceedance)

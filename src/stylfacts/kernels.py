@@ -1,61 +1,51 @@
-"""Hot numeric kernels: numba-jitted loops with pure-numpy implementations.
+"""Hot numeric kernels, one implementation each.
 
-Path selection happens once at import time.  numba is used when it is
-importable unless the environment sets STYLFACTS_NO_NUMBA=1, in which case
-the numpy implementations take over.  The exception is the Zumbach block
-bootstrap, which always runs `zumbach_boot_np`.  Each `*_np` kernel has a
-`_*_loop` twin that spells out the arithmetic one element at a time; the
-twins are what numba compiles and what the tests hold the numpy kernels to.
-`benchmarks/bench_kernels.py` times the numpy kernels (and the compiled
-loops, where numba exists) and checks them against the twins.
+Kernels live here because they are the measured hot spots: the GARCH
+likelihood filter runs once per optimizer evaluation (thousands of times per
+fit), the simulators are sequential recursions, rolling window estimators
+touch every bar, and the Zumbach null band resamples the series a thousand
+times.  `benchmarks/bench_kernels.py` times each kernel and checks it against
+its twin.
 
+Every kernel except `garch_sim` has a `_*_loop` twin that spells out the
+arithmetic one element at a time; the tests hold the kernels to the twins.
 The filters, the OU path and the rolling moments run the twin's arithmetic
 in another order (IIR filters, window views), which moves results at
-roundoff.  `zumbach_boot_np` computes the same statistic as
-`_zumbach_boot_loop` by another decomposition: it never builds a resample.
-Pairs of bars inside one block are read from a table of circular prefix-sum
-differences, one row per possible block start; pairs that straddle a block
-boundary come from one small matrix product per resample (see its
-docstring).  That takes O(n / block_len * n_lags^2) work per resample
-instead of O(n * n_lags).  When n_lags exceeds block_len, which happens for
-series shorter than about n_lags^3, a pair can span several blocks and the
-kernel falls back to gathering each resample in full.
+roundoff.  `garch_sim` is its own reference: the coefficient of its variance
+recursion changes with every draw, so no fixed-coefficient filter applies
+and it stays a plain loop.
 
-Kernels live here because they are the measured hot spots: the GARCH/GJR
-likelihood filter runs once per optimizer evaluation (thousands of times per
-fit), the simulators are sequential recursions that numpy cannot vectorize,
-rolling window estimators touch every bar, and the Zumbach null band
-resamples the series a thousand times.
+`zumbach_boot` computes the same statistic as `_zumbach_boot_loop` by
+another decomposition: it never builds a resample.  Pairs of bars inside one
+block are read from a table of circular prefix-sum differences, one row per
+possible block start; pairs that straddle a block boundary come from one
+small matrix product per resample (see its docstring).  That takes
+O(n / block_len * n_lags^2) work per resample instead of O(n * n_lags).
+When n_lags exceeds block_len, which happens for series shorter than about
+n_lags^3, a pair can span several blocks and the kernel falls back to
+gathering each resample in full (`_zumbach_boot_gather`).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
-try:
-    import numba
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is an install-time choice
-    numba = None
-    _HAVE_NUMBA = False
-
-USE_NUMBA = _HAVE_NUMBA and os.environ.get("STYLFACTS_NO_NUMBA", "") != "1"
+# There is no compiled path.  perfbench/run.py's machine probe still reads
+# this flag into every result record.
+USE_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
-# GARCH / GJR conditional-variance filters
+# GARCH conditional-variance filter
 # ---------------------------------------------------------------------------
 
-def garch_filter_np(eps2, omega, alpha, beta, h1):
+def garch_filter(eps2, omega, alpha, beta, h1):
     """Conditional variance path h_t for demeaned squared returns eps2.
 
     h[0] = h1, h[t] = omega + alpha*eps2[t-1] + beta*h[t-1].  The recursion is
-    linear in h, so the numpy path runs it through a first-order IIR filter.
+    linear in h, so it runs through a first-order IIR filter.
     """
     forcing = np.empty_like(eps2)
     forcing[0] = h1
@@ -72,30 +62,11 @@ def _garch_filter_loop(eps2, omega, alpha, beta, h1):
     return h
 
 
-def gjr_filter_np(eps2, neg, omega, alpha, gamma, beta, h1):
-    """GJR variant: the ARCH coefficient is alpha + gamma on bars where the
-    demeaned return was negative (neg is a 0/1 array)."""
-    coef = alpha + gamma * neg
-    forcing = np.empty_like(eps2)
-    forcing[0] = h1
-    forcing[1:] = omega + coef[:-1] * eps2[:-1]
-    return lfilter([1.0], [1.0, -beta], forcing)
-
-
-def _gjr_filter_loop(eps2, neg, omega, alpha, gamma, beta, h1):
-    n = eps2.shape[0]
-    h = np.empty(n)
-    h[0] = h1
-    for t in range(1, n):
-        h[t] = omega + (alpha + gamma * neg[t - 1]) * eps2[t - 1] + beta * h[t - 1]
-    return h
-
-
 # ---------------------------------------------------------------------------
-# Recursive simulators (state-dependent coefficients, not lfilter-able)
+# Simulators
 # ---------------------------------------------------------------------------
 
-def _garch_sim_loop(z, omega, alpha, gamma, beta, h1, burn):
+def garch_sim(z, omega, alpha, gamma, beta, h1, burn):
     """Simulate r_t = sqrt(h_t) z_t; gamma=0 gives plain GARCH.
 
     z covers burn + n steps; the first `burn` draws warm up the recursion and
@@ -116,15 +87,11 @@ def _garch_sim_loop(z, omega, alpha, gamma, beta, h1, burn):
     return r, h_out
 
 
-def garch_sim_np(z, omega, alpha, gamma, beta, h1, burn):
-    return _garch_sim_loop(z, omega, alpha, gamma, beta, h1, burn)
-
-
-def ou_path_np(z, x0, mu, b, noise_scale):
+def ou_path(z, x0, mu, b, noise_scale):
     """Exact OU discretization x_{t+1} = mu + (x_t - mu) * b + noise_scale * z_t.
 
     Returns the path including x0 (length len(z) + 1).  Linear recursion, so
-    the numpy path uses an IIR filter on the deviations from mu.
+    it runs as an IIR filter on the deviations from mu.
     """
     dev = lfilter([1.0], [1.0, -b], noise_scale * z, zi=np.array([b * (x0 - mu)]))[0]
     out = np.empty(z.shape[0] + 1)
@@ -148,9 +115,9 @@ def _ou_path_loop(z, x0, mu, b, noise_scale):
 # Rolling window reductions
 # ---------------------------------------------------------------------------
 
-def rolling_var_np(x, n, stride):
+def rolling_var(x, n, stride):
     """Sample variance (ddof=1) over windows [i*stride, i*stride + n)."""
-    win = np.lib.stride_tricks.sliding_window_view(x, n)[::stride]
+    win = sliding_window_view(x, n)[::stride]
     return win.var(axis=1, ddof=1)
 
 
@@ -171,9 +138,9 @@ def _rolling_var_loop(x, n, stride):
     return out
 
 
-def rolling_mean_np(x, n, stride):
+def rolling_mean(x, n, stride):
     """Plain mean over the same window layout (feeds Parkinson / RS)."""
-    win = np.lib.stride_tricks.sliding_window_view(x, n)[::stride]
+    win = sliding_window_view(x, n)[::stride]
     return win.mean(axis=1)
 
 
@@ -193,7 +160,7 @@ def _rolling_mean_loop(x, n, stride):
 # Zumbach statistic and its block-bootstrap null band
 # ---------------------------------------------------------------------------
 
-def zumbach_z_np(a, b, n_lags):
+def zumbach_z(a, b, n_lags):
     """Z(delta) = C(delta) - C(-delta) for delta = 1..n_lags.
 
     a is the (squared) volatility proxy, b the squared returns, aligned on the
@@ -265,7 +232,7 @@ def _zumbach_boot_loop(a, b, starts, block_len, n_lags):
     return out
 
 
-def zumbach_boot_np(a, b, starts, block_len, n_lags, chunk=16):
+def zumbach_boot(a, b, starts, block_len, n_lags, chunk=16):
     """Z on circular-block resamples (see _zumbach_boot_loop) from block
     range sums, without materialising any resample.
 
@@ -371,39 +338,3 @@ def _zumbach_boot_gather(a, b, starts, block_len, n_lags, chunk=64):
             futr = np.einsum("ij,ij->i", ar[:, :-lag], br[:, lag:]) - abar * br[:, lag:].sum(axis=1)
             out[lo:hi, lag - 1] = (past - futr) / ((n - lag) * astd * bstd)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Path selection
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-    _njit = numba.njit(cache=True)
-    garch_filter_nb = _njit(_garch_filter_loop)
-    gjr_filter_nb = _njit(_gjr_filter_loop)
-    garch_sim_nb = _njit(_garch_sim_loop)
-    ou_path_nb = _njit(_ou_path_loop)
-    rolling_var_nb = _njit(_rolling_var_loop)
-    rolling_mean_nb = _njit(_rolling_mean_loop)
-    zumbach_boot_nb = _njit(_zumbach_boot_loop)
-
-if USE_NUMBA:
-    garch_filter = garch_filter_nb
-    gjr_filter = gjr_filter_nb
-    garch_sim = garch_sim_nb
-    ou_path = ou_path_nb
-    rolling_var = rolling_var_nb
-    rolling_mean = rolling_mean_nb
-else:
-    garch_filter = garch_filter_np
-    gjr_filter = gjr_filter_np
-    garch_sim = garch_sim_np
-    ou_path = ou_path_np
-    rolling_var = rolling_var_np
-    rolling_mean = rolling_mean_np
-
-# The range-sum kernel does O(n / block_len * n_lags^2) work per resample
-# against the loop's O(n * n_lags), so it runs whether or not numba is
-# present; zumbach_boot_nb stays for benchmarks/bench_kernels.py.
-zumbach_boot = zumbach_boot_np
-zumbach_z = zumbach_z_np

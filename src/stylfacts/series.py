@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -25,18 +25,6 @@ from .errors import DataQualityError, InsufficientDataError, RejectedInputError
 MAX_MISSING_FRACTION = 0.20
 
 CSV_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
-
-
-@dataclass(frozen=True)
-class OhlcBar:
-    """One bar; volume None when the feed does not provide it."""
-
-    timestamp: int
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -127,23 +115,6 @@ class PriceSeries:
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def bar(self, i: int) -> OhlcBar:
-        v = self.volume[i]
-        return OhlcBar(int(self.timestamps[i]), float(self.open[i]), float(self.high[i]),
-                       float(self.low[i]), float(self.close[i]),
-                       None if np.isnan(v) else float(v))
-
-    @classmethod
-    def from_bars(cls, bars: Sequence[OhlcBar]) -> "PriceSeries":
-        return cls(
-            [b.timestamp for b in bars],
-            [b.open for b in bars],
-            [b.high for b in bars],
-            [b.low for b in bars],
-            [b.close for b in bars],
-            [np.nan if b.volume is None else b.volume for b in bars],
-        )
-
     def volume_present_fraction(self) -> float:
         return float(np.mean(~np.isnan(self.volume)))
 
@@ -166,6 +137,13 @@ def compute_log_returns(series: PriceSeries) -> LogReturnSeries:
     return LogReturnSeries(values=values, timestamps=series.timestamps[1:].copy())
 
 
+def block_sums(values: np.ndarray, k: int) -> np.ndarray:
+    """Sums of non-overlapping blocks of k values anchored at the start; a
+    trailing remainder shorter than k is dropped (no blocks: empty)."""
+    n = len(values) // k
+    return values[: n * k].reshape(n, k).sum(axis=1)
+
+
 def aggregate_returns(returns: LogReturnSeries, k: int) -> LogReturnSeries:
     """Sum non-overlapping blocks of k returns; trailing remainder dropped."""
     if k < 1:
@@ -173,9 +151,8 @@ def aggregate_returns(returns: LogReturnSeries, k: int) -> LogReturnSeries:
     n = len(returns) // k
     if n == 0:
         raise InsufficientDataError(f"fewer than k={k} returns")
-    vals = returns.values[: n * k].reshape(n, k).sum(axis=1)
     ts = returns.timestamps[k - 1 : n * k : k].copy()
-    return LogReturnSeries(values=vals, timestamps=ts)
+    return LogReturnSeries(values=block_sums(returns.values, k), timestamps=ts)
 
 
 def prices_from_returns(returns: LogReturnSeries, p0: float) -> np.ndarray:

@@ -175,6 +175,21 @@ class TestAnalyze:
         assert f"{param} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("param,value", [
+        *((p, v) for p in ("f3_vol_window", "f4_window", "f4_stride", "f5_max_lag", "f6_window")
+          for v in (0, -1)),
+        ("f2_max_lag", -1), ("std_window", -1), ("f4_lags", 0),
+        ("f9_aggregate", 2.5), ("f11_lags", 10.5)])
+    def test_bad_fact_param_exits_2_before_any_asset(self, tmp_path, capsys, param, value):
+        write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "assets": [{"id": "ok", "path": "ok.csv"}], "out_dir": "out",
+            "fact_params": {param: value}}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert param in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_asset_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -5,6 +5,7 @@ assert cells that are stable across neighboring seeds; the full 20-seed
 control matrix at N=1e5 lives in the acceptance suite.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -382,10 +383,31 @@ class TestConfigValidation:
         {"f11_lags": 0},
         {"f11_n_boot": 0},
         {"f11_level": 1.0},
+        # each of these passed the old checks
+        *({name: v} for name in ("f3_vol_window", "f4_window", "f4_stride", "f5_max_lag",
+                                 "f6_window") for v in (0, -1)),
+        {"f2_max_lag": -1},
+        {"f2_min_fit_lags": 1},
+        {"std_window": -1},
+        {"f4_lags": 0},
+        {"f9_aggregate": 2.5},
+        {"f11_lags": 10.5},
+        {"f11_n_boot": True},
+        {"acf_lags": "50"},
+        {"f1_band_mult": "2"},
+        {"seed": -1},
     ])
     def test_bad_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             FactConfig(**kwargs)
+
+    def test_every_field_has_a_rule(self):
+        assert set(facts._FIELD_RULES) == {f.name for f in dataclasses.fields(FactConfig)}
+
+    def test_number_kinds_accepted(self):
+        cfg = FactConfig(f1_band_mult=2, f6_window=None, f11_lags=np.int64(5), tail_fraction=0.1)
+        assert cfg.f11_lags == 5
+        assert FactConfig(f6_window=3).f6_window == 3
 
     def test_custom_config_flows_through(self, gbm_case):
         ps, _ = gbm_case

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stylfacts import kernels
 from stylfacts.errors import (DegenerateInputError, InsufficientDataError,
                               NonMeanRevertingError)
-from stylfacts.fitting import (GarchParams, GjrParams, fit_garch11, fit_ou,
+from stylfacts.fitting import (GarchParams, fit_garch11, fit_ou,
                                fit_power_law, fit_tail_exponent, garch_filter,
                                gaussian_log_likelihood, lm_minimize)
 from stylfacts.simulate import GarchSpec, OuSpec, simulate
@@ -106,15 +105,6 @@ class TestGarchParams:
     def test_unconditional_variance(self):
         p = GarchParams(mean=0.0, omega=1e-6, alpha=0.1, beta=0.85)
         assert p.unconditional_variance == pytest.approx(1e-6 / 0.05)
-
-    def test_gjr_stationarity_uses_half_gamma(self):
-        GjrParams(mean=0.0, omega=1e-6, alpha=0.05, gamma=0.2, beta=0.84)  # 0.99 < 1
-        with pytest.raises(ValueError):
-            GjrParams(mean=0.0, omega=1e-6, alpha=0.05, gamma=0.2, beta=0.86)
-
-    def test_gjr_alpha_plus_gamma_nonnegative(self):
-        with pytest.raises(ValueError):
-            GjrParams(mean=0.0, omega=1e-6, alpha=0.01, gamma=-0.05, beta=0.5)
 
 
 class TestGarchFilter:
@@ -262,34 +252,14 @@ class TestTailExponent:
         with pytest.raises(ValueError):
             fit_tail_exponent(np.arange(1000.0), "upper", 0.05)
 
-
-def test_kernels_numpy_and_numba_agree():
-    if not kernels._HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(20)
-    eps2 = rng.standard_normal(500) ** 2 * 1e-4
-    neg = (rng.standard_normal(500) < 0).astype(float)
-    z = rng.standard_normal(500)
-    x = rng.standard_normal(500)
-    np.testing.assert_allclose(
-        kernels.garch_filter_np(eps2, 1e-6, 0.1, 0.85, 2e-5),
-        kernels.garch_filter_nb(eps2, 1e-6, 0.1, 0.85, 2e-5), rtol=1e-13)
-    np.testing.assert_allclose(
-        kernels.gjr_filter_np(eps2, neg, 1e-6, 0.03, 0.1, 0.8, 2e-5),
-        kernels.gjr_filter_nb(eps2, neg, 1e-6, 0.03, 0.1, 0.8, 2e-5), rtol=1e-13)
-    for r_np, r_nb in zip(kernels.garch_sim_np(z, 1e-6, 0.1, 0.05, 0.8, 2e-5, 10),
-                          kernels.garch_sim_nb(z, 1e-6, 0.1, 0.05, 0.8, 2e-5, 10)):
-        np.testing.assert_allclose(r_np, r_nb, rtol=1e-13)
-    np.testing.assert_allclose(
-        kernels.ou_path_np(z, 0.3, 0.1, math.exp(-0.05), 0.01),
-        kernels.ou_path_nb(z, 0.3, 0.1, math.exp(-0.05), 0.01), rtol=1e-12)
-    np.testing.assert_allclose(
-        kernels.rolling_var_np(x, 21, 3), kernels.rolling_var_nb(x, 21, 3), rtol=1e-11)
-    np.testing.assert_allclose(
-        kernels.rolling_mean_np(x, 21, 3), kernels.rolling_mean_nb(x, 21, 3), rtol=1e-12)
-    a = np.abs(x) + 0.1
-    b = np.abs(rng.standard_normal(500)) + 0.1
-    starts = rng.integers(0, 500, size=(50, 63), dtype=np.int64)
-    np.testing.assert_allclose(
-        kernels.zumbach_boot_np(a, b, starts, 8, 5),
-        kernels.zumbach_boot_nb(a, b, starts, 8, 5), rtol=1e-10)
+    def test_points_are_the_regressed_order_statistics(self):
+        x = np.random.default_rng(21).standard_t(4, 4000)
+        fit = fit_tail_exponent(x, "left", 0.05)
+        sample = np.sort(-x[x < 0.0])
+        m = len(sample)
+        # the top 200 order statistics without the maximum (exceedance 0)
+        np.testing.assert_array_equal(fit.values, sample[m - 200:m - 1])
+        np.testing.assert_array_equal(fit.exceedance, np.arange(199, 0, -1) / m)
+        assert fit.x_min == fit.values[0]
+        slope = np.polyfit(np.log(fit.values), np.log(fit.exceedance), 1)[0]
+        assert fit.alpha == pytest.approx(-slope, rel=1e-9)

@@ -1,10 +1,10 @@
-"""Each numpy kernel against its element-by-element `_*_loop` twin.
+"""Each kernel against its element-by-element `_*_loop` twin.
 
-These oracles run with or without numba.  Tolerances come from float64
-roundoff, not from the observed error.  The filters and rolling moments
-reorder short sums.  The Zumbach kernels decompose the statistic another
-way (prefix sums over the whole series, boundary products), so they are
-held to 1e-10 of the largest |Z| of the reference.
+Tolerances come from float64 roundoff, not from the observed error.  The
+filters and rolling moments reorder short sums.  The Zumbach kernels
+decompose the statistic another way (prefix sums over the whole series,
+boundary products), so they are held to 1e-10 of the largest |Z| of the
+reference.
 """
 
 import math
@@ -19,28 +19,21 @@ from stylfacts import kernels
 def series():
     rng = np.random.default_rng(20)
     return {"eps2": rng.standard_normal(500) ** 2 * 1e-4,
-            "neg": (rng.standard_normal(500) < 0).astype(float),
             "z": rng.standard_normal(500),
             "x": rng.standard_normal(500)}
 
 
 def test_filters_match_loop(series):
-    eps2, neg = series["eps2"], series["neg"]
+    eps2 = series["eps2"]
     np.testing.assert_allclose(
-        kernels.garch_filter_np(eps2, 1e-6, 0.1, 0.85, 2e-5),
+        kernels.garch_filter(eps2, 1e-6, 0.1, 0.85, 2e-5),
         kernels._garch_filter_loop(eps2, 1e-6, 0.1, 0.85, 2e-5), rtol=1e-13)
-    np.testing.assert_allclose(
-        kernels.gjr_filter_np(eps2, neg, 1e-6, 0.03, 0.1, 0.8, 2e-5),
-        kernels._gjr_filter_loop(eps2, neg, 1e-6, 0.03, 0.1, 0.8, 2e-5), rtol=1e-13)
 
 
 def test_simulators_match_loop(series):
     z = series["z"]
-    for got, ref in zip(kernels.garch_sim_np(z, 1e-6, 0.1, 0.05, 0.8, 2e-5, 10),
-                        kernels._garch_sim_loop(z, 1e-6, 0.1, 0.05, 0.8, 2e-5, 10)):
-        np.testing.assert_array_equal(got, ref)
     np.testing.assert_allclose(
-        kernels.ou_path_np(z, 0.3, 0.1, math.exp(-0.05), 0.01),
+        kernels.ou_path(z, 0.3, 0.1, math.exp(-0.05), 0.01),
         kernels._ou_path_loop(z, 0.3, 0.1, math.exp(-0.05), 0.01), rtol=1e-12)
 
 
@@ -48,10 +41,10 @@ def test_rolling_moments_match_loop(series):
     x = series["x"]
     for stride in (1, 3):
         np.testing.assert_allclose(
-            kernels.rolling_var_np(x, 21, stride), kernels._rolling_var_loop(x, 21, stride),
+            kernels.rolling_var(x, 21, stride), kernels._rolling_var_loop(x, 21, stride),
             rtol=1e-11)
         np.testing.assert_allclose(
-            kernels.rolling_mean_np(x, 21, stride), kernels._rolling_mean_loop(x, 21, stride),
+            kernels.rolling_mean(x, 21, stride), kernels._rolling_mean_loop(x, 21, stride),
             atol=1e-14)
 
 
@@ -77,7 +70,9 @@ def _zumbach_case(n, block_len, n_lags, n_res, wrap=False):
     return a, b, starts, block_len, n_lags
 
 
-@pytest.mark.parametrize("kernel", [kernels.zumbach_boot_np, kernels._zumbach_boot_gather])
+# fixed ids, so a kernel rename does not rename the test cases
+@pytest.mark.parametrize("kernel", [kernels.zumbach_boot, kernels._zumbach_boot_gather],
+                         ids=["zumbach_boot_np", "_zumbach_boot_gather"])
 @pytest.mark.parametrize("wrap", [False, True], ids=["random_starts", "starts_at_n_minus_1"])
 @pytest.mark.parametrize("shape", list(ZUMBACH_SHAPES.values()), ids=list(ZUMBACH_SHAPES))
 def test_zumbach_boot_matches_loop(kernel, shape, wrap):
@@ -88,8 +83,14 @@ def test_zumbach_boot_matches_loop(kernel, shape, wrap):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
 
 
-def test_zumbach_boot_is_the_range_sum_kernel():
-    assert kernels.zumbach_boot is kernels.zumbach_boot_np
+def test_zumbach_boot_is_the_range_sum_kernel(monkeypatch):
+    """The direct gather runs only when n_lags > block_len."""
+    calls = []
+    monkeypatch.setattr(kernels, "_zumbach_boot_gather", lambda *a: calls.append(a[3:]))
+    kernels.zumbach_boot(*_zumbach_case(*ZUMBACH_SHAPES["lags_eq_block"]))
+    assert calls == []
+    kernels.zumbach_boot(*_zumbach_case(*ZUMBACH_SHAPES["lags_gt_block_fallback"]))
+    assert calls == [(5, 10)]
 
 
 def test_zumbach_boot_identity_resample_gives_z():
@@ -98,6 +99,6 @@ def test_zumbach_boot_identity_resample_gives_z():
     n, block_len, n_lags = 1000, 10, 7
     a, b, _, _, _ = _zumbach_case(n, block_len, n_lags, 1)
     starts = (np.arange(n // block_len, dtype=np.int64) * block_len)[None, :]
-    ref = kernels.zumbach_z_np(a, b, n_lags)
-    np.testing.assert_allclose(kernels.zumbach_boot_np(a, b, starts, block_len, n_lags)[0],
+    ref = kernels.zumbach_z(a, b, n_lags)
+    np.testing.assert_allclose(kernels.zumbach_boot(a, b, starts, block_len, n_lags)[0],
                                ref, rtol=0, atol=1e-10 * np.abs(ref).max())

@@ -62,14 +62,6 @@ class TestPriceSeries:
         s = make_series(volume=False)
         assert np.all(np.isnan(s.volume))
         assert s.volume_present_fraction() == 0.0
-        assert s.bar(0).volume is None
-
-    def test_bar_roundtrip(self):
-        s = make_series(n=5)
-        again = PriceSeries.from_bars([s.bar(i) for i in range(len(s))])
-        np.testing.assert_array_equal(again.timestamps, s.timestamps)
-        np.testing.assert_allclose(again.close, s.close)
-        np.testing.assert_allclose(again.volume, s.volume)
 
     def test_volume_present_fraction_mixed(self):
         s = PriceSeries([0, DAY, 2 * DAY, 3 * DAY], [1] * 4, [1] * 4, [1] * 4,

@@ -165,6 +165,15 @@ class TestGarchFamily:
         with pytest.raises(ValueError, match="stationarity"):
             GjrSpec(n_steps=100, alpha=0.3, gamma=0.4, beta=0.6)
 
+    def test_gjr_stationarity_uses_half_gamma(self):
+        GjrSpec(n_steps=100, alpha=0.05, gamma=0.2, beta=0.84)  # 0.99 < 1
+        with pytest.raises(ValueError, match="stationarity"):
+            GjrSpec(n_steps=100, alpha=0.05, gamma=0.2, beta=0.86)
+
+    def test_gjr_alpha_plus_gamma_nonnegative(self):
+        with pytest.raises(ValueError):
+            GjrSpec(n_steps=100, alpha=0.01, gamma=-0.05, beta=0.5)
+
     def test_student_t_needs_df(self):
         with pytest.raises(ValueError, match="df > 2"):
             GarchSpec(n_steps=100, innovation="student_t", df=2.0)

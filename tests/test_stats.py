@@ -198,22 +198,43 @@ class TestAdf:
         res = adf_test(np.cumsum(rng.standard_normal(1000)))
         assert not res.reject["5%"]
 
-    def test_matches_statsmodels_at_selected_lag(self):
-        # max_lag bounds the AIC search; statsmodels with autolag=None pins
-        # the lag exactly, so compare at whichever lag the search picked
-        sm = pytest.importorskip("statsmodels.tsa.stattools")
+    def test_matches_brute_force_at_selected_lag(self):
+        # Brute-force t-statistic at the lag the AIC search picked, on the
+        # sample that drops the first `lag` differences (as statsmodels'
+        # adfuller with autolag=None does).  By Frisch-Waugh-Lovell the
+        # coefficient on x[t] and its standard error come from regressing
+        # both dy[t] and x[t] on the other columns and pairing the residuals.
         rng = np.random.default_rng(16)
         x = np.cumsum(rng.standard_normal(500)) + 0.3 * rng.standard_normal(500)
         got = adf_test(x)
-        want_stat = sm.adfuller(x, maxlag=got.lag, autolag=None, regression="c")[0]
+        p = got.lag
+        assert p > 0
+        dy = np.diff(x)
+        rows = np.arange(p, len(dy))
+        y = dy[rows]
+        others = np.column_stack([np.ones(len(rows))] + [dy[rows - j] for j in range(1, p + 1)])
+
+        def resid(v):
+            return v - others @ np.linalg.lstsq(others, v, rcond=None)[0]
+
+        ry, rx = resid(y), resid(x[rows])
+        rho = np.dot(rx, ry) / np.dot(rx, rx)
+        s2 = np.sum((ry - rho * rx) ** 2) / (len(rows) - 2 - p)
+        want_stat = rho / math.sqrt(s2 / np.dot(rx, rx))
         assert got.statistic == pytest.approx(want_stat, rel=1e-9)
 
-    def test_zero_lag_matches_statsmodels(self):
-        sm = pytest.importorskip("statsmodels.tsa.stattools")
+    def test_zero_lag_matches_closed_form(self):
+        # closed-form Dickey-Fuller t-statistic of dy[t] = c + rho x[t] + e
         rng = np.random.default_rng(26)
         x = np.cumsum(rng.standard_normal(400))
         got = adf_test(x, max_lag=0)
-        want_stat = sm.adfuller(x, maxlag=0, autolag=None, regression="c")[0]
+        dy, xl = np.diff(x), x[:-1]
+        n = len(dy)
+        sxx = np.sum((xl - xl.mean()) ** 2)
+        rho = np.sum((xl - xl.mean()) * (dy - dy.mean())) / sxx
+        resid = dy - dy.mean() - rho * (xl - xl.mean())
+        want_stat = rho / math.sqrt(np.sum(resid ** 2) / (n - 2) / sxx)
+        assert got.lag == 0
         assert got.statistic == pytest.approx(want_stat, rel=1e-9)
 
     def test_aic_lag_matches_full_refit_scan(self):
