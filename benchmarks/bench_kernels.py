@@ -8,16 +8,35 @@ Zumbach bootstrap is timed twice, once for the range-sum kernel that
 `kernels.zumbach_boot` runs and once for the direct gather it falls back to
 when n_lags > block_len.
 
-    python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
+The I/O section times the two CSV writers at --n rows, `series.write_csv` on
+a simulated series and `report.write_curve_csv` on a curve shaped like
+`volatility.csv` (an int64 column and three float columns), next to the
+row-at-a-time oracles in tests/test_series.py, after checking at n=2000
+that each writer's bytes equal its oracle's.  Last, it times
+`import stylfacts` in a fresh interpreter against a bare interpreter start.
+
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
 """
 
 import argparse
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
+import stylfacts
 from stylfacts import kernels
+from stylfacts.report import write_curve_csv
+from stylfacts.series import write_csv
+from stylfacts.simulate import GbmSpec, simulate
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_series import _write_csv_loop, _write_curve_csv_loop  # noqa: E402
 
 ZUMBACH_LAGS = 10
 CHECK_N = 2000  # input length for the check against the loop twins
@@ -73,6 +92,62 @@ def rel_diff(got, ref):
                for u, v in zip(got, ref))
 
 
+def curve_columns(n, seed):
+    """volatility.csv's shape: timestamps, then three estimators whose first
+    window-1 values are NaN."""
+    rng = np.random.default_rng(seed)
+    cols = {"timestamp": 946_684_800 + 86_400 * np.arange(n, dtype=np.int64)}
+    for name in ("basic", "parkinson", "rogers_satchell"):
+        v = np.abs(rng.standard_normal(n)) * 0.01
+        v[:20] = np.nan
+        cols[name] = v
+    return cols
+
+
+def write_series(write, series):
+    """The bytes `write(series, file)` puts in a real file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "s.csv")
+        with open(path, "w", newline="") as f:
+            write(series, f)
+        return Path(path).read_bytes()
+
+
+def write_curve(write, columns):
+    """The bytes `write(path, columns)` puts in a real file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.csv")
+        write(path, columns)
+        return Path(path).read_bytes()
+
+
+def start_up(code, repeat):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(stylfacts.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return best_of(lambda: subprocess.run([sys.executable, "-c", code], env=env, check=True),
+                   repeat)
+
+
+def bench_io(n, repeat):
+    small_series = simulate(GbmSpec(n_steps=CHECK_N - 1, seed=1))
+    big_series = simulate(GbmSpec(n_steps=n - 1, seed=0))
+    rows = [
+        ("write_csv", write_series, write_csv, _write_csv_loop, small_series, big_series),
+        ("write_curve_csv", write_curve, write_curve_csv, _write_curve_csv_loop,
+         curve_columns(CHECK_N, 1), curve_columns(n, 0)),
+    ]
+    print(f"\n{'I/O, ' + str(n) + ' rows':<20} {'time':>11} {'row oracle':>11}  bytes vs oracle")
+    for name, run, write, oracle, small, big in rows:
+        same = "identical" if run(write, small) == run(oracle, small) else "DIFFER"
+        t_new = best_of(lambda: run(write, big), repeat)
+        t_old = best_of(lambda: run(oracle, big), repeat)
+        print(f"{name:<20} {t_new * 1e3:>9.1f}ms {t_old * 1e3:>9.1f}ms  {same}")
+    bare = start_up("pass", repeat)
+    pkg = start_up("import stylfacts", repeat)
+    print(f"{'import stylfacts':<20} {pkg * 1e3:>9.1f}ms  (fresh interpreter; "
+          f"a bare start takes {bare * 1e3:.1f}ms)")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=100_000)
@@ -94,6 +169,7 @@ def main():
         print(f"{name:<20} {times[name] * 1e3:>9.2f}ms  {err}")
     print(f"zumbach_boot: range sums {times['zumbach_boot_gather'] / times['zumbach_boot']:.1f}x "
           f"faster than the direct gather")
+    bench_io(args.n, args.repeat)
 
 
 if __name__ == "__main__":

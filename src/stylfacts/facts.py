@@ -114,8 +114,9 @@ _INT, _OPT_INT, _REAL = "an int", "an int or None", "a number"
 
 # Type and range of every FactConfig field: (kind, low, high), None for an
 # unbounded side.  Ints (never bools) must lie in [low, high]; reals (ints or
-# floats, never bools) in the open interval (low, high).  Windows, strides
-# and lags start at 1; the F2 power-law fit needs two lags.
+# floats, never bools) in the open interval (low, high).  Strides and lags
+# start at 1; the F2 power-law fit needs two lags, and a window that feeds a
+# sample variance (ddof=1) two bars, or every value is NaN.
 _FIELD_RULES = {
     "seed": (_INT, 0, None),
     "step_seconds": (_INT, 1, None),
@@ -128,9 +129,9 @@ _FIELD_RULES = {
     "f2_range_low": (_REAL, None, None),
     "f2_range_high": (_REAL, None, None),
     "f3_min_segment": (_INT, None, None),
-    "f3_vol_window": (_INT, 1, None),
+    "f3_vol_window": (_INT, 2, None),
     "f3_suffix_ratio": (_REAL, 0, 1),
-    "f4_window": (_INT, 1, None),
+    "f4_window": (_INT, 2, None),
     "f4_stride": (_INT, 1, None),
     "f4_lags": (_INT, 1, None),
     "f4_band_mult": (_REAL, None, None),
@@ -138,11 +139,11 @@ _FIELD_RULES = {
     "f5_max_lag": (_INT, 1, None),
     "f5_band_mult": (_REAL, None, None),
     "f5_frac_below": (_REAL, None, None),
-    "f6_window": (_OPT_INT, 1, None),
+    "f6_window": (_OPT_INT, 2, None),
     "f6_n_boot": (_INT, 1, None),
     "f6_min_volume_fraction": (_REAL, None, None),
     "tail_fraction": (_REAL, 0, 0.5),
-    "std_window": (_INT, 1, None),
+    "std_window": (_INT, 2, None),
     "f8_min_returns": (_INT, None, None),
     "tail_r2_min": (_REAL, None, None),
     "tail_se_mult": (_REAL, None, None),

@@ -19,6 +19,9 @@ Numerics pinned here:
   order statistics.  Its standard error is the rank-regression asymptotic
   alpha * sqrt(2/n_tail); the naive homoskedastic OLS SE is far too small on
   EDF points, whose residuals are strongly autocorrelated.
+
+scipy.optimize is imported inside fit_garch11, at first use, so that
+importing the package loads no scipy (see `kernels`).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import kernels
 from .errors import DegenerateInputError, InsufficientDataError, NonMeanRevertingError
@@ -237,6 +239,8 @@ _RESTART_GRID = ((0.05, 0.90), (0.10, 0.85), (0.20, 0.70), (0.02, 0.95), (0.15, 
 
 
 def fit_garch11(returns, mean: Optional[float] = None) -> GarchFit:
+    from scipy.optimize import minimize
+
     r = np.asarray(returns, dtype=float).reshape(-1)
     n = len(r)
     if n < 500:

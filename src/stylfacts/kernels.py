@@ -24,13 +24,18 @@ O(n / block_len * n_lags^2) work per resample instead of O(n * n_lags).
 When n_lags exceeds block_len, which happens for series shorter than about
 n_lags^3, a pair can span several blocks and the kernel falls back to
 gathering each resample in full (`_zumbach_boot_gather`).
+
+`scipy.signal.lfilter` is imported inside the two filters that call it, at
+first use.  Importing scipy.signal takes over a second (about 1.4 s on a
+2-vCPU host), and a command that never filters (`simulate` for GBM, GARCH
+or GJR) should not pay it.  stats and fitting defer their scipy imports
+the same way, so `import stylfacts` loads no scipy at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
 
 # There is no compiled path.  perfbench/run.py's machine probe still reads
 # this flag into every result record.
@@ -47,6 +52,8 @@ def garch_filter(eps2, omega, alpha, beta, h1):
     h[0] = h1, h[t] = omega + alpha*eps2[t-1] + beta*h[t-1].  The recursion is
     linear in h, so it runs through a first-order IIR filter.
     """
+    from scipy.signal import lfilter
+
     forcing = np.empty_like(eps2)
     forcing[0] = h1
     forcing[1:] = omega + alpha * eps2[:-1]
@@ -93,6 +100,8 @@ def ou_path(z, x0, mu, b, noise_scale):
     Returns the path including x0 (length len(z) + 1).  Linear recursion, so
     it runs as an IIR filter on the deviations from mu.
     """
+    from scipy.signal import lfilter
+
     dev = lfilter([1.0], [1.0, -b], noise_scale * z, zi=np.array([b * (x0 - mu)]))[0]
     out = np.empty(z.shape[0] + 1)
     out[0] = x0

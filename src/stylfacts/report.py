@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .errors import StylfactsError
 from .facts import FACT_LABELS, FactConfig, FactId, run_all_facts
-from .series import SamplingGrid, read_csv, validate_and_gapfill
+from .series import SamplingGrid, _csv_text, read_csv, validate_and_gapfill
 from .volatility import VolatilityWindow, default_window, rolling_volatility
 
 ALL_FACTS = tuple(f.value for f in FactId)
@@ -285,26 +285,9 @@ def write_json(path: str, obj) -> None:
     _atomic_write_bytes(path, data.encode("utf-8"))
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return ""
-    return repr(f)
-
-
 def write_curve_csv(path: str, columns: dict) -> None:
     """One curve as CSV; column order follows the dict."""
-    names = list(columns)
-    arrays = [np.asarray(columns[k]) for k in names]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("curve columns differ in length")
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(_fmt_cell(a[i]) for a in arrays))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    _atomic_write_bytes(path, _csv_text(list(columns), columns.values()).encode("utf-8"))
 
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")

@@ -14,6 +14,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Optional
@@ -284,23 +285,52 @@ def _read_csv_file(f) -> PriceSeries:
 
 
 def write_csv(series: PriceSeries, path_or_file) -> None:
+    """Write the series as `timestamp,open,high,low,close,volume`: integer
+    timestamps, floats by `repr` (they read back bit-equal), NaN volume as
+    an empty cell."""
+    text = _csv_text(CSV_COLUMNS, (series.timestamps, series.open, series.high,
+                                  series.low, series.close, series.volume))
     if hasattr(path_or_file, "write"):
-        _write_csv_file(series, path_or_file)
+        path_or_file.write(text)
     else:
         with open(path_or_file, "w", newline="") as f:
-            _write_csv_file(series, f)
+            f.write(text)
 
 
-def _write_csv_file(series: PriceSeries, f) -> None:
-    w = csv.writer(f, lineterminator="\n")
-    w.writerow(CSV_COLUMNS)
-    for i in range(len(series)):
-        v = series.volume[i]
-        w.writerow([
-            int(series.timestamps[i]),
-            repr(float(series.open[i])),
-            repr(float(series.high[i])),
-            repr(float(series.low[i])),
-            repr(float(series.close[i])),
-            "" if np.isnan(v) else repr(float(v)),
-        ])
+def _fmt_cell(v) -> str:
+    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
+        return str(int(v))
+    f = float(v)
+    if math.isnan(f):
+        return ""
+    return repr(f)
+
+
+def _column_cells(a: np.ndarray) -> list:
+    """One column as CSV cells: integers by `str`, floats up to 64 bits by
+    `repr` with NaN as "", both over `tolist()` a column at a time.  Any
+    other dtype (bool, object, longdouble) goes cell by cell through
+    `_fmt_cell`, the rule the two fast paths reproduce."""
+    if a.ndim == 1 and a.dtype.kind in "iu":
+        return list(map(str, a.tolist()))
+    if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
+        cells = list(map(repr, a.tolist()))
+        for i in np.flatnonzero(np.isnan(a)).tolist():
+            cells[i] = ""
+        return cells
+    return list(map(_fmt_cell, a))
+
+
+def _csv_text(names, columns) -> str:
+    """Header plus one line per row, every line ending in a newline.
+
+    Columns are formatted one at a time and zipped into rows, which halves
+    the cost of formatting cell by cell; most of what is left is `repr` of
+    each float."""
+    arrays = [np.asarray(c) for c in columns]
+    n = len(arrays[0])
+    if any(len(a) != n for a in arrays):
+        raise ValueError("curve columns differ in length")
+    lines = [",".join(names)]
+    lines.extend(map(",".join, zip(*map(_column_cells, arrays))))
+    return "\n".join(lines) + "\n"

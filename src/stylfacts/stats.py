@@ -17,6 +17,10 @@ Conventions pinned here:
 - ADF regression includes a constant, no trend; lag order minimizes AIC up to
   the Schwert bound floor(12 * (N/100)^(1/4)); critical values come from the
   standard response-surface constants for the constant-only case.
+
+scipy.stats and scipy.special are imported inside the three functions that
+call them (KS, AD, QQ), at first use, so that importing the package loads
+no scipy (see `kernels`).
 """
 
 from __future__ import annotations
@@ -26,8 +30,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import kolmogi, kolmogorov, ndtri
-from scipy.stats import norm
 
 from .errors import DegenerateInputError, InsufficientDataError
 
@@ -182,6 +184,9 @@ def edf_exceedance(x):
 
 
 def ks_test_normal(x) -> GofTestResult:
+    from scipy.special import kolmogi, kolmogorov
+    from scipy.stats import norm
+
     x = _as1d(x)
     n = len(x)
     if n < 8:
@@ -201,6 +206,8 @@ def ks_test_normal(x) -> GofTestResult:
 
 
 def anderson_darling_normal(x) -> GofTestResult:
+    from scipy.stats import norm
+
     x = _as1d(x)
     n = len(x)
     if n < 8:
@@ -308,6 +315,8 @@ def qq_data(x) -> QqData:
         raise InsufficientDataError("empty sample")
     if n == 1:
         return QqData(theoretical=x.copy(), empirical=x.copy())
+    from scipy.special import ndtri
+
     z = ndtri((np.arange(1, n + 1) - 0.5) / n)
     z = (z - z.mean()) / z.std(ddof=1)
     theo = x.mean() + x.std(ddof=1) * z

@@ -179,7 +179,8 @@ class TestAnalyze:
         *((p, v) for p in ("f3_vol_window", "f4_window", "f4_stride", "f5_max_lag", "f6_window")
           for v in (0, -1)),
         ("f2_max_lag", -1), ("std_window", -1), ("f4_lags", 0),
-        ("f9_aggregate", 2.5), ("f11_lags", 10.5)])
+        ("f9_aggregate", 2.5), ("f11_lags", 10.5),
+        *((p, 1) for p in ("std_window", "f3_vol_window", "f4_window", "f6_window"))])
     def test_bad_fact_param_exits_2_before_any_asset(self, tmp_path, capsys, param, value):
         write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,6 @@
+import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -7,11 +9,54 @@ from hypothesis import strategies as st
 
 from stylfacts.errors import (DataQualityError, InsufficientDataError,
                               RejectedInputError)
+from stylfacts.report import write_curve_csv
 from stylfacts.series import (PriceSeries, SamplingGrid, aggregate_returns,
                               compute_log_returns, prices_from_returns,
                               read_csv, validate_and_gapfill, write_csv)
+from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 
 DAY = 86400
+
+
+# Row-at-a-time writers: the cell-by-cell spelling of the formats that
+# write_csv and write_curve_csv produce a column at a time.  They are the
+# oracles the writers must match byte for byte.
+
+def _write_csv_loop(series, f):
+    w = csv.writer(f, lineterminator="\n")
+    w.writerow(("timestamp", "open", "high", "low", "close", "volume"))
+    for i in range(len(series)):
+        v = series.volume[i]
+        w.writerow([
+            int(series.timestamps[i]),
+            repr(float(series.open[i])),
+            repr(float(series.high[i])),
+            repr(float(series.low[i])),
+            repr(float(series.close[i])),
+            "" if np.isnan(v) else repr(float(v)),
+        ])
+
+
+def _fmt_cell_loop(v):
+    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
+        return str(int(v))
+    f = float(v)
+    if math.isnan(f):
+        return ""
+    return repr(f)
+
+
+def _write_curve_csv_loop(path, columns):
+    names = list(columns)
+    arrays = [np.asarray(columns[k]) for k in names]
+    n = len(arrays[0])
+    if any(len(a) != n for a in arrays):
+        raise ValueError("curve columns differ in length")
+    lines = [",".join(names)]
+    for i in range(n):
+        lines.append(",".join(_fmt_cell_loop(a[i]) for a in arrays))
+    with open(path, "wb") as f:
+        f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def make_series(n=10, step=DAY, volume=True, seed=0):
@@ -237,3 +282,130 @@ class TestCsv:
         write_csv(s, str(p))
         back = read_csv(str(p))
         np.testing.assert_array_equal(back.close, s.close)
+
+
+# Values where repr's output changes shape: signed zeros, subnormals, the
+# switch to exponent notation at 1e16 and below 1e-4, the float extremes.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                1.1125369292536007e-308, 1e-4, 1e-5, 9.999999999999999e-05,
+                1e16, 9999999999999998.0, 1e15, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.1, 1.0 / 3.0, float("inf"), float("-inf"),
+                float("nan")]
+_INT64 = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+
+
+def _floats(width=64):
+    big = float(np.finfo(f"float{width}").max)
+    edges = [x for x in _EDGE_FLOATS if not math.isfinite(x) or abs(x) <= big]
+    return st.one_of(st.floats(width=width), st.sampled_from(edges))
+
+
+def _columns(n):
+    """One curve column of length n, of a dtype a curve may carry."""
+    return st.one_of(
+        st.lists(_floats(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=float)),
+        st.lists(_floats(32), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.float32)),
+        st.lists(_floats(), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.longdouble)),
+        st.lists(st.one_of(_INT64, st.sampled_from([-2 ** 63, 2 ** 63 - 1, 0])),
+                 min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.integers(0, 2 ** 64 - 1), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.uint64)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool)),
+        st.lists(st.one_of(_INT64, _floats(), st.booleans()), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=object)),
+        st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), _floats()), min_size=n,
+                 max_size=n),
+    )
+
+
+def _assert_same_text(got, want):
+    """Equality, reported as the first differing line: pytest's own diff of
+    two CSVs of a few thousand lines runs for minutes."""
+    if got == want:
+        return
+    g, w = got.split("\n"), want.split("\n")
+    k = next((i for i, (a, b) in enumerate(zip(g, w)) if a != b), min(len(g), len(w)))
+    pytest.fail(f"line {k} differs: {g[k:k + 1]!r} != {w[k:k + 1]!r}")
+
+
+@st.composite
+def _curves(draw):
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(1, 4))
+    return {f"c{j}": draw(_columns(n)) for j in range(k)}
+
+
+@st.composite
+def _price_series(draw):
+    n = draw(st.integers(1, 12))
+    # the int64 extremes: the first stamp, or the last after 11 steps of at most 2**40
+    t0 = draw(st.one_of(st.integers(-2 ** 62, 2 ** 62),
+                        st.sampled_from([-2 ** 63, 2 ** 63 - 1 - 11 * 2 ** 40])))
+    steps = draw(st.lists(st.integers(1, 2 ** 40), min_size=n - 1, max_size=n - 1))
+    ts = t0 + np.concatenate(([0], np.cumsum(np.array(steps, dtype=np.int64))))
+    price = st.one_of(st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+                      st.sampled_from([x for x in _EDGE_FLOATS if x > 0 and math.isfinite(x)]))
+    cols = [np.array(draw(st.lists(price, min_size=n, max_size=n))) for _ in range(4)]
+    o, a, b, c = cols
+    volume = draw(st.one_of(
+        st.none(),
+        st.lists(st.one_of(st.just(float("nan")), st.sampled_from([0.0, 5e-324, 1e16, 1e-5]),
+                           st.floats(min_value=0.0, allow_nan=False)),
+                 min_size=n, max_size=n)))
+    return PriceSeries(ts, o, np.maximum(a, b), np.minimum(a, b), c, volume)
+
+
+class TestWritersMatchRowOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_price_series())
+    def test_write_csv_bytes(self, s):
+        ref = io.StringIO()
+        _write_csv_loop(s, ref)
+        out = io.StringIO()
+        write_csv(s, out)
+        _assert_same_text(out.getvalue(), ref.getvalue())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_curves())
+    def test_write_curve_csv_bytes(self, tmp_path_factory, columns):
+        d = tmp_path_factory.mktemp("curves")
+        write_curve_csv(str(d / "new.csv"), columns)
+        _write_curve_csv_loop(str(d / "ref.csv"), columns)
+        new, ref = ((d / name).read_bytes().decode() for name in ("new.csv", "ref.csv"))
+        _assert_same_text(new, ref)
+
+    def test_zero_length_curve_is_the_header(self, tmp_path):
+        write_curve_csv(str(tmp_path / "c.csv"), {"lag": np.array([], dtype=np.int64),
+                                                 "value": np.array([])})
+        assert (tmp_path / "c.csv").read_bytes() == b"lag,value\n"
+
+    def test_all_nan_volume_is_empty_cells(self):
+        s = make_series(n=3, volume=False)
+        out = io.StringIO()
+        write_csv(s, out)
+        assert all(line.endswith(",") for line in out.getvalue().splitlines()[1:])
+
+    def test_unequal_curve_columns_raise(self, tmp_path):
+        with pytest.raises(ValueError, match="differ in length"):
+            write_curve_csv(str(tmp_path / "c.csv"), {"a": [1, 2], "b": [1.0]})
+
+    @pytest.mark.parametrize("spec", [
+        GbmSpec(n_steps=2000, seed=11),
+        OuSpec(n_steps=2000, seed=12),
+        GarchSpec(n_steps=2000, seed=13, innovation="student_t", df=5.0),
+        GjrSpec(n_steps=2000, seed=14, omega=1e-6, alpha=0.03, gamma=0.24, beta=0.80,
+                volume_mode="none"),
+    ], ids=["gbm", "ou", "garch_t", "gjr"])
+    def test_simulated_roundtrip_is_bit_equal(self, spec):
+        s = simulate(spec)
+        out = io.StringIO()
+        write_csv(s, out)
+        ref = io.StringIO()
+        _write_csv_loop(s, ref)
+        _assert_same_text(out.getvalue(), ref.getvalue())
+        back = read_csv(io.StringIO(out.getvalue()))
+        for col in ("timestamps", "open", "high", "low", "close", "volume"):
+            a, b = getattr(back, col), getattr(s, col)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), col
