@@ -16,8 +16,8 @@ from .errors import (DataQualityError, DegenerateInputError,
                      RejectedInputError, StylfactsError)
 from .facts import (DEFAULT_CONFIG, EXCURSION_LEVELS, FACT_LABELS,
                     ExcursionProfile, FactConfig, FactId, FactStatus,
-                    FactVerdict, ZumbachResult, excursion_lengths,
-                    run_all_facts, standardized_returns,
+                    FactVerdict, SeriesContext, ZumbachResult,
+                    excursion_lengths, run_all_facts, standardized_returns,
                     test_absence_autocorrelation,
                     test_aggregational_gaussianity, test_conditional_tail,
                     test_gain_loss_asymmetry, test_intermittency,
@@ -73,6 +73,7 @@ __all__ = [
     # facts
     "FactId", "FactStatus", "FactVerdict", "FactConfig", "DEFAULT_CONFIG",
     "FACT_LABELS", "EXCURSION_LEVELS", "ExcursionProfile", "ZumbachResult",
+    "SeriesContext",
     "excursion_lengths", "zumbach_statistic", "standardized_returns",
     "run_all_facts", "test_absence_autocorrelation", "test_slow_decay",
     "test_intermittency", "test_volatility_clustering", "test_leverage",

@@ -1,8 +1,12 @@
 """The eleven stylized-fact tests.
 
-Each test composes the stats/volatility/fitting primitives into a FactVerdict
-with a status in {supported, not_supported, inconclusive}, the metrics that
-justify it, and the curve data a report needs to show why.
+Each test takes a SeriesContext and composes the stats/volatility/fitting
+primitives into a FactVerdict with a status in {supported, not_supported,
+inconclusive}, the metrics that justify it, and the curve data a report needs
+to show why.  The context owns the data several tests share (log returns, the
+Parkinson proxy, standardized returns and their tail fits, the full-series
+GARCH fit and its residuals): each piece is computed on first read and kept
+for the life of the context, which run_all_facts creates per series.
 
 Conventions shared by all tests:
 
@@ -277,6 +281,69 @@ def standardized_returns(returns, window: int) -> np.ndarray:
     return out[np.isfinite(out)]
 
 
+# not functools.cached_property: through Python 3.11 its lock is shared by all instances
+class _memo:
+    """A SeriesContext piece computed on first read and kept on the instance.
+
+    A piece whose computation raises is not kept, so every read raises the
+    same error again.
+    """
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, ctx, owner=None):
+        if ctx is None:
+            return self
+        # the instance attribute shadows this non-data descriptor from now on
+        value = ctx.__dict__[self.compute.__name__] = self.compute(ctx)
+        return value
+
+
+class SeriesContext:
+    """One series, one config, and the data several fact tests share.
+
+    Each piece below is computed on first read and kept; the context lives for
+    one run_all_facts call, and no verdict refers to it.
+    """
+
+    def __init__(self, series: PriceSeries, config: FactConfig = DEFAULT_CONFIG):
+        self.series = series
+        self.config = config
+
+    @_memo
+    def returns(self) -> np.ndarray:
+        """Log returns of the close."""
+        return compute_log_returns(self.series).values
+
+    @_memo
+    def parkinson(self):
+        """Single-bar Parkinson volatility, the proxy of F5 and F11."""
+        return rolling_volatility(self.series, "parkinson", VolatilityWindow(1, 1))
+
+    @_memo
+    def standardized(self) -> np.ndarray:
+        """Returns over their trailing std_window volatility."""
+        return standardized_returns(self.returns, self.config.std_window)
+
+    @_memo
+    def standardized_tails(self) -> tuple:
+        """Left and right tail fits of the standardized returns."""
+        return _fit_both_sides(self.standardized, self.config.tail_fraction)
+
+    @_memo
+    def garch_fit(self) -> GarchFit:
+        """GARCH(1,1) fit to the full return series."""
+        return fit_garch11(self.returns)
+
+    @_memo
+    def residuals(self) -> np.ndarray:
+        """Returns standardized by the fitted conditional volatility."""
+        params = self.garch_fit.params
+        return (self.returns - params.mean) / np.sqrt(garch_filter(self.returns, params))
+
+
 def excursion_lengths(vol, levels=EXCURSION_LEVELS) -> ExcursionProfile:
     """Mean maximal-run length of volatility strictly above each quantile."""
     v = _values(vol)
@@ -301,9 +368,9 @@ def excursion_lengths(vol, levels=EXCURSION_LEVELS) -> ExcursionProfile:
 # F1: absence of return autocorrelation
 # ---------------------------------------------------------------------------
 
-def test_absence_autocorrelation(returns, config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_absence_autocorrelation(ctx: SeriesContext) -> FactVerdict:
     """Supported when >= 90% of ACF lags 1..L sit inside the 95% band."""
-    r = _values(returns)
+    config, r = ctx.config, ctx.returns
     if len(r) < 200:
         return _inconclusive(FactId.F1, "need at least 200 returns", n=len(r))
     try:
@@ -326,15 +393,13 @@ def test_absence_autocorrelation(returns, config: FactConfig = DEFAULT_CONFIG) -
 # F2: slow decay of absolute-return autocorrelation
 # ---------------------------------------------------------------------------
 
-def test_slow_decay(returns, alpha_power: Optional[int] = None,
-                    config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_slow_decay(ctx: SeriesContext) -> FactVerdict:
     """Power-law fit l -> l^-beta over the leading positive run of the
-    |r|^p ACF.  The positivity prefix is found first: fitting lags beyond the
-    point where the ACF hits zero would regress on pure noise."""
-    p = config.f2_alpha_power if alpha_power is None else alpha_power
-    if p not in (1, 2):
-        raise ValueError("alpha_power must be 1 or 2")
-    r = _values(returns)
+    |r|^p ACF, p = f2_alpha_power.  The positivity prefix is found first:
+    fitting lags beyond the point where the ACF hits zero would regress on
+    pure noise."""
+    config, r = ctx.config, ctx.returns
+    p = config.f2_alpha_power
     if len(r) < 1000:
         return _inconclusive(FactId.F2, "need at least 1000 returns", n=len(r))
     try:
@@ -400,14 +465,13 @@ def _stationary_vol_suffix(vol_values: np.ndarray, config: FactConfig):
     return None, None
 
 
-def test_intermittency(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG,
-                       garch_fit: Optional[GarchFit] = None) -> FactVerdict:
+def test_intermittency(ctx: SeriesContext) -> FactVerdict:
     """Compare the data's high-volatility regime against matched fitted
     benchmarks: a clustering one (GARCH) and a continuously mean-reverting one
     (OU on the log price).  Supported when the rolling-volatility distribution
     above its median is closer to the GARCH benchmark's.
     """
-    r = compute_log_returns(series).values
+    series, config, r = ctx.series, ctx.config, ctx.returns
     w = config.f3_vol_window
     if len(r) < max(config.f3_min_segment + w - 1, w + 2):
         return _inconclusive(FactId.F3, "series shorter than the minimum stationary segment",
@@ -421,13 +485,10 @@ def test_intermittency(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG,
     seg_x = np.log(series.close[len(series.close) - (L_ret + 1):])
     data_vol = vol.values[len(vol.values) - L_vol:]
 
-    if garch_fit is not None and L_ret == len(r):
-        gf = garch_fit
-    else:
-        try:
-            gf = fit_garch11(seg_r)
-        except (InsufficientDataError, DegenerateInputError) as e:
-            return _inconclusive(FactId.F3, f"GARCH fit failed: {e}", n=L_ret)
+    try:
+        gf = ctx.garch_fit if L_ret == len(r) else fit_garch11(seg_r)
+    except (InsufficientDataError, DegenerateInputError) as e:
+        return _inconclusive(FactId.F3, f"GARCH fit failed: {e}", n=L_ret)
     if not gf.converged:
         return _inconclusive(FactId.F3, "GARCH fit did not converge", n=L_ret)
 
@@ -498,10 +559,10 @@ def test_intermittency(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG,
 # F4: volatility clustering
 # ---------------------------------------------------------------------------
 
-def test_volatility_clustering(series: PriceSeries,
-                               config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_volatility_clustering(ctx: SeriesContext) -> FactVerdict:
     """All three volatility estimators must be positively autocorrelated
     beyond the 95% band at every lag 1..k0 over non-overlapping windows."""
+    series, config = ctx.series, ctx.config
     w = VolatilityWindow(config.f4_window, config.f4_stride)
     metrics = {}
     curves = {}
@@ -537,12 +598,12 @@ def test_volatility_clustering(series: PriceSeries,
 # F5: leverage effect
 # ---------------------------------------------------------------------------
 
-def test_leverage(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_leverage(ctx: SeriesContext) -> FactVerdict:
     """Corr(r_t, sigma_{t+delta}) must sit below the lower 90% band for most
     positive delta and not for negative delta."""
-    r = compute_log_returns(series).values
+    config, r = ctx.config, ctx.returns
     try:
-        vol = rolling_volatility(series, "parkinson", VolatilityWindow(1, 1))
+        vol = ctx.parkinson
     except (InsufficientDataError, DegenerateInputError) as e:
         return _inconclusive(FactId.F5, f"volatility proxy failed: {e}", n=len(r))
     x = r[vol.positions - 1]
@@ -575,10 +636,10 @@ def test_leverage(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG) -> F
 # F6: volume-volatility correlation
 # ---------------------------------------------------------------------------
 
-def test_volume_volatility(series: PriceSeries,
-                           config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
     """Pearson correlation between per-window traded volume and the window's
     basic volatility, with a pairs-bootstrap confidence interval."""
+    series, config = ctx.series, ctx.config
     present = series.volume_present_fraction()
     if present < config.f6_min_volume_fraction:
         return _inconclusive(FactId.F6, f"volume present on {present:.0%} of bars "
@@ -644,16 +705,16 @@ def _tail_curves(left, right) -> dict:
             "tail_right": {"value": right.values, "exceedance": right.exceedance}}
 
 
-def test_unconditional_tail(returns, config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_unconditional_tail(ctx: SeriesContext) -> FactVerdict:
     """Tail exponents of volatility-standardized returns, both sides, against
     a Gaussian sample pushed through the identical pipeline."""
-    r = _values(returns)
+    config, r = ctx.config, ctx.returns
     if len(r) < config.f8_min_returns:
         return _inconclusive(FactId.F8, f"need at least {config.f8_min_returns} returns",
                              n=len(r))
     try:
-        z = standardized_returns(r, config.std_window)
-        left, right = _fit_both_sides(z, config.tail_fraction)
+        z = ctx.standardized
+        left, right = ctx.standardized_tails
     except (InsufficientDataError, DegenerateInputError) as e:
         return _inconclusive(FactId.F8, f"tail fit failed: {e}", n=len(r))
     g = _child_rng(config.seed, 8).standard_normal(len(r))
@@ -675,20 +736,17 @@ def test_unconditional_tail(returns, config: FactConfig = DEFAULT_CONFIG) -> Fac
         curves=_tail_curves(left, right))
 
 
-def test_conditional_tail(returns, config: FactConfig = DEFAULT_CONFIG,
-                          garch_fit: Optional[GarchFit] = None) -> FactVerdict:
+def test_conditional_tail(ctx: SeriesContext) -> FactVerdict:
     """Tail exponents of GARCH-filter residuals: heavy tails that survive the
     clustering correction."""
-    r = _values(returns)
-    if garch_fit is None:
-        try:
-            garch_fit = fit_garch11(r)
-        except (InsufficientDataError, DegenerateInputError) as e:
-            return _inconclusive(FactId.F7, f"GARCH fit failed: {e}", n=len(r))
+    config, r = ctx.config, ctx.returns
+    try:
+        garch_fit = ctx.garch_fit
+    except (InsufficientDataError, DegenerateInputError) as e:
+        return _inconclusive(FactId.F7, f"GARCH fit failed: {e}", n=len(r))
     if not garch_fit.converged:
         return _inconclusive(FactId.F7, "GARCH fit did not converge", n=len(r))
-    h = garch_filter(r, garch_fit.params)
-    z = (r - garch_fit.params.mean) / np.sqrt(h)
+    z = ctx.residuals
     try:
         left, right = _fit_both_sides(z, config.tail_fraction)
     except (InsufficientDataError, DegenerateInputError) as e:
@@ -708,8 +766,7 @@ def test_conditional_tail(returns, config: FactConfig = DEFAULT_CONFIG,
                "garch_alpha": garch_fit.params.alpha, "garch_beta": garch_fit.params.beta}
     # the unconditional exponents alongside, when the series supports them
     try:
-        zu = standardized_returns(r, config.std_window)
-        ul, ur = _fit_both_sides(zu, config.tail_fraction)
+        ul, ur = ctx.standardized_tails
         metrics["alpha_left_unconditional"] = ul.alpha
         metrics["alpha_right_unconditional"] = ur.alpha
     except (InsufficientDataError, DegenerateInputError):
@@ -723,19 +780,19 @@ def test_conditional_tail(returns, config: FactConfig = DEFAULT_CONFIG,
 # F9: gain/loss asymmetry
 # ---------------------------------------------------------------------------
 
-def test_gain_loss_asymmetry(returns, config: FactConfig = DEFAULT_CONFIG,
-                             garch_fit: Optional[GarchFit] = None) -> FactVerdict:
+def test_gain_loss_asymmetry(ctx: SeriesContext) -> FactVerdict:
     """Left tail heavier than right on aggregated standardized returns.
 
     Sign asymmetry lives in the interplay between a shock and the volatility
     that follows it, so single-step marginals are symmetric even for models
     with leverage; summing f9_aggregate consecutive standardized returns
     exposes it.  The verdict comes from this unconditional pipeline; the
-    GARCH-residual pipeline is reported alongside.
+    GARCH-residual pipeline is reported alongside when the GARCH fit
+    converges.
     """
-    r = _values(returns)
+    config, r = ctx.config, ctx.returns
     try:
-        z = standardized_returns(r, config.std_window)
+        z = ctx.standardized
     except (InsufficientDataError, DegenerateInputError) as e:
         return _inconclusive(FactId.F9, f"standardization failed: {e}", n=len(r))
     k = config.f9_aggregate
@@ -752,11 +809,13 @@ def test_gain_loss_asymmetry(returns, config: FactConfig = DEFAULT_CONFIG,
     metrics = {"n": len(zz), "aggregate": k, "alpha_left": left.alpha,
                "alpha_right": right.alpha, "gap": gap, "joint_se": joint_se}
     notes = []
-    if garch_fit is not None and garch_fit.converged:
-        h = garch_filter(r, garch_fit.params)
-        resid = (r - garch_fit.params.mean) / np.sqrt(h)
+    try:
+        converged = ctx.garch_fit.converged
+    except (InsufficientDataError, DegenerateInputError):
+        converged = False
+    if converged:
         try:
-            cl, cr = _fit_both_sides(block_sums(resid, k), config.tail_fraction)
+            cl, cr = _fit_both_sides(block_sums(ctx.residuals, k), config.tail_fraction)
             metrics["alpha_left_conditional"] = cl.alpha
             metrics["alpha_right_conditional"] = cr.alpha
         except (InsufficientDataError, DegenerateInputError) as e:
@@ -771,11 +830,11 @@ def test_gain_loss_asymmetry(returns, config: FactConfig = DEFAULT_CONFIG,
 # F10: aggregational gaussianity
 # ---------------------------------------------------------------------------
 
-def test_aggregational_gaussianity(returns, config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_aggregational_gaussianity(ctx: SeriesContext) -> FactVerdict:
     """Studentized k-step returns over a geometric ladder of k; normality
     statistics must fall (or stay at noise level) as k grows, and the largest
     scale must not reject at 5%."""
-    r = _values(returns)
+    config, r = ctx.config, ctx.returns
     ladder = []
     k = 2
     while len(r) // k >= config.f10_min_samples:
@@ -866,15 +925,14 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
                          n=n, block_len=block_len, n_boot=config.f11_n_boot)
 
 
-def test_time_scale_asymmetry(series: PriceSeries,
-                              config: FactConfig = DEFAULT_CONFIG) -> FactVerdict:
+def test_time_scale_asymmetry(ctx: SeriesContext) -> FactVerdict:
     """Supported when Z escapes its null band at >= half the lags, always on
     the same side."""
-    r = compute_log_returns(series)
+    config, r = ctx.config, ctx.returns
     try:
-        vol = rolling_volatility(series, "parkinson", VolatilityWindow(1, 1))
+        vol = ctx.parkinson
     except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F11, f"volatility proxy failed: {e}", n=len(series))
+        return _inconclusive(FactId.F11, f"volatility proxy failed: {e}", n=len(ctx.series))
     if len(vol.values) < 10 * (config.f11_lags + 1):
         return _inconclusive(FactId.F11, "series too short for the lag range",
                              n=len(vol.values))
@@ -904,41 +962,35 @@ def test_time_scale_asymmetry(series: PriceSeries,
 # Driver
 # ---------------------------------------------------------------------------
 
+# names, not functions: a wrapper rebound to the module attribute must be what runs
+_TESTS = {
+    FactId.F1: "test_absence_autocorrelation",
+    FactId.F2: "test_slow_decay",
+    FactId.F3: "test_intermittency",
+    FactId.F4: "test_volatility_clustering",
+    FactId.F5: "test_leverage",
+    FactId.F6: "test_volume_volatility",
+    FactId.F7: "test_conditional_tail",
+    FactId.F8: "test_unconditional_tail",
+    FactId.F9: "test_gain_loss_asymmetry",
+    FactId.F10: "test_aggregational_gaussianity",
+    FactId.F11: "test_time_scale_asymmetry",
+}
+
+
 def run_all_facts(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG,
                   facts=None) -> dict:
-    """Run the selected facts (default all eleven) on one series, sharing the
-    GARCH fit across the tests that need it.  Returns {FactId: FactVerdict}
-    in fact order."""
+    """Run the selected facts (default all eleven) on one series through one
+    SeriesContext, so the data they share is computed once.  Returns
+    {FactId: FactVerdict} in fact order."""
     selected = tuple(FactId) if facts is None else tuple(FactId(f) for f in facts)
-    returns = compute_log_returns(series)
-    r = returns.values
-    shared_fit = None
-    needs_garch = {FactId.F3, FactId.F7, FactId.F9} & set(selected)
-    if needs_garch and len(r) >= 500:
-        try:
-            shared_fit = fit_garch11(r)
-        except (InsufficientDataError, DegenerateInputError):
-            shared_fit = None
-
-    runners = {
-        FactId.F1: lambda: test_absence_autocorrelation(r, config=config),
-        FactId.F2: lambda: test_slow_decay(r, config=config),
-        FactId.F3: lambda: test_intermittency(series, config=config, garch_fit=shared_fit),
-        FactId.F4: lambda: test_volatility_clustering(series, config=config),
-        FactId.F5: lambda: test_leverage(series, config=config),
-        FactId.F6: lambda: test_volume_volatility(series, config=config),
-        FactId.F7: lambda: test_conditional_tail(r, config=config, garch_fit=shared_fit),
-        FactId.F8: lambda: test_unconditional_tail(r, config=config),
-        FactId.F9: lambda: test_gain_loss_asymmetry(r, config=config, garch_fit=shared_fit),
-        FactId.F10: lambda: test_aggregational_gaussianity(r, config=config),
-        FactId.F11: lambda: test_time_scale_asymmetry(series, config=config),
-    }
+    ctx = SeriesContext(series, config)
     out = {}
     for fact in FactId:
         if fact not in selected:
             continue
         try:
-            out[fact] = runners[fact]()
+            out[fact] = globals()[_TESTS[fact]](ctx)
         except StylfactsError as e:
-            out[fact] = _inconclusive(fact, f"{type(e).__name__}: {e}", n=len(r))
+            out[fact] = _inconclusive(fact, f"{type(e).__name__}: {e}", n=len(series) - 1)
     return out

@@ -150,6 +150,17 @@ class TestAnalyze:
         assert not (tmp_path / "out" / "bad.json").exists()
         assert (tmp_path / "out" / "ok.json").is_file()
 
+    def test_one_row_csv_is_inconclusive_not_failed(self, tmp_path):
+        (tmp_path / "one.csv").write_text(
+            "timestamp,open,high,low,close,volume\n0,1.0,1.0,1.0,1.0,5\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"assets": [{"id": "one", "path": "one.csv"}],
+                                   "out_dir": "out"}))
+        assert main(["analyze", "--config", str(cfg)]) == 0
+        assert (tmp_path / "out" / "one.json").is_file()
+        row = (tmp_path / "out" / "summary.csv").read_text().splitlines()[1].split(",")
+        assert row == ["one"] + ["inconclusive"] * 11 + [""]
+
     def test_empty_asset_list_is_ok(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"assets": [], "out_dir": "out"}))

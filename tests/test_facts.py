@@ -7,6 +7,7 @@ control matrix at N=1e5 lives in the acceptance suite.
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from stylfacts import facts
 from stylfacts.errors import DegenerateInputError, InsufficientDataError
 from stylfacts.facts import (EXCURSION_LEVELS, FactConfig, FactId, FactStatus,
-                             excursion_lengths, run_all_facts,
+                             SeriesContext, excursion_lengths, run_all_facts,
                              standardized_returns, zumbach_statistic)
 from stylfacts.series import PriceSeries, compute_log_returns
 from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, simulate
@@ -23,6 +24,14 @@ from stylfacts.volatility import VolatilityWindow, rolling_volatility
 SUP = FactStatus.SUPPORTED
 NOT = FactStatus.NOT_SUPPORTED
 INC = FactStatus.INCONCLUSIVE
+
+
+def _returns_context(r, config=FactConfig()):
+    """A context with no bars that reads `r` as its returns, for draws no price
+    path can carry (exp(cumsum) of 50k t(1.5) values overflows)."""
+    ctx = SeriesContext(None, config)
+    ctx.returns = np.asarray(r, dtype=float)
+    return ctx
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +105,13 @@ class TestInconclusiveGates:
             assert v.status is INC, fact
             assert v.notes, fact
 
+    def test_one_bar_series_is_inconclusive_everywhere(self):
+        out = run_all_facts(PriceSeries([0], [1.0], [1.0], [1.0], [1.0]))
+        assert list(out) == list(FactId)
+        for fact, v in out.items():
+            assert v.status is INC, fact
+            assert v.notes, fact
+
     def test_flat_series_is_inconclusive_everywhere(self):
         n = 6000
         one = np.ones(n)
@@ -107,7 +123,7 @@ class TestInconclusiveGates:
 
     def test_missing_volume_only_blocks_volume_fact(self):
         ps = simulate(GbmSpec(n_steps=3000, seed=9, volume_mode="none"))
-        v = facts.test_volume_volatility(ps)
+        v = facts.test_volume_volatility(SeriesContext(ps))
         assert v.status is INC
         assert "volume" in v.notes[0]
         assert run_all_facts(ps, facts=[FactId.F1])[FactId.F1].status is SUP
@@ -119,7 +135,7 @@ class TestInconclusiveGates:
         sparse = PriceSeries(timestamps=ps.timestamps, open_=ps.open,
                              high=ps.high, low=ps.low, close=ps.close,
                              volume=vol)
-        v = facts.test_volume_volatility(sparse)
+        v = facts.test_volume_volatility(SeriesContext(sparse))
         assert v.status is INC
 
 
@@ -250,13 +266,16 @@ class TestGainLossMirror:
     def test_negated_returns_swap_the_tails(self, gjr_case):
         ps, _ = gjr_case
         r = compute_log_returns(ps).values
-        v1 = facts.test_gain_loss_asymmetry(r)
-        v2 = facts.test_gain_loss_asymmetry(-r)
+        v1 = facts.test_gain_loss_asymmetry(_returns_context(r))
+        v2 = facts.test_gain_loss_asymmetry(_returns_context(-r))
         assert v1.metrics["alpha_left"] == pytest.approx(
             v2.metrics["alpha_right"], rel=1e-10)
         assert v1.metrics["alpha_right"] == pytest.approx(
             v2.metrics["alpha_left"], rel=1e-10)
         assert v2.metrics["gap"] == pytest.approx(-v1.metrics["gap"], rel=1e-10)
+        # the GARCH-residual pipeline runs without a driver and mirrors too
+        assert v1.metrics["alpha_left_conditional"] == pytest.approx(
+            v2.metrics["alpha_right_conditional"], rel=1e-10)
         # losses heavier than gains on the original: the mirror cannot agree
         assert v1.status is SUP
         assert v2.status is NOT
@@ -265,16 +284,11 @@ class TestGainLossMirror:
 class TestSlowDecayGates:
     def test_white_noise_has_no_decay_to_fit(self):
         rng = np.random.default_rng(31)
-        v = facts.test_slow_decay(rng.standard_normal(5000))
+        v = facts.test_slow_decay(_returns_context(rng.standard_normal(5000)))
         assert v.status is NOT
         assert v.metrics["positive_prefix"] < 10
         assert math.isnan(v.metrics["beta"])
         assert v.notes
-
-    def test_alpha_power_is_validated(self):
-        with pytest.raises(ValueError):
-            facts.test_slow_decay(np.random.default_rng(1).standard_normal(2000),
-                                  alpha_power=3)
 
 
 class TestAbsenceAutocorrelation:
@@ -286,7 +300,7 @@ class TestAbsenceAutocorrelation:
         eps = rng.standard_normal(n)
         for t in range(1, n):
             r[t] = 0.9 * r[t - 1] + eps[t]
-        v = facts.test_absence_autocorrelation(r)
+        v = facts.test_absence_autocorrelation(_returns_context(r))
         assert v.status is NOT
         assert v.metrics["frac_in_band"] < 0.9
 
@@ -294,14 +308,14 @@ class TestAbsenceAutocorrelation:
 class TestAggregationalGaussianity:
     def test_iid_normal_is_supported(self):
         rng = np.random.default_rng(41)
-        v = facts.test_aggregational_gaussianity(rng.standard_normal(50_000))
+        v = facts.test_aggregational_gaussianity(_returns_context(rng.standard_normal(50_000)))
         assert v.status is SUP
         assert not v.metrics["largest_scale_rejected"]
 
     def test_infinite_variance_is_not_supported(self):
         # t(1.5) sums converge to a stable law, never to a Gaussian
         rng = np.random.default_rng(42)
-        v = facts.test_aggregational_gaussianity(rng.standard_t(1.5, 50_000))
+        v = facts.test_aggregational_gaussianity(_returns_context(rng.standard_t(1.5, 50_000)))
         assert v.status is NOT
         assert v.metrics["largest_scale_rejected"]
 
@@ -324,7 +338,7 @@ class TestVolumeVolatility:
         vol_arr[nan_at] = np.nan
         ps = PriceSeries(timestamps=ps0.timestamps, open_=ps0.open, high=ps0.high,
                          low=ps0.low, close=ps0.close, volume=vol_arr)
-        v = facts.test_volume_volatility(ps)
+        v = facts.test_volume_volatility(SeriesContext(ps))
         assert v.status in (SUP, NOT)
 
         w = 21
@@ -367,6 +381,81 @@ class TestRunAllFacts:
             again[FactId.F6].metrics["boot_ci_low"]
         assert first[FactId.F3].metrics["d_garch"] == \
             again[FactId.F3].metrics["d_garch"]
+
+
+@pytest.fixture(scope="module")
+def context_case():
+    """A GJR series long enough for every fact, F8 included, and its driver run."""
+    ps = simulate(GjrSpec(n_steps=6000, omega=1e-6, alpha=0.03, gamma=0.24,
+                          beta=0.75, seed=204))
+    cfg = FactConfig(seed=3)
+    return ps, cfg, run_all_facts(ps, cfg)
+
+
+class TestSeriesContext:
+    @pytest.mark.parametrize("fact", list(FactId))
+    def test_fact_alone_matches_the_driver(self, context_case, fact):
+        ps, cfg, out = context_case
+        alone = getattr(facts, facts._TESTS[fact])(SeriesContext(ps, cfg))
+        driven = out[fact]
+        assert alone.status is driven.status
+        assert list(alone.metrics) == list(driven.metrics)
+        np.testing.assert_equal(alone.metrics, driven.metrics)
+        assert alone.notes == driven.notes
+        np.testing.assert_equal(alone.curves, driven.curves)
+
+    def test_every_fact_runs_on_the_case(self, context_case):
+        _, _, out = context_case
+        assert not [f for f, v in out.items() if v.status is INC]
+
+    def test_each_shared_piece_is_computed_once(self, context_case, monkeypatch):
+        ps, cfg, _ = context_case
+        r = compute_log_returns(ps).values
+        calls = {"fit": 0, "standardized": 0, "parkinson": 0, "filter": 0}
+
+        def spy(name, fn, counts):
+            def wrapper(*args, **kwargs):
+                if counts(*args, **kwargs):
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(facts, fn.__name__, wrapper)
+
+        spy("fit", facts.fit_garch11, lambda x, *a, **k: len(x) == len(r))
+        spy("standardized", facts.standardized_returns,
+            lambda x, *a, **k: np.array_equal(x, r))
+        spy("parkinson", facts.rolling_volatility,
+            lambda s, kind, window, *a, **k: kind == "parkinson"
+            and window == VolatilityWindow(1, 1))
+        spy("filter", facts.garch_filter, lambda *a, **k: True)
+        run_all_facts(ps, cfg)
+        assert calls == {"fit": 1, "standardized": 1, "parkinson": 1, "filter": 1}
+
+    def test_contexts_do_not_serialize(self, monkeypatch):
+        # a lock shared across instances would hold the second reader until
+        # the barrier times out
+        barrier = threading.Barrier(2, timeout=10)
+
+        def fit(returns):
+            barrier.wait()
+            return "fit"
+
+        monkeypatch.setattr(facts, "fit_garch11", fit)
+        ps = simulate(GbmSpec(n_steps=600, seed=5))
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(SeriesContext(ps).garch_fit))
+                   for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert got == ["fit", "fit"]
+
+    def test_failed_piece_raises_on_every_read(self):
+        ctx = SeriesContext(simulate(GbmSpec(n_steps=100, seed=6)))
+        for _ in range(2):
+            with pytest.raises(InsufficientDataError, match="500 returns"):
+                ctx.garch_fit
 
 
 class TestConfigValidation:
@@ -413,7 +502,6 @@ class TestConfigValidation:
 
     def test_custom_config_flows_through(self, gbm_case):
         ps, _ = gbm_case
-        v = facts.test_absence_autocorrelation(
-            compute_log_returns(ps).values, config=FactConfig(acf_lags=20))
+        v = facts.test_absence_autocorrelation(SeriesContext(ps, FactConfig(acf_lags=20)))
         assert v.metrics["n_lags"] == 20
         assert len(v.curves["returns_acf"]["lag"]) == 20
