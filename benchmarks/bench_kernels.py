@@ -12,8 +12,15 @@ The I/O section times the two CSV writers at --n rows, `series.write_csv` on
 a simulated series and `report.write_curve_csv` on a curve shaped like
 `volatility.csv` (an int64 column and three float columns), next to the
 row-at-a-time oracles in tests/test_series.py, after checking at n=2000
-that each writer's bytes equal its oracle's.  Last, it times
+that each writer's bytes equal its oracle's.  Then it times
 `import stylfacts` in a fresh interpreter against a bare interpreter start.
+
+The fit section times `fit_garch11` on a simulated GARCH and a GBM series of
+--n returns, with its likelihood evaluations, next to the Nelder-Mead fit
+it replaced (kept in tests/test_fitting.py as an oracle), and prints the
+objective gap per return.  Last, it times `adf_test` on the 21-bar
+volatility of the GARCH series next to its design-matrix form (kept in
+tests/test_stats.py).
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
 """
@@ -31,12 +38,17 @@ import numpy as np
 
 import stylfacts
 from stylfacts import kernels
+from stylfacts.fitting import fit_garch11
 from stylfacts.report import write_curve_csv
-from stylfacts.series import write_csv
-from stylfacts.simulate import GbmSpec, simulate
+from stylfacts.series import compute_log_returns, write_csv
+from stylfacts.simulate import GarchSpec, GbmSpec, simulate
+from stylfacts.stats import adf_test
+from stylfacts.volatility import VolatilityWindow, rolling_volatility
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_fitting import _fit_garch11_nelder_mead  # noqa: E402
 from test_series import _write_csv_loop, _write_curve_csv_loop  # noqa: E402
+from test_stats import _adf_design_matrix  # noqa: E402
 
 ZUMBACH_LAGS = 10
 CHECK_N = 2000  # input length for the check against the loop twins
@@ -62,8 +74,10 @@ def make_args(n, n_boot, seed):
     block_len = math.ceil(n ** (1 / 3))
     starts = rng.integers(0, n, size=(n_boot, math.ceil(n / block_len)), dtype=np.int64)
     boot = (a, b, starts, block_len, ZUMBACH_LAGS)
+    h = kernels.garch_filter(eps2, 1e-6, 0.1, 0.85, 2e-5)
     return {
         "garch_filter": (eps2, 1e-6, 0.1, 0.85, 2e-4),
+        "garch_score": (eps2, h, 1e-6, 0.1, 0.85),
         "garch_sim": (z, 1e-6, 0.1, 0.0, 0.85, 2e-4, 0),
         "ou_path": (z, 0.0, 0.0, math.exp(-0.05), 0.01),
         "rolling_var": (x, 21, 1),
@@ -76,6 +90,7 @@ def make_args(n, n_boot, seed):
 # row label -> (kernel, loop twin or None)
 CASES = {
     "garch_filter": (kernels.garch_filter, kernels._garch_filter_loop),
+    "garch_score": (kernels.garch_score, kernels._garch_score_loop),
     "garch_sim": (kernels.garch_sim, None),
     "ou_path": (kernels.ou_path, kernels._ou_path_loop),
     "rolling_var": (kernels.rolling_var, kernels._rolling_var_loop),
@@ -148,6 +163,28 @@ def bench_io(n, repeat):
           f"a bare start takes {bare * 1e3:.1f}ms)")
 
 
+def bench_fits(n, repeat):
+    sim = dict(n_steps=n, seed=0, substeps=1, extremes="substep", volume_mode="none")
+    series = {"garch": simulate(GarchSpec(**sim)), "gbm": simulate(GbmSpec(**sim))}
+    print(f"\n{'fit, ' + str(n) + ' returns':<20} {'time':>11} {'evals':>6} {'Nelder-Mead':>11} "
+          f"{'evals':>6}  objective gap per return")
+    for name, ps in series.items():
+        r = compute_log_returns(ps).values
+        fit, oracle = fit_garch11(r), _fit_garch11_nelder_mead(r)
+        t_new = best_of(lambda: fit_garch11(r), repeat)
+        t_old = best_of(lambda: _fit_garch11_nelder_mead(r), repeat)
+        gap = (oracle.log_likelihood - fit.log_likelihood) / len(r)
+        print(f"{'fit_garch11 ' + name:<20} {t_new * 1e3:>9.1f}ms {fit.n_evaluations:>6} "
+              f"{t_old * 1e3:>9.1f}ms {oracle.n_evaluations:>6}  {gap:+.1e}")
+    vol = rolling_volatility(series["garch"], "basic", VolatilityWindow(21, 1), scale="std").values
+    got, (want, want_lag) = adf_test(vol), _adf_design_matrix(vol)
+    t_new = best_of(lambda: adf_test(vol), repeat)
+    t_old = best_of(lambda: _adf_design_matrix(vol), repeat)
+    print(f"{'adf_test':<20} {t_new * 1e3:>9.1f}ms {'':>6} {t_old * 1e3:>9.1f}ms {'':>6}  "
+          f"(design matrix) lag {got.lag} vs {want_lag}, statistic drift "
+          f"{abs(got.statistic - want) / abs(want):.1e}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=100_000)
@@ -170,6 +207,7 @@ def main():
     print(f"zumbach_boot: range sums {times['zumbach_boot_gather'] / times['zumbach_boot']:.1f}x "
           f"faster than the direct gather")
     bench_io(args.n, args.repeat)
+    bench_fits(args.n, args.repeat)
 
 
 if __name__ == "__main__":

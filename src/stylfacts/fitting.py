@@ -8,10 +8,17 @@ Numerics pinned here:
   at max_iter (default 200) otherwise, and reports singular normal equations
   through converged=False rather than raising.  The parameter covariance is
   sigma2 * (J'J)^-1 with the ML normalization sigma2 = SSE/n.
-- fit_garch11 maximizes the Gaussian quasi-likelihood with a bounded
-  Nelder-Mead simplex restarted from a fixed 5-point grid (deterministic), the
-  mean fixed at the sample mean and omega scaled by the sample variance so all
-  coordinates are O(1).
+- fit_garch11 maximizes the Gaussian quasi-likelihood by projected Newton
+  descent on the box omega > 0, alpha, beta >= 0, alpha + beta <= 0.9995,
+  restarted from a fixed 5-point grid (deterministic; plus the ARCH(1)
+  corner when the fit is weak), with the mean fixed at the sample mean and
+  omega scaled by the sample variance so all coordinates are O(1).  The
+  score and Hessian are exact: the derivatives of the variance path obey the
+  same first-order recursion as the path itself (Fiorentini, Calzolari &
+  Panattoni 1996) and run as IIR filters (`kernels.garch_score`).  A fit
+  with alpha = 0, whose variance path is the same constant for every beta,
+  is reported at beta = 0.  n_evaluations counts variance-path filters: one
+  per line-search trial, none for the score.
 - fit_ou regresses x_{t+1} on x_t and refuses to report mean reversion unless
   b lies in (0,1) *and* the unit root is rejected at 5% (Dickey-Fuller
   constant-case critical value); plain random walks must error here.
@@ -20,12 +27,13 @@ Numerics pinned here:
   alpha * sqrt(2/n_tail); the naive homoskedastic OLS SE is far too small on
   EDF points, whose residuals are strongly autocorrelated.
 
-scipy.optimize is imported inside fit_garch11, at first use, so that
-importing the package loads no scipy (see `kernels`).
+fitting imports no scipy itself; the kernels it calls import scipy.signal at
+first use (see `kernels`).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -235,16 +243,192 @@ class GarchFit:
     trace: tuple  # accepted (improving) objective values, negative avg LL
 
 
+# (alpha, beta) starting points; omega/var starts at 1 - alpha - beta, the
+# sample variance as unconditional variance
 _RESTART_GRID = ((0.05, 0.90), (0.10, 0.85), (0.20, 0.70), (0.02, 0.95), (0.15, 0.50))
+# A series with little clustering can have its best fit in the ARCH(1)
+# corner beta = 0, outside every grid start's basin; when the grid's best
+# alpha is below _WEAK_ALPHA the descent also starts from that corner.
+_CORNER_START = (0.01, 0.0)
+_WEAK_ALPHA = 0.01
+
+# The feasible box of x = (omega/var, alpha, beta) as rows of A x >= c:
+# omega/var >= 1e-10, alpha >= 0, beta >= 0, alpha + beta <= 0.9995.
+_A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, -1.0]])
+_C = np.array([1e-10, 0.0, 0.0, -0.9995])
+_ALPHA, _BETA, _CAP = 1, 2, 3  # rows of _A; the first three are also coordinates
+# constraint sets a Newton step may hold active; alpha = beta = 0 with
+# alpha + beta = 0.9995 is empty
+_WORKING_SETS = tuple(ws for k in (1, 2, 3) for ws in itertools.combinations(range(4), k)
+                      if ws != (_ALPHA, _BETA, _CAP))
+_MAX_ITER = 100         # Newton iterations per start
+_MAX_HALVINGS = 30      # backtracking halvings per iteration
+_LAST_STEP = 1e-11      # see _newton_fit
+
+
+def _garch_objective(eps2, var, x):
+    """Negative mean Gaussian log-likelihood without its constant,
+    0.5 * mean(log h + eps2/h), at x = (omega/var, alpha, beta); also
+    returns the variance path h."""
+    w, a, b = x
+    omega = w * var
+    h = kernels.garch_filter(eps2, omega, a, b, omega / (1.0 - a - b))
+    return 0.5 * float(np.mean(np.log(h) + eps2 / h)), h
+
+
+def _garch_derivatives(eps2, var, x, h):
+    """Score, Hessian and Fisher information of `_garch_objective` at x,
+    given its variance path h (`kernels.garch_score`, in x's coordinates)."""
+    w, a, b = x
+    score, hess, fisher = kernels.garch_score(eps2, h, w * var, a, b)
+    scale = np.array([var, 1.0, 1.0])  # d omega / d x[0]
+    return score * scale, hess * np.outer(scale, scale), fisher * np.outer(scale, scale)
+
+
+def _feasible(x):
+    return bool(np.all(_A @ x >= _C - 1e-12))
+
+
+def _newton_step(x, g, B):
+    """Minimizer d of the model g'd + d'Bd/2 (B positive definite) over the
+    feasible x + d, and the constraints it holds active.
+
+    The model is convex, so its minimizer over the box is the equality-
+    constrained minimizer on one of the box's faces; with three coordinates
+    there are few enough faces to try them all and keep the best feasible
+    one.  On the alpha = 0 face the variance path is the constant
+    omega/(1 - beta) for every beta, so beta is held where it is there.
+    """
+    d = -np.linalg.solve(B, g)
+    if _feasible(x + d):
+        return d, ()
+    best = None
+    for ws in _WORKING_SETS:
+        A = _A[list(ws)]
+        c = _C[list(ws)] - A @ x
+        if _ALPHA in ws and _BETA not in ws and _CAP not in ws:
+            A = np.vstack((A, _A[_BETA]))
+            c = np.append(c, 0.0)
+        k = len(A)
+        kkt = np.zeros((3 + k, 3 + k))
+        kkt[:3, :3] = B
+        kkt[:3, 3:] = A.T
+        kkt[3:, :3] = A
+        try:
+            step = np.linalg.solve(kkt, np.concatenate((-g, c)))[:3]
+        except np.linalg.LinAlgError:
+            continue
+        if not _feasible(x + step):
+            continue
+        model = float(g @ step + 0.5 * step @ B @ step)
+        if best is None or model < best[0]:
+            best = (model, step, ws)
+    if best is None:
+        return np.zeros(3), ()
+    return best[1], best[2]
+
+
+def _onto_box(x, ws=()):
+    """x with the coordinates of the constraints in ws exactly on their
+    bounds and any roundoff past a bound undone."""
+    x = np.maximum(x, _C[:3])
+    for i in ws:
+        if i != _CAP:
+            x[i] = _C[i]
+    if _CAP in ws or x[_ALPHA] + x[_BETA] > -_C[_CAP]:
+        x[_BETA] = max(-_C[_CAP] - x[_ALPHA], 0.0)
+    return x
+
+
+def _positive_definite(B):
+    """Cholesky succeeds with no pivot below 1e-6 of the largest, which
+    bounds the condition number near 1e12."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(B))
+    except np.linalg.LinAlgError:
+        return False
+    return bool(pivots.min() > 1e-6 * pivots.max())
+
+
+def _curvature(x, hess, fisher):
+    """The quadratic model's curvature: the exact Hessian when it is positive
+    definite.  Otherwise the same with the coordinates that sit on a bound
+    decoupled and given their Fisher diagonal (the projected Newton step of
+    Bertsekas 1982); on the alpha = 0 face, where beta does not change the
+    variance path, beta too if need be.  Failing those, the Fisher
+    information with a small Levenberg term for the flat directions of a
+    weakly identified fit."""
+    if _positive_definite(hess):
+        return hess
+    bound = x == _C[:3]
+    for decouple in (bound, bound | [False, False, bound[_ALPHA]]):
+        if decouple.any():
+            B = hess.copy()
+            B[decouple, :] = 0.0
+            B[:, decouple] = 0.0
+            B[decouple, decouple] = fisher[decouple, decouple]
+            if _positive_definite(B):
+                return B
+    return fisher + 1e-8 * np.trace(fisher) * np.eye(3)
+
+
+def _newton_fit(eps2, var, x, trace):
+    """Projected Newton descent from x on the box, with backtracking.
+
+    Each step minimizes the local quadratic model (`_curvature`) over the box
+    (`_newton_step`).  A step whose model promises a decrease below
+    _LAST_STEP is the last: the convergence is quadratic there, so a further
+    step would promise less than roundoff.  A descent that stops on the
+    alpha = 0 face at some beta > 0 goes on from the same constant path at
+    beta = 0, where raising alpha may still pay.  Returns (x, objective,
+    converged, variance-path evaluations).
+    """
+    f, h = _garch_objective(eps2, var, x)
+    nfev = 1
+    for _ in range(_MAX_ITER):
+        if not trace or f < trace[-1]:
+            trace.append(f)
+        g, hess, fisher = _garch_derivatives(eps2, var, x, h)
+        B = _curvature(x, hess, fisher)
+        d, ws = _newton_step(x, g, B)
+        slope = float(g @ d)
+        last = -(slope + 0.5 * float(d @ B @ d)) < _LAST_STEP
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = _onto_box(x + t * d, ws if t == 1.0 else ())
+            f_trial, h_trial = _garch_objective(eps2, var, trial)
+            nfev += 1
+            if f_trial <= f + 1e-4 * t * slope:
+                x, f, h = trial, f_trial, h_trial
+                break
+            if last:
+                break
+            t *= 0.5
+        else:
+            return x, f, False, nfev
+        if last:
+            if x[1] > 0.0 or x[2] == 0.0:
+                if f < trace[-1]:
+                    trace.append(f)
+                return x, f, True, nfev
+            x = np.array([x[0] / (1.0 - x[2]), 0.0, 0.0])
+            f, h = _garch_objective(eps2, var, x)
+            nfev += 1
+    return x, f, False, nfev
 
 
 def fit_garch11(returns, mean: Optional[float] = None) -> GarchFit:
-    from scipy.optimize import minimize
-
+    """Gaussian quasi-MLE of GARCH(1,1) by projected Newton descent,
+    restarted from each point of `_RESTART_GRID` (and from `_CORNER_START`
+    when the fit is weak); the start reaching the lowest objective is kept,
+    the first on ties.  A fit with alpha = 0 has the constant variance path
+    omega/(1 - beta) for every beta and is reported at beta = 0."""
     r = np.asarray(returns, dtype=float).reshape(-1)
     n = len(r)
     if n < 500:
         raise InsufficientDataError("GARCH fit needs at least 500 returns")
+    if not np.all(np.isfinite(r)):
+        raise DegenerateInputError("non-finite returns")
     mu = float(r.mean()) if mean is None else float(mean)
     eps2 = (r - mu) ** 2
     var = float(eps2.mean())
@@ -253,45 +437,25 @@ def fit_garch11(returns, mean: Optional[float] = None) -> GarchFit:
 
     trace: list = []
 
-    def negll(theta):
-        # theta = (omega/var, alpha, beta)
-        w, a, b = theta
-        if w <= 0.0 or a < 0.0 or b < 0.0 or a + b >= 0.9995:
-            return 1e10
-        omega = w * var
-        h = kernels.garch_filter(eps2, omega, a, b, omega / (1.0 - a - b))
-        val = 0.5 * float(np.mean(np.log(h) + eps2 / h))
-        if not math.isfinite(val):
-            return 1e10
-        if not trace or val < trace[-1]:
-            trace.append(val)
-        return val
+    def descend(a0, b0):
+        return _newton_fit(eps2, var, np.array([1.0 - a0 - b0, a0, b0]), trace)
 
-    bounds = [(1e-10, 50.0), (0.0, 0.999), (0.0, 0.999)]
-    best = None
-    nfev = 0
-    for a0, b0 in _RESTART_GRID:
-        x0 = np.array([1.0 - a0 - b0, a0, b0])
-        res = minimize(negll, x0, method="Nelder-Mead", bounds=bounds,
-                       options={"maxfev": 400, "xatol": 1e-6, "fatol": 1e-9})
-        nfev += res.nfev
-        if best is None or res.fun < best.fun:
-            best = res
-    res = minimize(negll, best.x, method="Nelder-Mead", bounds=bounds,
-                   options={"maxfev": 2000, "xatol": 1e-9, "fatol": 1e-12})
-    nfev += res.nfev
-    if best.fun < res.fun:
-        res = best
-
-    w, a, b = res.x
-    params = GarchParams(mean=mu, omega=float(w * var), alpha=float(a), beta=float(b))
+    fits = [descend(a0, b0) for a0, b0 in _RESTART_GRID]
+    if min(fits, key=lambda fit: fit[1])[0][_ALPHA] < _WEAK_ALPHA:
+        fits.append(descend(*_CORNER_START))
+    (w, a, b), _, converged, _ = min(fits, key=lambda fit: fit[1])  # the first on ties
+    nfev = sum(fit[3] for fit in fits)
+    omega = float(w * var)
+    if a == 0.0:
+        omega, b = omega / (1.0 - b), 0.0
+    params = GarchParams(mean=mu, omega=omega, alpha=float(a), beta=float(b))
     near = params.alpha + params.beta > 0.999
     if near:
         warnings.warn(f"alpha + beta = {params.alpha + params.beta:.4f}: near-IGARCH, "
                       "unconditional variance ill-determined", RuntimeWarning)
     return GarchFit(params=params, log_likelihood=gaussian_log_likelihood(r, params),
-                    converged=bool(res.success) and res.fun < 1e9,
-                    n_evaluations=nfev, near_igarch=near, trace=tuple(trace))
+                    converged=converged, n_evaluations=nfev, near_igarch=near,
+                    trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------

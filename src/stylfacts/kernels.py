@@ -1,11 +1,12 @@
 """Hot numeric kernels, one implementation each.
 
 Kernels live here because they are the measured hot spots: the GARCH
-likelihood filter runs once per optimizer evaluation (thousands of times per
-fit), the simulators are sequential recursions, rolling window estimators
-touch every bar, and the Zumbach null band resamples the series a thousand
-times.  `benchmarks/bench_kernels.py` times each kernel and checks it against
-its twin.
+likelihood filter runs once per likelihood evaluation (a few dozen per fit)
+and the score, with its derivative recursions, once per Newton step; the
+simulators are sequential recursions, rolling window estimators touch every
+bar, and the Zumbach null band resamples the series a thousand times.
+`benchmarks/bench_kernels.py` times each kernel and checks it against its
+twin.
 
 Every kernel except `garch_sim` has a `_*_loop` twin that spells out the
 arithmetic one element at a time; the tests hold the kernels to the twins.
@@ -25,11 +26,11 @@ When n_lags exceeds block_len, which happens for series shorter than about
 n_lags^3, a pair can span several blocks and the kernel falls back to
 gathering each resample in full (`_zumbach_boot_gather`).
 
-`scipy.signal.lfilter` is imported inside the two filters that call it, at
-first use.  Importing scipy.signal takes over a second (about 1.4 s on a
+`scipy.signal.lfilter` is imported inside the three kernels that call it,
+at first use.  Importing scipy.signal takes over a second (about 1.4 s on a
 2-vCPU host), and a command that never filters (`simulate` for GBM, GARCH
-or GJR) should not pay it.  stats and fitting defer their scipy imports
-the same way, so `import stylfacts` loads no scipy at all.
+or GJR) should not pay it.  stats defers its scipy imports the same way,
+so `import stylfacts` loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -67,6 +68,108 @@ def _garch_filter_loop(eps2, omega, alpha, beta, h1):
     for t in range(1, n):
         h[t] = omega + alpha * eps2[t - 1] + beta * h[t - 1]
     return h
+
+
+# series length per pass of `garch_score`: its arrays stay in cache and
+# under the size above which the allocator maps fresh pages for each one,
+# whose page faults cost more than the arithmetic
+_SCORE_BLOCK = 4096
+
+
+def garch_score(eps2, h, omega, alpha, beta):
+    """Score, Hessian and Fisher information of the Gaussian quasi-likelihood
+    objective 0.5 * mean(log h + eps2/h) with respect to (omega, alpha,
+    beta), given the variance path h from `garch_filter` started at the
+    unconditional variance omega/(1-alpha-beta).
+
+    With d = dh/dtheta, q = d/h and z = eps2/h, the score is
+    0.5*mean(q (1 - z)), the Hessian 0.5*mean((1 - z) (d2h/dtheta2)/h +
+    (2z - 1) q q') and the Fisher information 0.5*mean(q q').
+    Differentiating h[t] = omega + alpha*eps2[t-1] + beta*h[t-1] gives
+    recursions with the same pole at beta: d is forced by (1, eps2[t-1],
+    h[t-1]), and the second derivatives (omega beta, alpha beta, beta beta)
+    by (d_omega, d_alpha, 2 d_beta)[t-1]; each runs as one IIR filter over
+    stacked rows, block by block with the filter state carried over.
+    (omega alpha) and (alpha alpha) are unforced, beta^t times their start,
+    and enter as one weighted sum: a filter would decay them into subnormal
+    numbers that never reach zero, which slows every later step.
+    d2h/domega2 is zero.
+    """
+    from scipy.signal import lfilter
+
+    n = eps2.shape[0]
+    s = 1.0 - alpha - beta
+    u = omega / (s * s)  # dh[0]/dalpha = dh[0]/dbeta
+    den = [1.0, -beta]
+    d_state = np.zeros((3, 1))
+    dd_state = np.zeros((3, 1))
+    d_prev = None
+    dd_start = (1.0 / (s * s), 2.0 * u / s, 2.0 * u / s)
+    score = np.zeros(3)
+    fisher = np.zeros((3, 3))
+    curv = np.zeros((3, 3))
+    dd_sums = np.zeros(3)  # (omega beta, alpha beta, beta beta) against (1 - z)/h
+    decay_sum = 0.0        # beta^t against (1 - z)/h
+    for lo in range(0, n, _SCORE_BLOCK):
+        hi = min(lo + _SCORE_BLOCK, n)
+        forcing = np.empty((3, hi - lo))
+        forcing[0] = 1.0
+        if lo == 0:
+            forcing[:, 0] = (1.0 / s, u, u)
+            forcing[1, 1:] = eps2[:hi - 1]
+            forcing[2, 1:] = h[:hi - 1]
+        else:
+            forcing[1] = eps2[lo - 1:hi - 1]
+            forcing[2] = h[lo - 1:hi - 1]
+        d, d_state = lfilter([1.0], den, forcing, axis=1, zi=d_state)
+        forcing[:, 0] = dd_start if lo == 0 else d_prev * (1.0, 1.0, 2.0)
+        forcing[:2, 1:] = d[:2, :-1]
+        np.multiply(d[2, :-1], 2.0, out=forcing[2, 1:])
+        dd, dd_state = lfilter([1.0], den, forcing, axis=1, zi=dd_state)
+        d_prev = d[:, -1]
+
+        inv_h = 1.0 / h[lo:hi]
+        z = eps2[lo:hi] * inv_h
+        q = d * inv_h
+        score += np.einsum("it,t->i", q, 1.0 - z)
+        fisher += np.einsum("it,jt->ij", q, q)
+        curv += np.einsum("it,jt->ij", q * (2.0 * z - 1.0), q)
+        w = (1.0 - z) * inv_h
+        dd_sums += np.einsum("it,t->i", dd, w)
+        if beta > 0.0 and lo * np.log(beta) > -690.0:
+            decay_sum += float(np.einsum("t,t->", np.exp(np.arange(lo, hi) * np.log(beta)), w))
+        elif lo == 0:
+            decay_sum += w[0]
+
+    wa, aa = decay_sum / (s * s), decay_sum * 2.0 * u / s
+    wb, ab, bb = dd_sums
+    curv += np.array([[0.0, wa, wb], [wa, aa, ab], [wb, ab, bb]])
+    half_mean = 0.5 / n
+    return (half_mean * score, half_mean * 0.5 * (curv + curv.T),
+            half_mean * 0.5 * (fisher + fisher.T))
+
+
+def _garch_score_loop(eps2, h, omega, alpha, beta):
+    n = eps2.shape[0]
+    s = 1.0 - alpha - beta
+    d = np.array([1.0 / s, omega / (s * s), omega / (s * s)])
+    # (omega alpha, omega beta, alpha alpha, alpha beta, beta beta)
+    dd = np.array([1.0 / (s * s), 1.0 / (s * s)] + [2.0 * omega / (s * s * s)] * 3)
+    score = np.zeros(3)
+    hess = np.zeros((3, 3))
+    fisher = np.zeros((3, 3))
+    for t in range(n):
+        if t > 0:
+            dd = np.array([beta * dd[0], d[0] + beta * dd[1], beta * dd[2],
+                           d[1] + beta * dd[3], 2.0 * d[2] + beta * dd[4]])
+            d = np.array([1.0 + beta * d[0], eps2[t - 1] + beta * d[1], h[t - 1] + beta * d[2]])
+        z = eps2[t] / h[t]
+        q = d / h[t]
+        second = np.array([[0.0, dd[0], dd[1]], [dd[0], dd[2], dd[3]], [dd[1], dd[3], dd[4]]])
+        score += q * (1.0 - z)
+        fisher += np.outer(q, q)
+        hess += (1.0 - z) * second / h[t] + (2.0 * z - 1.0) * np.outer(q, q)
+    return 0.5 * score / n, 0.5 * hess / n, 0.5 * fisher / n
 
 
 # ---------------------------------------------------------------------------

@@ -250,11 +250,15 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
         raise DegenerateInputError("constant series")
     pmax = int(12 * (n / 100.0) ** 0.25) if max_lag is None else int(max_lag)
     pmax = max(0, min(pmax, (n - 1) // 2 - 2))
+    # the level column is centred: the constant absorbs the shift, so the
+    # coefficient on x and its t-statistic are unchanged, and the Gram matrix
+    # does not pair a large level with a constant column
+    x = x - x.mean()
     dy = np.diff(x)
 
-    def build(p, offset):
-        # rows are t = offset..n-2 in diff indexing: dy[t] on [1, x[t], dy[t-1..t-p]]
-        rows = np.arange(offset, n - 1)
+    def build(p, start, stop):
+        # rows are t = start..stop-1 in diff indexing: dy[t] on [1, x[t], dy[t-1..t-p]]
+        rows = np.arange(start, stop)
         X = np.empty((len(rows), 2 + p))
         X[:, 0] = 1.0
         X[:, 1] = x[rows]
@@ -264,7 +268,7 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
 
     # lag selection on the common sample via one Gram matrix: candidate models
     # are nested, so each is a leading subblock solve instead of a fresh lstsq
-    X_all, y_all = build(pmax, pmax)
+    X_all, y_all = build(pmax, pmax, n - 1)
     G = X_all.T @ X_all
     c = X_all.T @ y_all
     yty = float(np.dot(y_all, y_all))
@@ -285,15 +289,30 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
         if best is None or aic < best[0]:
             best = (aic, p)
     p = best[1]
+    del X_all, y_all
 
-    X, y = build(p, p)
-    beta, ssr = _ols(X, y)
-    neff = len(y)
-    dof = neff - X.shape[1]
+    # The chosen model runs on rows p..n-2: the common sample plus the
+    # pmax - p rows before it, so its normal equations are G's leading block
+    # plus those rows' own.
+    k = 2 + p
+    X_head, y_head = build(p, p, pmax)
+    gram = G[:k, :k] + X_head.T @ X_head
+    rhs = c[:k] + X_head.T @ y_head
+    neff = n - 1 - p
+    scale = np.sqrt(np.diag(gram))
+    if not np.all(scale > 0.0):
+        raise DegenerateInputError("singular regression (constant or collinear input)")
+    # the Gram matrix squares the design's condition number; past 1e10 on
+    # its unit-diagonal form it cannot give the statistic to six digits
+    eig = np.linalg.eigvalsh(gram / np.outer(scale, scale))
+    if eig[0] < 1e-10 * eig[-1]:
+        raise DegenerateInputError("singular regression (constant or collinear input)")
+    beta = np.linalg.solve(gram, rhs)
+    ssr = yty + float(np.dot(y_head, y_head)) - float(np.dot(beta, rhs))
+    dof = neff - k
     if dof <= 0 or ssr <= 0.0:
         raise DegenerateInputError("ADF regression degenerate")
-    XtX_inv = np.linalg.inv(X.T @ X)
-    se_rho = math.sqrt(ssr / dof * XtX_inv[1, 1])
+    se_rho = math.sqrt(ssr / dof * np.linalg.inv(gram)[1, 1])
     stat = float(beta[1] / se_rho)
     crit = {lvl: b[0] + b[1] / neff + b[2] / neff**2 + b[3] / neff**3
             for lvl, b in ADF_CV_COEF.items()}

@@ -1,15 +1,70 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from stylfacts import fitting, kernels
 from stylfacts.errors import (DegenerateInputError, InsufficientDataError,
                               NonMeanRevertingError)
-from stylfacts.fitting import (GarchParams, fit_garch11, fit_ou,
+from stylfacts.fitting import (GarchFit, GarchParams, fit_garch11, fit_ou,
                                fit_power_law, fit_tail_exponent, garch_filter,
                                gaussian_log_likelihood, lm_minimize)
-from stylfacts.simulate import GarchSpec, OuSpec, simulate
+from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 from stylfacts.series import compute_log_returns
+
+_SIM = dict(substeps=1, extremes="substep", volume_mode="none")
+
+
+def _returns(spec):
+    return compute_log_returns(simulate(spec)).values
+
+
+def _fit_garch11_nelder_mead(returns, mean=None):
+    """`fit_garch11` as it was before the Newton fit: five bounded
+    Nelder-Mead simplices from the restart grid, then a polish of the best.
+    Kept as an oracle and as the baseline benchmarks/bench_kernels.py times."""
+    from scipy.optimize import minimize
+
+    r = np.asarray(returns, dtype=float).reshape(-1)
+    mu = float(r.mean()) if mean is None else float(mean)
+    eps2 = (r - mu) ** 2
+    var = float(eps2.mean())
+    trace = []
+
+    def negll(theta):
+        w, a, b = theta
+        if w <= 0.0 or a < 0.0 or b < 0.0 or a + b >= 0.9995:
+            return 1e10
+        omega = w * var
+        h = kernels.garch_filter(eps2, omega, a, b, omega / (1.0 - a - b))
+        val = 0.5 * float(np.mean(np.log(h) + eps2 / h))
+        if not math.isfinite(val):
+            return 1e10
+        if not trace or val < trace[-1]:
+            trace.append(val)
+        return val
+
+    bounds = [(1e-10, 50.0), (0.0, 0.999), (0.0, 0.999)]
+    best = None
+    nfev = 0
+    for a0, b0 in fitting._RESTART_GRID:
+        x0 = np.array([1.0 - a0 - b0, a0, b0])
+        res = minimize(negll, x0, method="Nelder-Mead", bounds=bounds,
+                       options={"maxfev": 400, "xatol": 1e-6, "fatol": 1e-9})
+        nfev += res.nfev
+        if best is None or res.fun < best.fun:
+            best = res
+    res = minimize(negll, best.x, method="Nelder-Mead", bounds=bounds,
+                   options={"maxfev": 2000, "xatol": 1e-9, "fatol": 1e-12})
+    nfev += res.nfev
+    if best.fun < res.fun:
+        res = best
+    w, a, b = res.x
+    params = GarchParams(mean=mu, omega=float(w * var), alpha=float(a), beta=float(b))
+    return GarchFit(params=params, log_likelihood=gaussian_log_likelihood(r, params),
+                    converged=bool(res.success) and res.fun < 1e9, n_evaluations=nfev,
+                    near_igarch=params.alpha + params.beta > 0.999, trace=tuple(trace))
 
 
 class TestLmMinimize:
@@ -159,6 +214,42 @@ class TestFitGarch:
         with pytest.raises(DegenerateInputError):
             fit_garch11(np.zeros(1000))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_returns_rejected(self, bad):
+        r = 0.01 * np.random.default_rng(22).standard_normal(2000)
+        r[700] = bad
+        with pytest.raises(DegenerateInputError):
+            fit_garch11(r)
+
+    def test_alpha_0_is_reported_at_beta_0(self):
+        # with alpha = 0 the path is the constant omega/(1 - beta) for every
+        # beta: the fit reports beta = 0, whose path equals any raw optimum's
+        r = _returns(GbmSpec(n_steps=10_000, seed=0, **_SIM))
+        fit = fit_garch11(r)
+        assert fit.params.alpha == 0.0 and fit.params.beta == 0.0
+        h = garch_filter(r, fit.params)
+        for beta in (0.3, 0.9, 0.99):
+            ridge = GarchParams(mean=fit.params.mean, omega=fit.params.omega * (1.0 - beta),
+                                alpha=0.0, beta=beta)
+            np.testing.assert_allclose(garch_filter(r, ridge), h, rtol=1e-12)
+            assert gaussian_log_likelihood(r, ridge) == pytest.approx(fit.log_likelihood,
+                                                                       rel=1e-12)
+
+    def test_near_igarch_converges(self):
+        r = _returns(GarchSpec(n_steps=10_000, seed=1, omega=1e-7, alpha=0.05,
+                               beta=0.9485, **_SIM))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_garch11(r)
+        assert fit.converged
+        assert fit.near_igarch
+        assert 0.999 < fit.params.alpha + fit.params.beta < 0.9995
+        assert [w.category for w in caught] == [RuntimeWarning]
+
+    def test_repeat_calls_are_bit_identical(self):
+        r = _returns(GjrSpec(n_steps=5_000, seed=32, **_SIM))
+        assert fit_garch11(r) == fit_garch11(r)
+
     def test_degenerate_filter_scales_residuals_only(self):
         # an (alpha=beta=0) filter divides by a constant, which cannot change
         # the tail exponent
@@ -169,6 +260,104 @@ class TestFitGarch:
         a_resid = fit_tail_exponent(z, "right", 0.05)
         a_raw = fit_tail_exponent(r, "right", 0.05)
         assert a_resid.alpha == pytest.approx(a_raw.alpha, rel=1e-12)
+
+
+class TestGarchScore:
+    """The analytic score and Hessian of the fit's objective against central
+    differences, inside the box and next to each of its bounds."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        r = _returns(GjrSpec(n_steps=3000, seed=30, **_SIM))
+        eps2 = (r - r.mean()) ** 2
+        return eps2, float(eps2.mean())
+
+    # x = (omega/var, alpha, beta)
+    POINTS = {
+        "interior": (0.05, 0.10, 0.85),
+        "alpha_near_0": (0.20, 1e-4, 0.80),
+        "beta_near_0": (0.90, 0.10, 1e-4),
+        "persistence_near_cap": (0.01, 0.15, 0.849),
+        "omega_near_0": (1e-6, 0.10, 0.85),
+    }
+
+    @staticmethod
+    def _steps(x):
+        # small, because the higher derivatives are large near the persistence
+        # cap, and in omega/var below its scale (the objective goes as log w)
+        return np.array([min(1e-6, x[0] / 1e4), 1e-6, 1e-6])
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_score_matches_central_differences(self, data, point):
+        eps2, var = data
+        x = np.array(self.POINTS[point])
+        _, h = fitting._garch_objective(eps2, var, x)
+        score, _, _ = fitting._garch_derivatives(eps2, var, x, h)
+        fd = np.empty(3)
+        for i, step in enumerate(self._steps(x)):
+            e = np.zeros(3)
+            e[i] = step
+            fd[i] = (fitting._garch_objective(eps2, var, x + e)[0]
+                     - fitting._garch_objective(eps2, var, x - e)[0]) / (2 * step)
+        np.testing.assert_allclose(score, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+
+    @pytest.mark.parametrize("point", POINTS)
+    def test_hessian_matches_central_differences(self, data, point):
+        eps2, var = data
+        x = np.array(self.POINTS[point])
+        _, h = fitting._garch_objective(eps2, var, x)
+        _, hess, _ = fitting._garch_derivatives(eps2, var, x, h)
+        fd = np.empty((3, 3))
+        for i, step in enumerate(self._steps(x)):
+            e = np.zeros(3)
+            e[i] = step
+            plus = fitting._garch_derivatives(eps2, var, x + e,
+                                              fitting._garch_objective(eps2, var, x + e)[1])[0]
+            minus = fitting._garch_derivatives(eps2, var, x - e,
+                                               fitting._garch_objective(eps2, var, x - e)[1])[0]
+            fd[i] = (plus - minus) / (2 * step)
+        np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
+        np.testing.assert_array_equal(hess, hess.T)
+
+
+class TestGarchAgainstNelderMead:
+    """The Newton fit against the Nelder-Mead fit it replaced, at 1e4 steps."""
+
+    SPECS = {
+        "garch": GarchSpec(n_steps=10_000, seed=31, **_SIM),
+        "gjr": GjrSpec(n_steps=10_000, seed=31, **_SIM),
+        "gbm": GbmSpec(n_steps=10_000, seed=109, **_SIM),
+        "ou": OuSpec(n_steps=10_000, seed=107, **_SIM),
+        "gbm_alpha_0": GbmSpec(n_steps=10_000, seed=0, **_SIM),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_objective_and_parameters(self, name):
+        r = _returns(self.SPECS[name])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_garch11(r)
+        oracle = _fit_garch11_nelder_mead(r)
+        assert fit.converged
+        n = len(r)
+        # the objective is the negative log-likelihood per return
+        assert -fit.log_likelihood / n <= -oracle.log_likelihood / n + 1e-6
+        if oracle.params.alpha >= 0.01:  # a clustering fit is well identified
+            assert fit.params.alpha == pytest.approx(oracle.params.alpha, abs=1e-5)
+            assert fit.params.beta == pytest.approx(oracle.params.beta, abs=1e-5)
+            assert fit.log_likelihood == pytest.approx(oracle.log_likelihood, rel=1e-12)
+
+    def test_flat_series_cost_fewer_evaluations(self):
+        # clustering-free series whose flat alpha ~ 1e-3 valley stalls plain
+        # Fisher scoring for 75-175 iterations per start
+        for spec in (GbmSpec(n_steps=100_000, seed=4, **_SIM),
+                     OuSpec(n_steps=100_000, seed=3, **_SIM)):
+            r = _returns(spec)
+            fit = fit_garch11(r)
+            oracle = _fit_garch11_nelder_mead(r)
+            assert fit.converged
+            assert fit.n_evaluations < oracle.n_evaluations
+            assert -fit.log_likelihood <= -oracle.log_likelihood + 1e-6 * len(r)
 
 
 class TestFitOu:

@@ -30,6 +30,20 @@ def test_filters_match_loop(series):
         kernels._garch_filter_loop(eps2, 1e-6, 0.1, 0.85, 2e-5), rtol=1e-13)
 
 
+@pytest.mark.parametrize("n", [500, 9000])  # one block, and three with a short last one
+@pytest.mark.parametrize("alpha, beta", [(0.1, 0.85), (0.0, 0.5), (0.3, 0.0), (0.05, 0.9494)])
+def test_garch_score_matches_loop(alpha, beta, n):
+    eps2 = np.random.default_rng(21).standard_normal(n) ** 2 * 1e-4
+    omega = 2e-6
+    h = kernels.garch_filter(eps2, omega, alpha, beta, omega / (1.0 - alpha - beta))
+    got = kernels.garch_score(eps2, h, omega, alpha, beta)
+    want = kernels._garch_score_loop(eps2, h, omega, alpha, beta)
+    # entries differ in scale by orders of magnitude (omega is 1e-6), so each
+    # is held to its own size; the kernel sums block by block
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * np.abs(w).max())
+
+
 def test_simulators_match_loop(series):
     z = series["z"]
     np.testing.assert_allclose(

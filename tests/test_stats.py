@@ -33,6 +33,48 @@ def naive_ccf(x, y, lag):
     return float(np.corrcoef(a, b)[0, 1])
 
 
+def _adf_design_matrix(x, max_lag=None):
+    """The ADF statistic as `adf_test` computed it before it took the chosen
+    model from the lag-selection Gram matrix: an uncentred Gram matrix for
+    the lag search, then a fresh design matrix at the chosen lag and lstsq.
+    Returns (statistic, lag).  Kept as an oracle and as the baseline that
+    benchmarks/bench_kernels.py times."""
+    x = np.asarray(x, dtype=float)
+    n = len(x)
+    pmax = int(12 * (n / 100.0) ** 0.25) if max_lag is None else int(max_lag)
+    pmax = max(0, min(pmax, (n - 1) // 2 - 2))
+    dy = np.diff(x)
+
+    def build(p, offset):
+        rows = np.arange(offset, n - 1)
+        X = np.empty((len(rows), 2 + p))
+        X[:, 0] = 1.0
+        X[:, 1] = x[rows]
+        for j in range(1, p + 1):
+            X[:, 1 + j] = dy[rows - j]
+        return X, dy[rows]
+
+    X_all, y_all = build(pmax, pmax)
+    G = X_all.T @ X_all
+    c = X_all.T @ y_all
+    yty = float(np.dot(y_all, y_all))
+    best = None
+    for p in range(pmax + 1):
+        k = 2 + p
+        ssr = yty - float(np.dot(np.linalg.solve(G[:k, :k], c[:k]), c[:k]))
+        aic = len(y_all) * math.log(ssr / len(y_all)) + 2 * k
+        if best is None or aic < best[0]:
+            best = (aic, p)
+    p = best[1]
+    X, y = build(p, p)
+    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    assert rank == X.shape[1]
+    resid = y - X @ beta
+    ssr = float(np.dot(resid, resid))
+    se = math.sqrt(ssr / (len(y) - X.shape[1]) * np.linalg.inv(X.T @ X)[1, 1])
+    return float(beta[1] / se), p
+
+
 class TestAcf:
     def test_matches_naive_to_1e12(self):
         rng = np.random.default_rng(0)
@@ -256,6 +298,72 @@ class TestAdf:
             if best is None or aic < best[0]:
                 best = (aic, p)
         assert got.lag == best[1]
+
+    @staticmethod
+    def _hard_series(kind):
+        rng = np.random.default_rng(27)
+        e = rng.standard_normal(2000)
+        ar = np.empty(2000)
+        ar[0] = e[0]
+        phi = 0.5 if kind == "near_constant" else 0.995
+        for t in range(1, 2000):
+            ar[t] = phi * ar[t - 1] + e[t] + 0.4 * e[t - 1]
+        if kind == "near_constant":
+            return 1.0 + 1e-5 * ar  # a level far above its own variation
+        return 100.0 + ar
+
+    @pytest.mark.parametrize("kind", ["near_constant", "near_unit_root"])
+    def test_hard_series_match_brute_force(self, kind):
+        # the full refit scan picks the lag, and the Frisch-Waugh-Lovell
+        # regression of test_matches_brute_force_at_selected_lag gives the
+        # statistic, on series where a Gram matrix loses digits unless the
+        # level is centred
+        x = self._hard_series(kind)
+        got = adf_test(x)
+        n = len(x)
+        pmax = min(int(12 * (n / 100.0) ** 0.25), (n - 1) // 2 - 2)
+        dy = np.diff(x)
+        best = None
+        for p in range(pmax + 1):
+            rows = np.arange(pmax, n - 1)
+            X = np.column_stack([np.ones(len(rows)), x[rows]]
+                                + [dy[rows - j] for j in range(1, p + 1)])
+            beta, *_ = np.linalg.lstsq(X, dy[rows], rcond=None)
+            ssr = float(np.sum((dy[rows] - X @ beta) ** 2))
+            aic = len(rows) * math.log(ssr / len(rows)) + 2 * (2 + p)
+            if best is None or aic < best[0]:
+                best = (aic, p)
+        assert got.lag == best[1]
+        p = got.lag
+        rows = np.arange(p, len(dy))
+        y = dy[rows]
+        others = np.column_stack([np.ones(len(rows))] + [dy[rows - j] for j in range(1, p + 1)])
+
+        def resid(v):
+            return v - others @ np.linalg.lstsq(others, v, rcond=None)[0]
+
+        ry, rx = resid(y), resid(x[rows])
+        rho = np.dot(rx, ry) / np.dot(rx, rx)
+        s2 = np.sum((ry - rho * rx) ** 2) / (len(rows) - 2 - p)
+        assert got.statistic == pytest.approx(rho / math.sqrt(s2 / np.dot(rx, rx)), rel=1e-9)
+        assert got.n_eff == len(rows)
+
+    @pytest.mark.parametrize("seed", [16, 17, 18])
+    def test_matches_design_matrix_form(self, seed):
+        rng = np.random.default_rng(seed)
+        x = np.cumsum(rng.standard_normal(3000)) + 0.5 * rng.standard_normal(3000)
+        got = adf_test(x)
+        want_stat, want_lag = _adf_design_matrix(x)
+        assert got.lag == want_lag
+        assert got.statistic == pytest.approx(want_stat, rel=1e-11)
+
+    def test_near_collinear_lags_are_degenerate(self):
+        # a period-2 series plus 1e-5 noise: each lagged difference is +-1
+        # times the next up to 1e-5, so the chosen model's Gram matrix has a
+        # condition number above 1e10 after scaling
+        x = np.tile([0.0, 1.0], 100) + 1e-5 * np.random.default_rng(1).standard_normal(200)
+        with pytest.raises(DegenerateInputError):
+            adf_test(x, max_lag=3)
 
     def test_critical_values_near_tabulated(self):
         rng = np.random.default_rng(18)
