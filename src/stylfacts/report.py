@@ -2,11 +2,13 @@
 
 One `analyze` run reads OHLCV CSVs, runs the configured fact set per asset,
 and writes per-asset JSON reports, per-curve CSV files, and a cross-asset
-summary matrix.  Everything written is a pure function of (config, input
-files): reports carry no wall-clock timestamps, floats go through repr
-round-tripping, JSON keys are sorted, and each asset's random streams are
-seeded from the master seed and the asset id (never from processing order),
-so reruns and different worker counts produce identical bytes.
+summary matrix.  A worker writes each asset's files when it finishes that
+asset, and the summary comes last.  Everything written is a pure function of
+(config, input files): reports carry no wall-clock timestamps, floats go
+through repr round-tripping, JSON keys are sorted, each asset's random
+streams are seeded from the master seed and the asset id (never from
+processing order), and no two assets share an output name, so reruns and
+different worker counts produce identical bytes.
 
 Failures are scoped to the asset that caused them: a bad file yields a
 summary row with an error and the run continues.  Only an invalid config
@@ -16,7 +18,9 @@ aborts the whole run.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -39,6 +43,12 @@ ALL_FACTS = tuple(f.value for f in FactId)
 # FactConfig fields a config file may override, per fact or globally
 _TUNABLE = tuple(f.name for f in dc_fields(FactConfig)
                  if f.name not in ("seed", "step_seconds"))
+
+_SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
+
+
+def _safe_name(name: str) -> str:
+    return _SAFE_NAME.sub("_", name) or "_"
 
 
 @dataclass(frozen=True)
@@ -64,11 +74,17 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        seen = set()
+        # assets write <safe>/ and <safe>.json beside the summary concurrently
+        owners = {"summary.csv": "the summary"}
         for a in self.assets:
-            if a.asset_id in seen:
-                raise ValueError(f"duplicate asset id {a.asset_id!r}")
-            seen.add(a.asset_id)
+            safe = _safe_name(a.asset_id)
+            if safe in (".", ".."):
+                raise ValueError(f"asset id {a.asset_id!r} would write outside out_dir")
+            for name in (safe, safe + ".json"):
+                if name in owners:
+                    raise ValueError(f"asset id {a.asset_id!r} would write {name!r}, "
+                                     f"as does {owners[name]}")
+                owners[name] = f"asset id {a.asset_id!r}"
         for f in self.facts:
             FactId(f)
         if self.gap_policy not in ("drop", "ffill"):
@@ -290,14 +306,6 @@ def write_curve_csv(path: str, columns: dict) -> None:
     _atomic_write_bytes(path, _csv_text(list(columns), columns.values()).encode("utf-8"))
 
 
-_SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
-
-
-def _safe_name(name: str) -> str:
-    out = _SAFE_NAME.sub("_", name)
-    return out or "_"
-
-
 # ---------------------------------------------------------------------------
 # Per-asset analysis
 # ---------------------------------------------------------------------------
@@ -306,13 +314,13 @@ def _safe_name(name: str) -> str:
 class AssetOutcome:
     asset_id: str
     report: Optional[dict]          # None on hard failure
-    files: tuple                    # (relative path, bytes-writer payload) pairs
     error: Optional[str] = None
-    statuses: dict = field(default_factory=dict)
 
 
 def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
-    """Pure computation for one asset: no file is written here."""
+    """Read, analyze and write one asset: its curve CSVs, then volatility.csv,
+    then its report JSON.  A data error writes nothing and is returned as the
+    outcome's error."""
     try:
         series = read_csv(asset.path)
         series = validate_and_gapfill(series, SamplingGrid(step=config.step_seconds),
@@ -320,26 +328,22 @@ def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
         fcfg = fact_config_for(config, asset.asset_id)
         verdicts = run_all_facts(series, fcfg, facts=config.facts)
     except StylfactsError as e:
-        return AssetOutcome(asset_id=asset.asset_id, report=None, files=(),
-                            error=f"{type(e).__name__}: {e}",
-                            statuses={f: "skipped" for f in ALL_FACTS})
+        return AssetOutcome(asset_id=asset.asset_id, report=None,
+                            error=f"{type(e).__name__}: {e}")
 
     safe = _safe_name(asset.asset_id)
-    files = []
     facts_obj = {}
-    statuses = {}
     for fact in FactId:
         key = fact.value
         if key not in config.facts:
             facts_obj[key] = {"status": "skipped", "reason": "not in configured fact set"}
-            statuses[key] = "skipped"
             continue
         v = verdicts[fact]
         curve_paths = {}
         for cname, cols in v.curves.items():
             rel = f"{safe}/{key}_{_safe_name(cname)}.csv"
             curve_paths[cname] = rel
-            files.append((rel, dict(cols)))
+            write_curve_csv(os.path.join(config.out_dir, rel), cols)
         facts_obj[key] = {
             "label": FACT_LABELS[fact],
             "status": v.status.value,
@@ -347,7 +351,6 @@ def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
             "notes": [str(x) for x in v.notes],
             "curves": curve_paths,
         }
-        statuses[key] = v.status.value
 
     # rolling-volatility overview for plotting, all three estimators on the
     # day-scale default window
@@ -358,7 +361,7 @@ def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
             vs = rolling_volatility(series, kind, VolatilityWindow(w, 1), scale="std")
             vol_cols[kind] = vs.values
             vol_cols["timestamp"] = vs.timestamps
-        files.append((f"{safe}/volatility.csv", vol_cols))
+        write_curve_csv(os.path.join(config.out_dir, safe, "volatility.csv"), vol_cols)
     except StylfactsError:
         pass
 
@@ -383,7 +386,7 @@ def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
         },
         "config": {
             "seed": config.seed,
-            "asset_seed": asset_seed(config.seed, asset.asset_id),
+            "asset_seed": fcfg.seed,
             "facts": list(config.facts),
             "fact_params": _jsonable(config.fact_params),
             "gap_policy": config.gap_policy,
@@ -391,8 +394,8 @@ def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
         },
         "facts": facts_obj,
     }
-    return AssetOutcome(asset_id=asset.asset_id, report=report, files=tuple(files),
-                        statuses=statuses)
+    write_json(os.path.join(config.out_dir, f"{safe}.json"), report)
+    return AssetOutcome(asset_id=asset.asset_id, report=report)
 
 
 @dataclass(frozen=True)
@@ -410,38 +413,35 @@ class RunResult:
         return not self.failed_assets
 
 
+def _summary_row(asset_id: str, report: Optional[dict], error: Optional[str] = None) -> list:
+    """One summary.csv row: the asset, each fact's status, the error."""
+    facts = (report or {}).get("facts", {})
+    return [asset_id] + [facts.get(f, {}).get("status", "skipped") for f in ALL_FACTS] + [error or ""]
+
+
 def _write_summary(path: str, rows: list) -> None:
-    lines = ["asset," + ",".join(ALL_FACTS) + ",error"]
-    for asset_id, statuses, error in rows:
-        cells = [statuses.get(f, "skipped") for f in ALL_FACTS]
-        lines.append(",".join([asset_id] + cells + [error or ""]))
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    buf = io.StringIO()
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(["asset", *ALL_FACTS, "error"])
+    out.writerows(rows)
+    _atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
 
 
 def run_analyze(config: RunConfig) -> RunResult:
     """Analyze every configured asset and write all outputs under out_dir.
 
-    Assets are computed concurrently (config.workers threads); writing
-    happens afterwards on the calling thread in asset order, which makes
-    the output bytes independent of scheduling.
+    config.workers threads take whole assets, and the thread that analyzed
+    an asset writes its files.  A file's bytes depend on its own asset only,
+    and RunConfig rejects ids that share an output name, so the output does
+    not depend on scheduling.  summary.csv is written last, in id order.
     """
-    if config.workers == 1 or len(config.assets) <= 1:
-        outcomes = [_analyze_one(config, a) for a in config.assets]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as ex:
-            outcomes = list(ex.map(lambda a: _analyze_one(config, a), config.assets))
-
-    outcomes.sort(key=lambda o: o.asset_id)
     os.makedirs(config.out_dir, exist_ok=True)
-    for o in outcomes:
-        if o.report is None:
-            continue
-        for rel, cols in o.files:
-            write_curve_csv(os.path.join(config.out_dir, rel), cols)
-        write_json(os.path.join(config.out_dir, f"{_safe_name(o.asset_id)}.json"),
-                   o.report)
+    with concurrent.futures.ThreadPoolExecutor(max_workers=config.workers) as ex:
+        outcomes = sorted(ex.map(lambda a: _analyze_one(config, a), config.assets),
+                          key=lambda o: o.asset_id)
     summary_path = os.path.join(config.out_dir, "summary.csv")
-    _write_summary(summary_path, [(o.asset_id, o.statuses, o.error) for o in outcomes])
+    _write_summary(summary_path, [_summary_row(o.asset_id, o.report, o.error)
+                                  for o in outcomes])
     return RunResult(out_dir=config.out_dir, outcomes=tuple(outcomes),
                      summary_path=summary_path)
 
@@ -456,8 +456,7 @@ def merge_reports(out_dir: str) -> str:
             rep = json.load(f)
         if not isinstance(rep, dict) or rep.get("schema_version") != REPORT_SCHEMA_VERSION:
             continue
-        statuses = {k: v.get("status", "skipped") for k, v in rep.get("facts", {}).items()}
-        rows.append((rep["asset_id"], statuses, None))
+        rows.append(_summary_row(rep["asset_id"], rep))
     rows.sort(key=lambda r: r[0])
     summary_path = os.path.join(out_dir, "summary.csv")
     _write_summary(summary_path, rows)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateInputError, InsufficientDataError
+from .errors import InsufficientDataError
 from .series import PriceSeries
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -70,25 +70,6 @@ class VolatilitySeries:
                                 self.kind, self.window, "std")
 
 
-def basic_volatility(returns) -> float:
-    """Sample variance of the window returns (the Basic estimator)."""
-    r = np.asarray(returns, dtype=float).reshape(-1)
-    if len(r) < 2:
-        raise InsufficientDataError("basic estimator needs at least 2 returns")
-    return float(r.var(ddof=1))
-
-
-def parkinson_volatility(high, low) -> float:
-    h = np.asarray(high, dtype=float).reshape(-1)
-    l = np.asarray(low, dtype=float).reshape(-1)
-    if len(h) != len(l) or len(h) < 1:
-        raise InsufficientDataError("parkinson estimator needs >= 1 bar")
-    if np.any(l <= 0) or np.any(h < l):
-        raise DegenerateInputError("parkinson needs high >= low > 0")
-    x = np.log(h / l)
-    return float(np.sqrt(np.mean(x * x) / FOUR_LN2))
-
-
 def rs_terms(open_, high, low, close) -> np.ndarray:
     """Per-bar Rogers-Satchell terms ln(h/c) ln(h/o) + ln(l/c) ln(l/o)."""
     o = np.asarray(open_, dtype=float)
@@ -109,13 +90,6 @@ def _rs_finalize(radicand, term_scale) -> np.ndarray:
                 "window(s); clamped to 0", RuntimeWarning)
         rad = np.where(neg, 0.0, rad)
     return np.sqrt(rad)
-
-
-def rogers_satchell_volatility(open_, high, low, close) -> float:
-    t = rs_terms(open_, high, low, close)
-    if len(t) < 1:
-        raise InsufficientDataError("rogers-satchell needs >= 1 bar")
-    return float(_rs_finalize(np.mean(t), float(np.mean(np.abs(t))))[0])
 
 
 def rolling_volatility(series: PriceSeries, kind: str, window: VolatilityWindow,

@@ -5,6 +5,7 @@ byte-level comparisons pin the determinism contract: equal configs give
 equal output files regardless of worker count or repetition.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -116,6 +117,34 @@ class TestAnalyze:
         root, _ = workspace
         assert _tree_hashes(root / "out1") == _tree_hashes(root / "out2")
 
+    def test_interleaved_writes_match_one_worker(self, tmp_path):
+        # four good assets around a failing one, listed out of id order, so
+        # three workers finish and write them in an order of their own
+        write_csv(simulate(GarchSpec(n_steps=400, omega=1e-6, alpha=0.10, beta=0.85,
+                                     seed=3)), str(tmp_path / "a.csv"))
+        write_csv(simulate(GbmSpec(n_steps=400, seed=4)), str(tmp_path / "b.csv"))
+        write_csv(simulate(GbmSpec(n_steps=400, seed=6)), str(tmp_path / "d.csv"))
+        write_csv(simulate(GarchSpec(n_steps=400, omega=1e-6, alpha=0.05, beta=0.90,
+                                     seed=7)), str(tmp_path / "e.csv"))
+        (tmp_path / "c.csv").write_text(
+            "timestamp,open,high,low,close,volume\nnotanumber,1,1,1,1,1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "assets": [{"id": i, "path": f"{i}.csv"} for i in "ecadb"],
+            "out_dir": "out", "seed": 5}))
+        for workers in ("1", "3"):
+            assert main(["analyze", "--config", str(cfg), "--out",
+                         str(tmp_path / f"w{workers}"), "--workers", workers]) == 1
+        hashes = _tree_hashes(tmp_path / "w1")
+        assert hashes == _tree_hashes(tmp_path / "w3")
+        assert not [k for k in hashes if k == "c.json" or k.startswith("c" + os.sep)]
+        for asset in "abde":
+            rep = json.loads((tmp_path / "w3" / f"{asset}.json").read_text())
+            linked = [rel for body in rep["facts"].values()
+                      for rel in body.get("curves", {}).values()]
+            assert linked
+            assert all(os.path.normpath(rel) in hashes for rel in linked)
+
     def test_asset_filter(self, workspace, tmp_path):
         root, cfg_path = workspace
         out = str(tmp_path / "only")
@@ -149,6 +178,30 @@ class TestAnalyze:
         assert bad_row.split(",")[-1] != ""
         assert not (tmp_path / "out" / "bad.json").exists()
         assert (tmp_path / "out" / "ok.json").is_file()
+
+    def test_summary_cells_are_quoted(self, tmp_path):
+        write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
+        (tmp_path / "hdr.csv").write_text("time,open,high,low,close,volume\n0,1,1,1,1,1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "assets": [{"id": "c,d", "path": "ok.csv"}, {"id": "hdr", "path": "hdr.csv"}],
+            "out_dir": "out"}))
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(r) for r in rows] == [13, 13, 13]
+        assert [r[0] for r in rows[1:]] == ["c,d", "hdr"]
+        assert "," in rows[2][-1]
+
+        # all assets analyzed: the merge rebuilds the quoted summary exactly
+        out = tmp_path / "only"
+        assert main(["analyze", "--config", str(cfg), "--asset", "c,d",
+                     "--out", str(out)]) == 0
+        original = (out / "summary.csv").read_bytes()
+        assert b'"c,d"' in original
+        (out / "summary.csv").unlink()
+        assert main(["report", "--merge", str(out)]) == 0
+        assert (out / "summary.csv").read_bytes() == original
 
     def test_one_row_csv_is_inconclusive_not_failed(self, tmp_path):
         (tmp_path / "one.csv").write_text(
@@ -201,6 +254,18 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert param in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("ids", [[".."], ["x y", "x_y"], ["x", "x.json"]],
+                             ids=["dotdot", "same-safe-name", "dir-vs-report"])
+    def test_clashing_asset_ids_exit_2_before_any_asset(self, tmp_path, capsys, ids):
+        # an unreadable CSV: had any asset been read, the run would exit 1
+        (tmp_path / "bad.csv").write_text("not a csv\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "assets": [{"id": i, "path": "bad.csv"} for i in ids], "out_dir": "out"}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert "would write" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.csv", "cfg.json"]
 
     def test_missing_asset_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

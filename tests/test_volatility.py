@@ -7,9 +7,7 @@ from stylfacts.errors import InsufficientDataError
 from stylfacts.series import PriceSeries
 from stylfacts.simulate import GbmSpec, simulate
 from stylfacts.volatility import (VolatilitySeries, VolatilityWindow,
-                                  _rs_finalize, basic_volatility,
-                                  default_window, parkinson_volatility,
-                                  rogers_satchell_volatility,
+                                  _rs_finalize, default_window,
                                   rolling_volatility, rs_terms)
 
 DAY = 86400
@@ -53,22 +51,6 @@ def naive_rolling(series, kind, n, stride):
 
 
 class TestPointEstimators:
-    def test_basic_is_sample_variance(self):
-        r = np.array([0.01, -0.02, 0.005, 0.0, 0.03])
-        assert basic_volatility(r) == pytest.approx(np.var(r, ddof=1), abs=0)
-
-    def test_basic_needs_two(self):
-        with pytest.raises(InsufficientDataError):
-            basic_volatility([0.01])
-
-    def test_parkinson_single_bar(self):
-        # one bar: sqrt(ln(h/l)^2 / (4 ln 2))
-        v = parkinson_volatility([102.0], [99.0])
-        assert v == pytest.approx(math.log(102 / 99) / math.sqrt(4 * math.log(2)))
-
-    def test_rs_zero_on_flat_bar(self):
-        assert rogers_satchell_volatility([5.0], [5.0], [5.0], [5.0]) == 0.0
-
     def test_rs_terms_nonnegative(self):
         # with h >= max(o,c) and l <= min(o,c) both products are >= 0
         s = random_ohlc(200, seed=9)
