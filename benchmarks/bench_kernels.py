@@ -1,8 +1,9 @@
 """Timing of each kernel, checked against its element-by-element loop.
 
-For every kernel with a `_*_loop` twin the script first runs both on a small
-input (n=2000) and prints their largest difference relative to the twin's
-largest magnitude; then it times the kernel at --n (best of --repeat).
+For every kernel with a `*_loop` twin (tests/_oracles.py) the script first
+runs both on a small input (n=2000) and prints their largest difference
+relative to the twin's largest magnitude; then it times the kernel at --n
+(best of --repeat).
 `garch_sim` is a plain recursion with no twin, so it is only timed.  The
 Zumbach bootstrap is timed twice, once for the range-sum kernel that
 `kernels.zumbach_boot` runs and once for the direct gather it falls back to
@@ -18,9 +19,12 @@ that each writer's bytes equal its oracle's.  Then it times
 The fit section times `fit_garch11` on a simulated GARCH and a GBM series of
 --n returns, with its likelihood evaluations, next to the Nelder-Mead fit
 it replaced (kept in tests/test_fitting.py as an oracle), and prints the
-objective gap per return.  Last, it times `adf_test` on the 21-bar
-volatility of the GARCH series next to its design-matrix form (kept in
-tests/test_stats.py).
+objective gap per return.  It times `fit_power_law` on the |r| ACF of the
+GARCH series (lags 1..100, as F2 fits it) next to the general
+Levenberg-Marquardt fit it replaced (also kept in tests/test_fitting.py).
+Last, it times `adf_test` on the 21-bar volatility of the GARCH series next
+to its design-matrix form (kept in tests/test_stats.py), each with its
+`tracemalloc` peak.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
 """
@@ -32,21 +36,23 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 import stylfacts
 from stylfacts import kernels
-from stylfacts.fitting import fit_garch11
+from stylfacts.fitting import fit_garch11, fit_power_law
 from stylfacts.report import write_curve_csv
 from stylfacts.series import compute_log_returns, write_csv
 from stylfacts.simulate import GarchSpec, GbmSpec, simulate
-from stylfacts.stats import adf_test
+from stylfacts.stats import acf, adf_test
 from stylfacts.volatility import VolatilityWindow, rolling_volatility
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from test_fitting import _fit_garch11_nelder_mead  # noqa: E402
+import _oracles  # noqa: E402
+from test_fitting import _fit_garch11_nelder_mead, _fit_power_law_lm  # noqa: E402
 from test_series import _write_csv_loop, _write_curve_csv_loop  # noqa: E402
 from test_stats import _adf_design_matrix  # noqa: E402
 
@@ -89,14 +95,14 @@ def make_args(n, n_boot, seed):
 
 # row label -> (kernel, loop twin or None)
 CASES = {
-    "garch_filter": (kernels.garch_filter, kernels._garch_filter_loop),
-    "garch_score": (kernels.garch_score, kernels._garch_score_loop),
+    "garch_filter": (kernels.garch_filter, _oracles.garch_filter_loop),
+    "garch_score": (kernels.garch_score, _oracles.garch_score_loop),
     "garch_sim": (kernels.garch_sim, None),
-    "ou_path": (kernels.ou_path, kernels._ou_path_loop),
-    "rolling_var": (kernels.rolling_var, kernels._rolling_var_loop),
-    "rolling_mean": (kernels.rolling_mean, kernels._rolling_mean_loop),
-    "zumbach_boot": (kernels.zumbach_boot, kernels._zumbach_boot_loop),
-    "zumbach_boot_gather": (kernels._zumbach_boot_gather, kernels._zumbach_boot_loop),
+    "ou_path": (kernels.ou_path, _oracles.ou_path_loop),
+    "rolling_var": (kernels.rolling_var, _oracles.rolling_var_loop),
+    "rolling_mean": (kernels.rolling_mean, _oracles.rolling_mean_loop),
+    "zumbach_boot": (kernels.zumbach_boot, _oracles.zumbach_boot_loop),
+    "zumbach_boot_gather": (kernels._zumbach_boot_gather, _oracles.zumbach_boot_loop),
 }
 
 
@@ -136,6 +142,16 @@ def write_curve(write, columns):
         return Path(path).read_bytes()
 
 
+def traced_peak(fn):
+    """fn's peak of numpy and Python allocations, in MB."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def start_up(code, repeat):
     src = os.path.dirname(os.path.dirname(os.path.abspath(stylfacts.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -166,7 +182,7 @@ def bench_io(n, repeat):
 def bench_fits(n, repeat):
     sim = dict(n_steps=n, seed=0, substeps=1, extremes="substep", volume_mode="none")
     series = {"garch": simulate(GarchSpec(**sim)), "gbm": simulate(GbmSpec(**sim))}
-    print(f"\n{'fit, ' + str(n) + ' returns':<20} {'time':>11} {'evals':>6} {'Nelder-Mead':>11} "
+    print(f"\n{'fit, ' + str(n) + ' returns':<20} {'time':>11} {'evals':>6} {'old form':>11} "
           f"{'evals':>6}  objective gap per return")
     for name, ps in series.items():
         r = compute_log_returns(ps).values
@@ -176,13 +192,26 @@ def bench_fits(n, repeat):
         gap = (oracle.log_likelihood - fit.log_likelihood) / len(r)
         print(f"{'fit_garch11 ' + name:<20} {t_new * 1e3:>9.1f}ms {fit.n_evaluations:>6} "
               f"{t_old * 1e3:>9.1f}ms {oracle.n_evaluations:>6}  {gap:+.1e}")
+    r = compute_log_returns(series["garch"]).values
+    lags = np.arange(1, 101, dtype=float)
+    values = acf(np.abs(r), 100).values
+    fit, oracle = fit_power_law(lags, values), _fit_power_law_lm(lags, values)
+    t_new = best_of(lambda: fit_power_law(lags, values), repeat)
+    t_old = best_of(lambda: _fit_power_law_lm(lags, values), repeat)
+    print(f"{'fit_power_law':<20} {t_new * 1e3:>9.2f}ms {fit.n_iter:>6} {t_old * 1e3:>9.2f}ms "
+          f"{oracle.n_iter:>6}  (evals: iterations; old form: Levenberg-Marquardt) beta drift "
+          f"{abs(fit.beta - oracle.beta) / abs(oracle.beta):.1e}")
+
     vol = rolling_volatility(series["garch"], "basic", VolatilityWindow(21, 1), scale="std").values
     got, (want, want_lag) = adf_test(vol), _adf_design_matrix(vol)
     t_new = best_of(lambda: adf_test(vol), repeat)
     t_old = best_of(lambda: _adf_design_matrix(vol), repeat)
+    mb_new = traced_peak(lambda: adf_test(vol))
+    mb_old = traced_peak(lambda: _adf_design_matrix(vol))
     print(f"{'adf_test':<20} {t_new * 1e3:>9.1f}ms {'':>6} {t_old * 1e3:>9.1f}ms {'':>6}  "
           f"(design matrix) lag {got.lag} vs {want_lag}, statistic drift "
-          f"{abs(got.statistic - want) / abs(want):.1e}")
+          f"{abs(got.statistic - want) / abs(want):.1e}; tracemalloc peak "
+          f"{mb_new:.1f} MB vs {mb_old:.1f} MB")
 
 
 def main():

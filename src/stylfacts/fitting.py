@@ -1,13 +1,15 @@
-"""Model fitting: damped least squares, power-law ACF decay, GARCH(1,1)
-quasi-MLE, OU regression, and tail-exponent estimation.
+"""Model fitting: power-law ACF decay, GARCH(1,1) quasi-MLE, OU regression,
+and tail-exponent estimation.
 
 Numerics pinned here:
 
-- lm_minimize declares convergence when an accepted step has both relative
-  step size and relative objective decrease below tol (default 1e-10), stops
-  at max_iter (default 200) otherwise, and reports singular normal equations
-  through converged=False rather than raising.  The parameter covariance is
-  sigma2 * (J'J)^-1 with the ML normalization sigma2 = SSE/n.
+- fit_power_law fits l -> l^-beta by damped Gauss-Newton in beta alone
+  (Levenberg-Marquardt in one parameter, damping lam * J'J), started at the
+  log-log regression slope clipped to [0.05, 3].  It declares convergence
+  when an accepted step has both relative step size and relative SSE
+  decrease below 1e-10, stops at 200 iterations otherwise, and reports a
+  zero Jacobian or a step no damping can make pay through converged=False
+  rather than raising.  beta_se = sqrt(SSE/n / J'J), the ML normalization.
 - fit_garch11 maximizes the Gaussian quasi-likelihood by projected Newton
   descent on the box omega > 0, alpha, beta >= 0, alpha + beta <= 0.9995,
   restarted from a fixed 5-point grid (deterministic; plus the ARCH(1)
@@ -37,7 +39,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,105 +47,6 @@ from .errors import DegenerateInputError, InsufficientDataError, NonMeanRevertin
 from .stats import ADF_CV_COEF
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# Damped least squares
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LmResult:
-    params: np.ndarray
-    cov: np.ndarray
-    residual_variance: float  # SSE / n (ML normalization)
-    sse: float
-    converged: bool
-    n_iter: int
-    trace: tuple
-
-
-def _numeric_jacobian(model: Callable, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    k = len(p)
-    J = np.empty((len(x), k))
-    for j in range(k):
-        h = 1e-7 * max(abs(p[j]), 1.0)
-        pp = p.copy()
-        pp[j] += h
-        fp = model(pp, x)
-        pp[j] -= 2 * h
-        fm = model(pp, x)
-        J[:, j] = (fp - fm) / (2 * h)
-    return J
-
-
-def lm_minimize(model: Callable, x, y, p0, jac: Optional[Callable] = None,
-                max_iter: int = 200, tol: float = 1e-10) -> LmResult:
-    """Minimize sum (y - model(p, x))^2 by Levenberg-Marquardt damping."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    p = np.asarray(p0, dtype=float).reshape(-1).copy()
-    n, k = len(y), len(p)
-    if n < k:
-        raise InsufficientDataError("fewer points than parameters")
-    jac_fn = jac if jac is not None else (lambda pp, xx: _numeric_jacobian(model, pp, xx))
-
-    r = y - model(p, x)
-    sse = float(np.dot(r, r))
-    trace = [sse]
-    lam = 1e-3
-    converged = False
-    singular = False
-    it = 0
-    while it < max_iter and not converged:
-        it += 1
-        J = jac_fn(p, x)
-        JtJ = J.T @ J
-        g = J.T @ r
-        d = np.diag(JtJ).copy()
-        if np.all(d <= 0.0):
-            singular = True
-            break
-        d[d <= 0.0] = d[d > 0.0].min()
-        accepted = False
-        while True:
-            A = JtJ + lam * np.diag(d)
-            try:
-                step = np.linalg.solve(A, g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                p_new = p + step
-                r_new = y - model(p_new, x)
-                sse_new = float(np.dot(r_new, r_new))
-                if np.isfinite(sse_new) and sse_new <= sse:
-                    rel_step = np.linalg.norm(step) / max(np.linalg.norm(p), 1e-300)
-                    rel_obj = (sse - sse_new) / max(sse, 1e-300)
-                    p, r, sse = p_new, r_new, sse_new
-                    trace.append(sse)
-                    lam = max(lam * 0.3, 1e-14)
-                    accepted = True
-                    if rel_step < tol and rel_obj < tol:
-                        converged = True
-                    break
-            lam *= 10.0
-            if lam > 1e13:
-                break
-        if not accepted:
-            singular = singular or lam > 1e13
-            break
-
-    JtJ = None
-    try:
-        J = jac_fn(p, x)
-        JtJ = J.T @ J
-        cov = (sse / n) * np.linalg.inv(JtJ)
-    except np.linalg.LinAlgError:
-        cov = np.full((k, k), np.nan)
-        converged = False
-    if singular:
-        converged = False
-    return LmResult(params=p, cov=cov, residual_variance=sse / n, sse=sse,
-                    converged=converged, n_iter=it, trace=tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -160,38 +62,65 @@ class PowerLawFit:
     n_iter: int
 
 
-def _powerlaw_model(p, lags):
-    return lags ** (-p[0])
+_POWERLAW_TOL = 1e-10
+_POWERLAW_MAX_ITER = 200
 
 
-def _powerlaw_jac(p, lags):
-    return (-np.log(lags) * lags ** (-p[0]))[:, None]
-
-
-def fit_power_law(lags, values, beta0: Optional[float] = None) -> PowerLawFit:
-    """Fit l -> l^-beta to ACF values over the given lags."""
+def fit_power_law(lags, values) -> PowerLawFit:
+    """Fit l -> l^-beta to ACF values over the given lags by damped
+    Gauss-Newton, from the log-log regression slope (see the module
+    docstring for the stopping rules and the standard error)."""
     lags = np.asarray(lags, dtype=float).reshape(-1)
     values = np.asarray(values, dtype=float).reshape(-1)
-    if len(lags) != len(values) or len(lags) < 2:
+    n = len(lags)
+    if len(values) != n or n < 2:
         raise InsufficientDataError("need >= 2 (lag, value) pairs")
     if np.any(lags < 1):
         raise ValueError("lags must be >= 1")
     pos = values > 0
     if not np.any(pos):
         raise DegenerateInputError("all ACF values non-positive: power-law decay undefined")
-    if beta0 is None:
-        if np.sum(pos) >= 2:
-            ll = np.log(lags[pos])
-            lv = np.log(values[pos])
-            var = np.var(ll)
-            slope = np.cov(ll, lv, bias=True)[0, 1] / var if var > 0 else -0.5
-            beta0 = float(np.clip(-slope, 0.05, 3.0))
+    beta = 0.5
+    if np.sum(pos) >= 2:
+        ll = np.log(lags[pos])
+        lv = np.log(values[pos])
+        var = np.var(ll)
+        slope = np.cov(ll, lv, bias=True)[0, 1] / var if var > 0 else -0.5
+        beta = float(np.clip(-slope, 0.05, 3.0))
+
+    log_lags = np.log(lags)
+    r = values - lags ** -beta
+    sse = float(np.dot(r, r))
+    lam = 1e-3
+    converged = False
+    it = 0
+    while it < _POWERLAW_MAX_ITER and not converged:
+        it += 1
+        jac = -log_lags * lags ** -beta
+        jtj = float(np.dot(jac, jac))
+        if jtj <= 0.0:
+            break
+        g = float(np.dot(jac, r))
+        while lam <= 1e13:
+            step = g / (jtj + lam * jtj)
+            if math.isfinite(step):
+                r_new = values - lags ** -(beta + step)
+                sse_new = float(np.dot(r_new, r_new))
+                if math.isfinite(sse_new) and sse_new <= sse:
+                    converged = (abs(step) / max(abs(beta), 1e-300) < _POWERLAW_TOL
+                                 and (sse - sse_new) / max(sse, 1e-300) < _POWERLAW_TOL)
+                    beta, r, sse = beta + step, r_new, sse_new
+                    lam = max(lam * 0.3, 1e-14)
+                    break
+            lam *= 10.0
         else:
-            beta0 = 0.5
-    res = lm_minimize(_powerlaw_model, lags, values, [beta0], jac=_powerlaw_jac)
-    return PowerLawFit(beta=float(res.params[0]), beta_se=float(np.sqrt(res.cov[0, 0])),
-                       residual_variance=res.residual_variance, converged=res.converged,
-                       n_iter=res.n_iter)
+            break  # no damping gives a step that lowers the SSE
+
+    jac = -log_lags * lags ** -beta
+    jtj = float(np.dot(jac, jac))
+    beta_se = math.sqrt(sse / n / jtj) if jtj != 0.0 else math.nan
+    return PowerLawFit(beta=beta, beta_se=beta_se, residual_variance=sse / n,
+                       converged=converged and jtj != 0.0, n_iter=it)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +346,7 @@ def _newton_fit(eps2, var, x, trace):
     return x, f, False, nfev
 
 
-def fit_garch11(returns, mean: Optional[float] = None) -> GarchFit:
+def fit_garch11(returns) -> GarchFit:
     """Gaussian quasi-MLE of GARCH(1,1) by projected Newton descent,
     restarted from each point of `_RESTART_GRID` (and from `_CORNER_START`
     when the fit is weak); the start reaching the lowest objective is kept,
@@ -429,7 +358,7 @@ def fit_garch11(returns, mean: Optional[float] = None) -> GarchFit:
         raise InsufficientDataError("GARCH fit needs at least 500 returns")
     if not np.all(np.isfinite(r)):
         raise DegenerateInputError("non-finite returns")
-    mu = float(r.mean()) if mean is None else float(mean)
+    mu = float(r.mean())
     eps2 = (r - mu) ** 2
     var = float(eps2.mean())
     if var <= 0.0:

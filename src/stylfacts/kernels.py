@@ -8,16 +8,16 @@ bar, and the Zumbach null band resamples the series a thousand times.
 `benchmarks/bench_kernels.py` times each kernel and checks it against its
 twin.
 
-Every kernel except `garch_sim` has a `_*_loop` twin that spells out the
-arithmetic one element at a time; the tests hold the kernels to the twins.
-The filters, the OU path and the rolling moments run the twin's arithmetic
-in another order (IIR filters, window views), which moves results at
-roundoff.  `garch_sim` is its own reference: the coefficient of its variance
-recursion changes with every draw, so no fixed-coefficient filter applies
-and it stays a plain loop.
+Every kernel except `garch_sim` has a `*_loop` twin in `tests/_oracles.py`
+that spells out the arithmetic one element at a time; the tests hold the
+kernels to the twins.  The filters, the OU path and the rolling moments run
+the twin's arithmetic in another order (IIR filters, window views), which
+moves results at roundoff.  `garch_sim` is its own reference: the
+coefficient of its variance recursion changes with every draw, so no
+fixed-coefficient filter applies and it stays a plain loop.
 
-`zumbach_boot` computes the same statistic as `_zumbach_boot_loop` by
-another decomposition: it never builds a resample.  Pairs of bars inside one
+`zumbach_boot` computes the same statistic as its loop twin by another
+decomposition: it never builds a resample.  Pairs of bars inside one
 block are read from a table of circular prefix-sum differences, one row per
 possible block start; pairs that straddle a block boundary come from one
 small matrix product per resample (see its docstring).  That takes
@@ -59,15 +59,6 @@ def garch_filter(eps2, omega, alpha, beta, h1):
     forcing[0] = h1
     forcing[1:] = omega + alpha * eps2[:-1]
     return lfilter([1.0], [1.0, -beta], forcing)
-
-
-def _garch_filter_loop(eps2, omega, alpha, beta, h1):
-    n = eps2.shape[0]
-    h = np.empty(n)
-    h[0] = h1
-    for t in range(1, n):
-        h[t] = omega + alpha * eps2[t - 1] + beta * h[t - 1]
-    return h
 
 
 # series length per pass of `garch_score`: its arrays stay in cache and
@@ -149,29 +140,6 @@ def garch_score(eps2, h, omega, alpha, beta):
             half_mean * 0.5 * (fisher + fisher.T))
 
 
-def _garch_score_loop(eps2, h, omega, alpha, beta):
-    n = eps2.shape[0]
-    s = 1.0 - alpha - beta
-    d = np.array([1.0 / s, omega / (s * s), omega / (s * s)])
-    # (omega alpha, omega beta, alpha alpha, alpha beta, beta beta)
-    dd = np.array([1.0 / (s * s), 1.0 / (s * s)] + [2.0 * omega / (s * s * s)] * 3)
-    score = np.zeros(3)
-    hess = np.zeros((3, 3))
-    fisher = np.zeros((3, 3))
-    for t in range(n):
-        if t > 0:
-            dd = np.array([beta * dd[0], d[0] + beta * dd[1], beta * dd[2],
-                           d[1] + beta * dd[3], 2.0 * d[2] + beta * dd[4]])
-            d = np.array([1.0 + beta * d[0], eps2[t - 1] + beta * d[1], h[t - 1] + beta * d[2]])
-        z = eps2[t] / h[t]
-        q = d / h[t]
-        second = np.array([[0.0, dd[0], dd[1]], [dd[0], dd[2], dd[3]], [dd[1], dd[3], dd[4]]])
-        score += q * (1.0 - z)
-        fisher += np.outer(q, q)
-        hess += (1.0 - z) * second / h[t] + (2.0 * z - 1.0) * np.outer(q, q)
-    return 0.5 * score / n, 0.5 * hess / n, 0.5 * fisher / n
-
-
 # ---------------------------------------------------------------------------
 # Simulators
 # ---------------------------------------------------------------------------
@@ -212,17 +180,6 @@ def ou_path(z, x0, mu, b, noise_scale):
     return out
 
 
-def _ou_path_loop(z, x0, mu, b, noise_scale):
-    n = z.shape[0]
-    out = np.empty(n + 1)
-    out[0] = x0
-    x = x0
-    for t in range(n):
-        x = mu + (x - mu) * b + noise_scale * z[t]
-        out[t + 1] = x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Rolling window reductions
 # ---------------------------------------------------------------------------
@@ -233,44 +190,19 @@ def rolling_var(x, n, stride):
     return win.var(axis=1, ddof=1)
 
 
-def _rolling_var_loop(x, n, stride):
-    count = (x.shape[0] - n) // stride + 1
-    out = np.empty(count)
-    for i in range(count):
-        s = i * stride
-        m = 0.0
-        for j in range(s, s + n):
-            m += x[j]
-        m /= n
-        acc = 0.0
-        for j in range(s, s + n):
-            d = x[j] - m
-            acc += d * d
-        out[i] = acc / (n - 1)
-    return out
-
-
 def rolling_mean(x, n, stride):
     """Plain mean over the same window layout (feeds Parkinson / RS)."""
     win = sliding_window_view(x, n)[::stride]
     return win.mean(axis=1)
 
 
-def _rolling_mean_loop(x, n, stride):
-    count = (x.shape[0] - n) // stride + 1
-    out = np.empty(count)
-    for i in range(count):
-        s = i * stride
-        acc = 0.0
-        for j in range(s, s + n):
-            acc += x[j]
-        out[i] = acc / n
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Zumbach statistic and its block-bootstrap null band
 # ---------------------------------------------------------------------------
+
+# resamples per pass of `zumbach_boot` and of `_zumbach_boot_gather`
+_BOOT_CHUNK = 16
+_GATHER_CHUNK = 64
 
 def zumbach_z(a, b, n_lags):
     """Z(delta) = C(delta) - C(-delta) for delta = 1..n_lags.
@@ -292,61 +224,14 @@ def zumbach_z(a, b, n_lags):
     return z
 
 
-def _zumbach_boot_loop(a, b, starts, block_len, n_lags):
-    """Z on circular-block resamples of the aligned pair (a, b).
+def zumbach_boot(a, b, starts, block_len, n_lags):
+    """Z (`zumbach_z`) on circular-block resamples of the aligned pair
+    (a, b), from block range sums, without materialising any resample.
 
-    starts[r, j] is the start index of block j in resample r; blocks are
-    copied jointly from both series so their cross-dependence survives.
-    Returns (n_resamples, n_lags).
-    """
-    n = a.shape[0]
-    n_res, n_blocks = starts.shape
-    out = np.empty((n_res, n_lags))
-    ar = np.empty(n)
-    br = np.empty(n)
-    for r in range(n_res):
-        pos = 0
-        for j in range(n_blocks):
-            s = starts[r, j]
-            for k in range(block_len):
-                if pos < n:
-                    idx = s + k
-                    if idx >= n:
-                        idx -= n
-                    ar[pos] = a[idx]
-                    br[pos] = b[idx]
-                    pos += 1
-        sa = 0.0
-        saa = 0.0
-        sb = 0.0
-        sbb = 0.0
-        for t in range(n):
-            sa += ar[t]
-            saa += ar[t] * ar[t]
-            sb += br[t]
-            sbb += br[t] * br[t]
-        abar = sa / n
-        astd = np.sqrt(saa / n - abar * abar)
-        bstd = np.sqrt(sbb / n - (sb / n) * (sb / n))
-        for lag in range(1, n_lags + 1):
-            s_ab_past = 0.0
-            s_b_past = 0.0
-            s_ab_futr = 0.0
-            s_b_futr = 0.0
-            for t in range(lag, n):
-                s_ab_past += ar[t] * br[t - lag]
-                s_b_past += br[t - lag]
-                s_ab_futr += ar[t - lag] * br[t]
-                s_b_futr += br[t]
-            c_past = (s_ab_past - abar * s_b_past)
-            c_futr = (s_ab_futr - abar * s_b_futr)
-            out[r, lag - 1] = (c_past - c_futr) / ((n - lag) * astd * bstd)
-    return out
-
-
-def zumbach_boot(a, b, starts, block_len, n_lags, chunk=16):
-    """Z on circular-block resamples (see _zumbach_boot_loop) from block
-    range sums, without materialising any resample.
+    starts[r, j] is the start index of block j in resample r; blocks of
+    block_len bars wrap around the end of the series and are copied jointly
+    from both series, so their cross-dependence survives.  Returns
+    (n_resamples, n_lags).
 
     For each lag l the numerator is D_l - abar * (sum of the resample's first
     l values of b - sum of its last l), where D_l = sum_t a_t b_{t-l} -
@@ -405,8 +290,8 @@ def zumbach_boot(a, b, starts, block_len, n_lags, chunk=16):
     ones = np.ones(n_blocks - 1)
 
     out = np.empty((n_res, w))
-    for lo in range(0, n_res, chunk):
-        hi = min(lo + chunk, n_res)
+    for lo in range(0, n_res, _BOOT_CHUNK):
+        hi = min(lo + _BOOT_CHUNK, n_res)
         st = starts[lo:hi]
         # np.take: several times faster than fancy indexing for row gathers
         sums = ones @ np.take(full, st[:, :-1], axis=0) + last[st[:, -1]]
@@ -430,15 +315,15 @@ def zumbach_boot(a, b, starts, block_len, n_lags, chunk=16):
     return out
 
 
-def _zumbach_boot_gather(a, b, starts, block_len, n_lags, chunk=64):
+def _zumbach_boot_gather(a, b, starts, block_len, n_lags):
     """Direct form: gathers each chunk of resamples in full, then takes
     per-lag dot products.  Handles any n_lags, at O(n * n_lags) per resample."""
     n = a.shape[0]
     n_res = starts.shape[0]
     offs = np.arange(block_len)
     out = np.empty((n_res, n_lags))
-    for lo in range(0, n_res, chunk):
-        hi = min(lo + chunk, n_res)
+    for lo in range(0, n_res, _GATHER_CHUNK):
+        hi = min(lo + _GATHER_CHUNK, n_res)
         idx = (starts[lo:hi, :, None] + offs[None, None, :]).reshape(hi - lo, -1)[:, :n] % n
         ar = a[idx]
         br = b[idx]

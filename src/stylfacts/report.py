@@ -45,6 +45,9 @@ _TUNABLE = tuple(f.name for f in dc_fields(FactConfig)
                  if f.name not in ("seed", "step_seconds"))
 
 _SAFE_NAME = re.compile(r"[^A-Za-z0-9._-]+")
+# csv.writer leaves a bare "\r" unquoted, so such an id would split its
+# summary row
+_CONTROL = re.compile(r"[\x00-\x1f\x7f-\x9f]")
 
 
 def _safe_name(name: str) -> str:
@@ -77,6 +80,8 @@ class RunConfig:
         # assets write <safe>/ and <safe>.json beside the summary concurrently
         owners = {"summary.csv": "the summary"}
         for a in self.assets:
+            if _CONTROL.search(a.asset_id):
+                raise ValueError(f"asset id {a.asset_id!r} holds a control character")
             safe = _safe_name(a.asset_id)
             if safe in (".", ".."):
                 raise ValueError(f"asset id {a.asset_id!r} would write outside out_dir")

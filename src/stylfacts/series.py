@@ -1,4 +1,4 @@
-"""OHLCV series containers, validation, log returns, and aggregation.
+"""OHLCV series containers, validation, log returns, and block sums.
 
 Conventions
 -----------
@@ -7,8 +7,8 @@ Conventions
   original timestamps are kept for reporting only.
 - Log return r_i = ln(close[i] / close[i-1]) carries the timestamp of the
   later bar (interval end).
-- Aggregation by k sums non-overlapping blocks of k returns anchored at the
-  start; a trailing remainder shorter than k is dropped.
+- Aggregation by k (`block_sums`) sums non-overlapping blocks of k values
+  anchored at the start; a trailing remainder shorter than k is dropped.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,27 +30,16 @@ CSV_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 
 @dataclass(frozen=True)
 class SamplingGrid:
-    """Expected bar spacing.
-
-    step: grid step in seconds.
-    session: optional predicate on epoch seconds; a grid slot is expected only
-        where it returns True.  No calendar convention is built in; callers
-        that need exchange sessions supply their own mask.
-    """
+    """Expected bar spacing: every step seconds (no calendar convention)."""
 
     step: int
-    session: Optional[Callable[[int], bool]] = None
 
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError("grid step must be positive")
 
     def expected(self, first: int, last: int) -> np.ndarray:
-        ts = np.arange(first, last + 1, self.step, dtype=np.int64)
-        if self.session is not None:
-            keep = np.fromiter((self.session(int(t)) for t in ts), dtype=bool, count=len(ts))
-            ts = ts[keep]
-        return ts
+        return np.arange(first, last + 1, self.step, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -143,22 +132,6 @@ def block_sums(values: np.ndarray, k: int) -> np.ndarray:
     trailing remainder shorter than k is dropped (no blocks: empty)."""
     n = len(values) // k
     return values[: n * k].reshape(n, k).sum(axis=1)
-
-
-def aggregate_returns(returns: LogReturnSeries, k: int) -> LogReturnSeries:
-    """Sum non-overlapping blocks of k returns; trailing remainder dropped."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = len(returns) // k
-    if n == 0:
-        raise InsufficientDataError(f"fewer than k={k} returns")
-    ts = returns.timestamps[k - 1 : n * k : k].copy()
-    return LogReturnSeries(values=block_sums(returns.values, k), timestamps=ts)
-
-
-def prices_from_returns(returns: LogReturnSeries, p0: float) -> np.ndarray:
-    """Close path implied by p0 and the returns (round-trip check helper)."""
-    return p0 * np.exp(np.concatenate(([0.0], np.cumsum(returns.values))))
 
 
 def validate_and_gapfill(series: PriceSeries, grid: SamplingGrid,

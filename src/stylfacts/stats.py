@@ -15,8 +15,12 @@ Conventions pinned here:
   critical values asymptotic/(1 + 0.75/N + 2.25/N^2), i.e. the usual
   finite-sample correction moved onto the thresholds.
 - ADF regression includes a constant, no trend; lag order minimizes AIC up to
-  the Schwert bound floor(12 * (N/100)^(1/4)); critical values come from the
-  standard response-surface constants for the constant-only case.
+  the Schwert bound floor(12 * (N/100)^(1/4)) on the common sample, and the
+  chosen model runs on every row it can; critical values come from the
+  standard response-surface constants for the constant-only case.  Both
+  steps solve normal equations built from sums and prefix sums of shifted
+  slices (`_lag_gram`: O(N * lags) time, O(N) memory).  A singular model or
+  a residual sum of squares <= 0 raises DegenerateInputError.
 
 scipy.stats and scipy.special are imported inside the three functions that
 call them (KS, AD, QQ), at first use, so that importing the package loads
@@ -227,13 +231,27 @@ def anderson_darling_normal(x) -> GofTestResult:
                          note="mean and variance estimated; finite-N correction applied to thresholds")
 
 
-def _ols(X, y):
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise DegenerateInputError("singular regression (constant or collinear input)")
-    resid = y - X @ beta
-    ssr = float(np.dot(resid, resid))
-    return beta, ssr
+def _lag_gram(x, dy, p, start):
+    """Gram matrix of [1, x_t, dy_{t-1}, ..., dy_{t-p}, dy_t] over the rows
+    t = start..n-2 (start >= p), with no design matrix.  Column dy_{t-j} is
+    the slice dy[start-j : n-1-j].  The dy entry at lags (i, j) sums
+    dy[u] dy[u+d], d = |i-j|, over u = start-m..n-2-m, m = max(i, j): a range
+    of one prefix sum per d, each written into the same buffer."""
+    n = len(x)
+    lags = np.r_[1:p + 1, 0]  # the lag of each dy column; dy_t last
+    head = np.stack((np.ones(n - 1 - start), x[start:n - 1]))
+    G = np.empty((p + 3, p + 3))
+    G[:2, :2] = head @ head.T
+    G[:2, 2:] = np.array([head @ dy[start - j:n - 1 - j] for j in lags]).T
+    G[2:, :2] = G[:2, 2:].T
+    m = np.maximum.outer(lags, lags)
+    d = np.abs(np.subtract.outer(lags, lags))
+    prefix = np.zeros(n)
+    for k in range(p + 1):
+        np.multiply(dy[:n - 1 - k], dy[k:], out=prefix[1:n - k])
+        np.cumsum(prefix[1:n - k], out=prefix[1:n - k])
+        G[2:, 2:][d == k] = prefix[n - 1 - m[d == k]] - prefix[start - m[d == k]]
+    return G
 
 
 def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
@@ -256,48 +274,31 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
     x = x - x.mean()
     dy = np.diff(x)
 
-    def build(p, start, stop):
-        # rows are t = start..stop-1 in diff indexing: dy[t] on [1, x[t], dy[t-1..t-p]]
-        rows = np.arange(start, stop)
-        X = np.empty((len(rows), 2 + p))
-        X[:, 0] = 1.0
-        X[:, 1] = x[rows]
-        for j in range(1, p + 1):
-            X[:, 1 + j] = dy[rows - j]
-        return X, dy[rows]
-
-    # lag selection on the common sample via one Gram matrix: candidate models
-    # are nested, so each is a leading subblock solve instead of a fresh lstsq
-    X_all, y_all = build(pmax, pmax, n - 1)
-    G = X_all.T @ X_all
-    c = X_all.T @ y_all
-    yty = float(np.dot(y_all, y_all))
-    neff_sel = len(y_all)
+    # lag selection on the common sample t = pmax..n-2: the candidate models
+    # are nested, so each is a leading block of one Gram matrix, with the
+    # regressand's products in its last column
+    G = _lag_gram(x, dy, pmax, pmax)
+    neff_sel = n - 1 - pmax
     best = None
     for p in range(pmax + 1):
         k = 2 + p
         try:
-            beta = np.linalg.solve(G[:k, :k], c[:k])
-            ssr = yty - float(np.dot(beta, c[:k]))
+            beta = np.linalg.solve(G[:k, :k], G[:k, -1])
         except np.linalg.LinAlgError:
-            beta, ssr = _ols(X_all[:, :k], y_all)
+            raise DegenerateInputError(
+                "singular regression (constant or collinear input)") from None
+        ssr = G[-1, -1] - float(np.dot(beta, G[:k, -1]))
         if ssr <= 0.0:
-            _, ssr = _ols(X_all[:, :k], y_all)
-            if ssr <= 0.0:
-                raise DegenerateInputError("perfect fit in ADF regression")
+            raise DegenerateInputError("perfect fit in ADF regression")
         aic = neff_sel * math.log(ssr / neff_sel) + 2 * k
         if best is None or aic < best[0]:
             best = (aic, p)
     p = best[1]
-    del X_all, y_all
 
-    # The chosen model runs on rows p..n-2: the common sample plus the
-    # pmax - p rows before it, so its normal equations are G's leading block
-    # plus those rows' own.
+    # the chosen model runs on all the rows it can, t = p..n-2
     k = 2 + p
-    X_head, y_head = build(p, p, pmax)
-    gram = G[:k, :k] + X_head.T @ X_head
-    rhs = c[:k] + X_head.T @ y_head
+    G = _lag_gram(x, dy, p, p)
+    gram, rhs = G[:k, :k], G[:k, -1]
     neff = n - 1 - p
     scale = np.sqrt(np.diag(gram))
     if not np.all(scale > 0.0):
@@ -308,7 +309,7 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
     if eig[0] < 1e-10 * eig[-1]:
         raise DegenerateInputError("singular regression (constant or collinear input)")
     beta = np.linalg.solve(gram, rhs)
-    ssr = yty + float(np.dot(y_head, y_head)) - float(np.dot(beta, rhs))
+    ssr = G[-1, -1] - float(np.dot(beta, rhs))
     dof = neff - k
     if dof <= 0 or ssr <= 0.0:
         raise DegenerateInputError("ADF regression degenerate")

@@ -267,6 +267,20 @@ class TestAnalyze:
         assert "would write" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["bad.csv", "cfg.json"]
 
+    @pytest.mark.parametrize("asset_id", ["a\rb", "a\nb", "a\tb", "a\x00b"],
+                             ids=["cr", "lf", "tab", "nul"])
+    def test_control_character_asset_id_exits_2_before_any_asset(self, tmp_path, capsys,
+                                                                  asset_id):
+        # csv.writer does not quote a bare "\r", so that id would split its
+        # summary row; an unreadable CSV shows that no asset was read
+        (tmp_path / "bad.csv").write_text("not a csv\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "assets": [{"id": asset_id, "path": "bad.csv"}], "out_dir": "out"}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert "control character" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.csv", "cfg.json"]
+
     def test_missing_asset_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -1,5 +1,7 @@
 import math
 import warnings
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 import pytest
@@ -7,11 +9,12 @@ import pytest
 from stylfacts import fitting, kernels
 from stylfacts.errors import (DegenerateInputError, InsufficientDataError,
                               NonMeanRevertingError)
-from stylfacts.fitting import (GarchFit, GarchParams, fit_garch11, fit_ou,
+from stylfacts.fitting import (GarchFit, GarchParams, PowerLawFit, fit_garch11, fit_ou,
                                fit_power_law, fit_tail_exponent, garch_filter,
-                               gaussian_log_likelihood, lm_minimize)
+                               gaussian_log_likelihood)
 from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 from stylfacts.series import compute_log_returns
+from stylfacts.stats import acf
 
 _SIM = dict(substeps=1, extremes="substep", volume_mode="none")
 
@@ -67,7 +70,142 @@ def _fit_garch11_nelder_mead(returns, mean=None):
                     near_igarch=params.alpha + params.beta > 0.999, trace=tuple(trace))
 
 
+# `lm_minimize` as it was in stylfacts.fitting before `fit_power_law` became a
+# one-parameter Gauss-Newton: kept verbatim as that fit's oracle.
+
+@dataclass(frozen=True)
+class LmResult:
+    params: np.ndarray
+    cov: np.ndarray
+    residual_variance: float  # SSE / n (ML normalization)
+    sse: float
+    converged: bool
+    n_iter: int
+    trace: tuple
+
+
+def _numeric_jacobian(model: Callable, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    k = len(p)
+    J = np.empty((len(x), k))
+    for j in range(k):
+        h = 1e-7 * max(abs(p[j]), 1.0)
+        pp = p.copy()
+        pp[j] += h
+        fp = model(pp, x)
+        pp[j] -= 2 * h
+        fm = model(pp, x)
+        J[:, j] = (fp - fm) / (2 * h)
+    return J
+
+
+def lm_minimize(model: Callable, x, y, p0, jac: Optional[Callable] = None,
+                max_iter: int = 200, tol: float = 1e-10) -> LmResult:
+    """Minimize sum (y - model(p, x))^2 by Levenberg-Marquardt damping."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = np.asarray(p0, dtype=float).reshape(-1).copy()
+    n, k = len(y), len(p)
+    if n < k:
+        raise InsufficientDataError("fewer points than parameters")
+    jac_fn = jac if jac is not None else (lambda pp, xx: _numeric_jacobian(model, pp, xx))
+
+    r = y - model(p, x)
+    sse = float(np.dot(r, r))
+    trace = [sse]
+    lam = 1e-3
+    converged = False
+    singular = False
+    it = 0
+    while it < max_iter and not converged:
+        it += 1
+        J = jac_fn(p, x)
+        JtJ = J.T @ J
+        g = J.T @ r
+        d = np.diag(JtJ).copy()
+        if np.all(d <= 0.0):
+            singular = True
+            break
+        d[d <= 0.0] = d[d > 0.0].min()
+        accepted = False
+        while True:
+            A = JtJ + lam * np.diag(d)
+            try:
+                step = np.linalg.solve(A, g)
+            except np.linalg.LinAlgError:
+                step = None
+            if step is not None and np.all(np.isfinite(step)):
+                p_new = p + step
+                r_new = y - model(p_new, x)
+                sse_new = float(np.dot(r_new, r_new))
+                if np.isfinite(sse_new) and sse_new <= sse:
+                    rel_step = np.linalg.norm(step) / max(np.linalg.norm(p), 1e-300)
+                    rel_obj = (sse - sse_new) / max(sse, 1e-300)
+                    p, r, sse = p_new, r_new, sse_new
+                    trace.append(sse)
+                    lam = max(lam * 0.3, 1e-14)
+                    accepted = True
+                    if rel_step < tol and rel_obj < tol:
+                        converged = True
+                    break
+            lam *= 10.0
+            if lam > 1e13:
+                break
+        if not accepted:
+            singular = singular or lam > 1e13
+            break
+
+    JtJ = None
+    try:
+        J = jac_fn(p, x)
+        JtJ = J.T @ J
+        cov = (sse / n) * np.linalg.inv(JtJ)
+    except np.linalg.LinAlgError:
+        cov = np.full((k, k), np.nan)
+        converged = False
+    if singular:
+        converged = False
+    return LmResult(params=p, cov=cov, residual_variance=sse / n, sse=sse,
+                    converged=converged, n_iter=it, trace=tuple(trace))
+
+
+def _powerlaw_model(p, lags):
+    return lags ** (-p[0])
+
+
+def _powerlaw_jac(p, lags):
+    return (-np.log(lags) * lags ** (-p[0]))[:, None]
+
+
+def _fit_power_law_lm(lags, values, beta0: Optional[float] = None) -> PowerLawFit:
+    """`fit_power_law` as it was before its one-parameter Gauss-Newton:
+    the same start, through the general `lm_minimize` above."""
+    lags = np.asarray(lags, dtype=float).reshape(-1)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if len(lags) != len(values) or len(lags) < 2:
+        raise InsufficientDataError("need >= 2 (lag, value) pairs")
+    if np.any(lags < 1):
+        raise ValueError("lags must be >= 1")
+    pos = values > 0
+    if not np.any(pos):
+        raise DegenerateInputError("all ACF values non-positive: power-law decay undefined")
+    if beta0 is None:
+        if np.sum(pos) >= 2:
+            ll = np.log(lags[pos])
+            lv = np.log(values[pos])
+            var = np.var(ll)
+            slope = np.cov(ll, lv, bias=True)[0, 1] / var if var > 0 else -0.5
+            beta0 = float(np.clip(-slope, 0.05, 3.0))
+        else:
+            beta0 = 0.5
+    res = lm_minimize(_powerlaw_model, lags, values, [beta0], jac=_powerlaw_jac)
+    return PowerLawFit(beta=float(res.params[0]), beta_se=float(np.sqrt(res.cov[0, 0])),
+                       residual_variance=res.residual_variance, converged=res.converged,
+                       n_iter=res.n_iter)
+
+
 class TestLmMinimize:
+    """The oracle on problems with known answers."""
+
     def test_linear_model_exact(self):
         # quadratic objective: LM reaches the OLS solution
         rng = np.random.default_rng(0)
@@ -92,15 +230,6 @@ class TestLmMinimize:
         y = np.exp(-0.5 * x) + 0.05 * rng.standard_normal(40)
         res = lm_minimize(lambda p, t: np.exp(-p[0] * t) * p[1], x, y, [2.0, 0.2])
         assert all(b <= a + 1e-15 for a, b in zip(res.trace, res.trace[1:]))
-
-    def test_cov_matches_ols_formula(self):
-        rng = np.random.default_rng(2)
-        x = np.linspace(0, 1, 60)
-        y = 1.0 - 0.5 * x + 0.1 * rng.standard_normal(60)
-        res = lm_minimize(lambda p, t: p[0] + p[1] * t, x, y, [0.0, 0.0])
-        X = np.column_stack([np.ones_like(x), x])
-        want = res.sse / len(x) * np.linalg.inv(X.T @ X)
-        np.testing.assert_allclose(res.cov, want, rtol=1e-6)
 
     def test_analytic_jacobian_agrees(self):
         x = np.linspace(0.1, 4, 30)
@@ -146,6 +275,50 @@ class TestPowerLaw:
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
             fit_power_law(np.array([1.0]), np.array([1.0]))
+
+    @staticmethod
+    def _oracle_cases():
+        """(lags, values) pairs: exact and noisy decay curves, F2's inputs
+        (|r| ACFs of GBM, GARCH and GJR series cut at several lags), and
+        curves with no decay to fit."""
+        rng = np.random.default_rng(30)
+        lags = np.arange(1, 201, dtype=float)
+        for beta in (0.05, 0.2, 0.4, 1.0, 2.5):
+            yield lags, lags ** -beta
+            for noise in (1e-3, 1e-2, 1e-1):
+                yield lags, lags ** -beta + noise * rng.standard_normal(len(lags))
+        for spec in (GbmSpec, GarchSpec, GjrSpec):
+            for seed in (1, 2):
+                r = _returns(spec(n_steps=20_000, seed=seed, **_SIM))
+                a = acf(np.abs(r), 100).values
+                for cut in (2, 10, 50, 100):
+                    yield np.arange(1, cut + 1, dtype=float), a[:cut]
+        yield np.ones(5), np.ones(5)  # zero Jacobian: no step
+        yield np.array([1.0, 2.0, 3.0]), np.array([1.0, -1.0, 1e300])
+
+    def test_matches_lm_oracle(self):
+        # the one-parameter Gauss-Newton repeats lm_minimize's arithmetic;
+        # only the 1x1 solve and products may round differently
+        for lags, values in self._oracle_cases():
+            with np.errstate(over="ignore"):  # the 1e300 case
+                got, want = fit_power_law(lags, values), _fit_power_law_lm(lags, values)
+            assert (got.converged, got.n_iter) == (want.converged, want.n_iter)
+            np.testing.assert_allclose(
+                [got.beta, got.beta_se, got.residual_variance],
+                [want.beta, want.beta_se, want.residual_variance], rtol=1e-13, equal_nan=True)
+
+    def test_beta_se_closed_form(self):
+        # sqrt(SSE/n / J'J) with J the model's derivative at the fitted beta
+        rng = np.random.default_rng(2)
+        lags = np.arange(1, 61, dtype=float)
+        values = lags ** -0.35 + 0.02 * rng.standard_normal(60)
+        fit = fit_power_law(lags, values)
+        b = fit.beta
+        sse = np.sum((values - lags ** -b) ** 2)
+        jtj = np.sum((np.log(lags) * lags ** -b) ** 2)
+        assert fit.converged
+        assert fit.beta_se == pytest.approx(math.sqrt(sse / 60 / jtj), rel=1e-14)
+        assert fit.residual_variance == pytest.approx(sse / 60, rel=1e-14)
 
 
 class TestGarchParams:

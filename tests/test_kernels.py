@@ -1,4 +1,4 @@
-"""Each kernel against its element-by-element `_*_loop` twin.
+"""Each kernel against its element-by-element `*_loop` twin in `_oracles`.
 
 Tolerances come from float64 roundoff, not from the observed error.  The
 filters and rolling moments reorder short sums.  The Zumbach kernels
@@ -14,6 +14,8 @@ import pytest
 
 from stylfacts import kernels
 
+import _oracles
+
 
 @pytest.fixture
 def series():
@@ -27,7 +29,7 @@ def test_filters_match_loop(series):
     eps2 = series["eps2"]
     np.testing.assert_allclose(
         kernels.garch_filter(eps2, 1e-6, 0.1, 0.85, 2e-5),
-        kernels._garch_filter_loop(eps2, 1e-6, 0.1, 0.85, 2e-5), rtol=1e-13)
+        _oracles.garch_filter_loop(eps2, 1e-6, 0.1, 0.85, 2e-5), rtol=1e-13)
 
 
 @pytest.mark.parametrize("n", [500, 9000])  # one block, and three with a short last one
@@ -37,7 +39,7 @@ def test_garch_score_matches_loop(alpha, beta, n):
     omega = 2e-6
     h = kernels.garch_filter(eps2, omega, alpha, beta, omega / (1.0 - alpha - beta))
     got = kernels.garch_score(eps2, h, omega, alpha, beta)
-    want = kernels._garch_score_loop(eps2, h, omega, alpha, beta)
+    want = _oracles.garch_score_loop(eps2, h, omega, alpha, beta)
     # entries differ in scale by orders of magnitude (omega is 1e-6), so each
     # is held to its own size; the kernel sums block by block
     for g, w in zip(got, want):
@@ -48,17 +50,17 @@ def test_simulators_match_loop(series):
     z = series["z"]
     np.testing.assert_allclose(
         kernels.ou_path(z, 0.3, 0.1, math.exp(-0.05), 0.01),
-        kernels._ou_path_loop(z, 0.3, 0.1, math.exp(-0.05), 0.01), rtol=1e-12)
+        _oracles.ou_path_loop(z, 0.3, 0.1, math.exp(-0.05), 0.01), rtol=1e-12)
 
 
 def test_rolling_moments_match_loop(series):
     x = series["x"]
     for stride in (1, 3):
         np.testing.assert_allclose(
-            kernels.rolling_var(x, 21, stride), kernels._rolling_var_loop(x, 21, stride),
+            kernels.rolling_var(x, 21, stride), _oracles.rolling_var_loop(x, 21, stride),
             rtol=1e-11)
         np.testing.assert_allclose(
-            kernels.rolling_mean(x, 21, stride), kernels._rolling_mean_loop(x, 21, stride),
+            kernels.rolling_mean(x, 21, stride), _oracles.rolling_mean_loop(x, 21, stride),
             atol=1e-14)
 
 
@@ -91,7 +93,7 @@ def _zumbach_case(n, block_len, n_lags, n_res, wrap=False):
 @pytest.mark.parametrize("shape", list(ZUMBACH_SHAPES.values()), ids=list(ZUMBACH_SHAPES))
 def test_zumbach_boot_matches_loop(kernel, shape, wrap):
     args = _zumbach_case(*shape, wrap=wrap)
-    ref = kernels._zumbach_boot_loop(*args)
+    ref = _oracles.zumbach_boot_loop(*args)
     got = kernel(*args)
     assert got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())

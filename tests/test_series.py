@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from stylfacts.errors import (DataQualityError, InsufficientDataError,
                               RejectedInputError)
 from stylfacts.report import write_curve_csv
-from stylfacts.series import (PriceSeries, SamplingGrid, aggregate_returns,
-                              compute_log_returns, prices_from_returns,
+from stylfacts.series import (PriceSeries, SamplingGrid, block_sums,
+                              compute_log_returns,
                               read_csv, validate_and_gapfill, write_csv)
 from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 
@@ -129,29 +129,18 @@ class TestReturns:
     def test_aggregate_sums_blocks(self):
         s = make_series(n=13)
         r = compute_log_returns(s)  # 12 returns
-        agg = aggregate_returns(r, 5)
+        agg = block_sums(r.values, 5)
         assert len(agg) == 2
-        np.testing.assert_allclose(agg.values[0], r.values[:5].sum())
-        np.testing.assert_allclose(agg.values[1], r.values[5:10].sum())
-        # timestamp of a block is its last interval's end
-        assert agg.timestamps[0] == r.timestamps[4]
-        assert agg.timestamps[1] == r.timestamps[9]
+        np.testing.assert_allclose(agg[0], r.values[:5].sum())
+        np.testing.assert_allclose(agg[1], r.values[5:10].sum())
 
     def test_aggregate_k1_is_identity(self):
         r = compute_log_returns(make_series(n=9))
-        agg = aggregate_returns(r, 1)
-        np.testing.assert_array_equal(agg.values, r.values)
-        np.testing.assert_array_equal(agg.timestamps, r.timestamps)
+        np.testing.assert_array_equal(block_sums(r.values, 1), r.values)
 
     def test_aggregate_too_large_k(self):
         r = compute_log_returns(make_series(n=4))
-        with pytest.raises(InsufficientDataError):
-            aggregate_returns(r, 10)
-
-    def test_aggregate_rejects_bad_k(self):
-        r = compute_log_returns(make_series(n=4))
-        with pytest.raises(ValueError):
-            aggregate_returns(r, 0)
+        assert len(block_sums(r.values, 10)) == 0
 
     @given(st.integers(2, 40), st.integers(1, 6), st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -161,16 +150,10 @@ class TestReturns:
         r = compute_log_returns(s)
         if len(r) < k:
             return
-        agg = aggregate_returns(r, k)
+        agg = block_sums(r.values, k)
         m = len(agg)
         total = np.log(s.close[m * k] / s.close[0])
-        assert abs(agg.values.sum() - total) < 1e-12
-
-    def test_prices_from_returns_roundtrip(self):
-        s = make_series(n=30)
-        r = compute_log_returns(s)
-        path = prices_from_returns(r, float(s.close[0]))
-        np.testing.assert_allclose(path, s.close, rtol=1e-12)
+        assert abs(agg.sum() - total) < 1e-12
 
 
 class TestGapfill:
@@ -226,16 +209,6 @@ class TestGapfill:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             validate_and_gapfill(make_series(), self.grid(), policy="interpolate")
-
-    def test_session_mask_excludes_slots(self):
-        # only even days expected: odd-day slots are neither missing nor filled
-        s = make_series(n=6)
-        keep = [0, 2, 4]
-        even = PriceSeries(s.timestamps[keep], s.open[keep], s.high[keep],
-                           s.low[keep], s.close[keep])
-        grid = SamplingGrid(step=DAY, session=lambda t: (t // DAY) % 2 == 0)
-        out = validate_and_gapfill(even, grid)
-        assert out.gap_report.n_missing == 0
 
 
 class TestCsv:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylfacts.errors import DegenerateInputError, InsufficientDataError
-from stylfacts.stats import (acf, adf_test, anderson_darling_normal,
+from stylfacts.stats import (_lag_gram, acf, adf_test, anderson_darling_normal,
                              autocovariance, cross_correlation, edf_exceedance,
                              ks_test_normal, pearson_corr, qq_data)
 
@@ -356,6 +357,37 @@ class TestAdf:
         want_stat, want_lag = _adf_design_matrix(x)
         assert got.lag == want_lag
         assert got.statistic == pytest.approx(want_stat, rel=1e-11)
+
+    @pytest.mark.parametrize("kind", ["random", "near_constant", "near_unit_root"])
+    def test_lag_gram_equals_design_matrix_gram(self, kind):
+        # X.T @ X of [1, x_t, dy_{t-1..t-p}, dy_t] over t = start..n-2, at
+        # the lag-selection start (pmax) and the chosen model's (start = p);
+        # each entry to 1e-12 of its Cauchy-Schwarz bound sqrt(G_ii G_jj)
+        x = (np.random.default_rng(28).standard_normal(2000) if kind == "random"
+             else self._hard_series(kind))
+        x = x - x.mean()
+        dy = np.diff(x)
+        n, pmax = len(x), 25
+        for p, start in ((pmax, pmax), (7, 7), (0, 0), (3, 11)):
+            rows = np.arange(start, n - 1)
+            X = np.column_stack([np.ones(len(rows)), x[rows]]
+                                + [dy[rows - j] for j in range(1, p + 1)] + [dy[rows]])
+            want = X.T @ X
+            bound = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+            err = np.abs(_lag_gram(x, dy, p, start) - want) / bound
+            assert err.max() < 1e-12, (p, start, err.max())
+
+    def test_no_design_matrix(self):
+        # a 1e5 x 69 design matrix alone is 55 MB; the Gram builder needs a
+        # few n-length vectors
+        x = np.cumsum(np.random.default_rng(29).standard_normal(100_000))
+        tracemalloc.start()
+        try:
+            adf_test(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
     def test_near_collinear_lags_are_degenerate(self):
         # a period-2 series plus 1e-5 noise: each lagged difference is +-1
