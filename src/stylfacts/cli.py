@@ -65,30 +65,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_COMMON_FLAGS = ("seed", "substeps", "extremes", "step_seconds", "t0", "volume_mode")
+_GARCH_FLAGS = ("omega", "alpha", "beta", "mean", "innovation", "df", "burn_in", "p0")
+# --model: (spec class, the model flags it takes)
+_MODELS = {
+    "gbm": (GbmSpec, ("mu", "sigma", "p0")),
+    "ou": (OuSpec, ("theta", "mu", "sigma", "x0")),
+    "garch": (GarchSpec, _GARCH_FLAGS),
+    "gjr": (GjrSpec, _GARCH_FLAGS + ("gamma",)),
+}
+
+
 def _spec_from_args(args) -> object:
-    common = {}
-    for name in ("seed", "substeps", "extremes", "step_seconds", "t0", "volume_mode"):
-        v = getattr(args, name)
-        if v is not None:
-            common[name] = v
-    common["n_steps"] = args.n
-
-    def take(dst, *names):
-        for name in names:
-            v = getattr(args, name)
-            if v is not None:
-                dst[name] = v
-        return dst
-
-    if args.model == "gbm":
-        return GbmSpec(**take(common, "mu", "sigma", "p0"))
-    if args.model == "ou":
-        return OuSpec(**take(common, "theta", "mu", "sigma", "x0"))
-    kw = take(common, "omega", "alpha", "beta", "mean", "innovation", "df", "burn_in", "p0")
-    if args.model == "garch":
-        return GarchSpec(**kw)
-    take(kw, "gamma")
-    return GjrSpec(**kw)
+    cls, own = _MODELS[args.model]
+    others = {name for _, names in _MODELS.values() for name in names} - set(own)
+    stray = sorted(name for name in others if getattr(args, name) is not None)
+    if stray:
+        flags = ", ".join("--" + name.replace("_", "-") for name in stray)
+        raise ValueError(f"--model {args.model} takes no {flags}")
+    kw = {name: getattr(args, name) for name in _COMMON_FLAGS + own
+          if getattr(args, name) is not None}
+    return cls(n_steps=args.n, **kw)
 
 
 def _cmd_analyze(args) -> int:

@@ -28,11 +28,12 @@ Conventions shared by all tests:
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -114,53 +115,44 @@ class ZumbachResult:
 
 EXCURSION_LEVELS = (1, 5, 25, 50, 90, 95, 99)
 
-_INT, _OPT_INT, _REAL = "an int", "an int or None", "a number"
 
-# Type and range of every FactConfig field: (kind, low, high), None for an
-# unbounded side.  Ints (never bools) must lie in [low, high]; reals (ints or
-# floats, never bools) in the open interval (low, high).  Strides and lags
-# start at 1; the F2 power-law fit needs two lags, and a window that feeds a
-# sample variance (ddof=1) two bars, or every value is NaN.
-_FIELD_RULES = {
-    "seed": (_INT, 0, None),
-    "step_seconds": (_INT, 1, None),
-    "acf_lags": (_INT, 1, None),
-    "f1_band_mult": (_REAL, None, None),
-    "f1_min_in_band": (_REAL, None, None),
-    "f2_alpha_power": (_INT, 1, 2),
-    "f2_max_lag": (_INT, 1, None),
-    "f2_min_fit_lags": (_INT, 2, None),
-    "f2_range_low": (_REAL, None, None),
-    "f2_range_high": (_REAL, None, None),
-    "f3_min_segment": (_INT, None, None),
-    "f3_vol_window": (_INT, 2, None),
-    "f3_suffix_ratio": (_REAL, 0, 1),
-    "f4_window": (_INT, 2, None),
-    "f4_stride": (_INT, 1, None),
-    "f4_lags": (_INT, 1, None),
-    "f4_band_mult": (_REAL, None, None),
-    "f4_min_windows": (_INT, None, None),
-    "f5_max_lag": (_INT, 1, None),
-    "f5_band_mult": (_REAL, None, None),
-    "f5_frac_below": (_REAL, None, None),
-    "f6_window": (_OPT_INT, 2, None),
-    "f6_n_boot": (_INT, 1, None),
-    "f6_min_volume_fraction": (_REAL, None, None),
-    "tail_fraction": (_REAL, 0, 0.5),
-    "std_window": (_INT, 2, None),
-    "f8_min_returns": (_INT, None, None),
-    "tail_r2_min": (_REAL, None, None),
-    "tail_se_mult": (_REAL, None, None),
-    "f9_aggregate": (_INT, 1, None),
-    "f9_se_mult": (_REAL, None, None),
-    "f10_ladder_ratio": (_INT, 2, None),
-    "f10_min_samples": (_INT, 1, None),
-    "f10_min_step_frac": (_REAL, None, None),
-    "f11_lags": (_INT, 1, None),
-    "f11_n_boot": (_INT, 1, None),
-    "f11_level": (_REAL, 0, 1),
-    "f11_min_outside": (_REAL, None, None),
-}
+def knob(default, low=None, high=None):
+    """A config field whose kind (int, finite real, or int or None) is its
+    annotation and whose range is [low, high] for ints and the open
+    interval (low, high) for reals; None leaves a side unbounded."""
+    return field(default=default, metadata={"range": (low, high)})
+
+
+_KIND_NAMES = {int: "an int", Optional[int]: "an int or None", float: "a number"}
+
+
+@functools.cache
+def _knob_rules(cls) -> tuple:
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name], *f.metadata["range"])
+                 for f in fields(cls) if "range" in f.metadata)
+
+
+def check_knobs(config) -> None:
+    """Raise ValueError unless every knob of the dataclass `config` has its
+    annotated kind (bools are never numbers) and lies in its range."""
+    for name, kind, low, high in _knob_rules(type(config)):
+        value = getattr(config, name)
+        if value is None and kind == Optional[int]:
+            continue
+        wanted = numbers.Real if kind is float else numbers.Integral
+        if isinstance(value, bool) or not isinstance(value, wanted):
+            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+        if kind is float:
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            ok = (low is None or value > low) and (high is None or value < high)
+            bounds = f"lie in ({low}, {high})"
+        else:
+            ok = (low is None or value >= low) and (high is None or value <= high)
+            bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
+        if not ok:
+            raise ValueError(f"{name} must {bounds}")
 
 
 @dataclass(frozen=True)
@@ -168,74 +160,62 @@ class FactConfig:
     """Tuning knobs for the eleven tests; defaults target daily bars.
 
     seed drives every bootstrap, reference sample, and matched simulation,
-    so equal (series, config) pairs give identical verdicts.
+    so equal (series, config) pairs give identical verdicts.  Strides and
+    lags start at 1; the F2 power-law fit needs two lags, a window that
+    feeds a sample variance (ddof=1) two bars, or every value is NaN, and
+    each F10 rung eight blocks, the least the AD and KS tests take.
     """
-    seed: int = 0
-    step_seconds: int = 86400
+    seed: int = knob(0, 0)
+    step_seconds: int = knob(86400, 1)
     # F1
-    acf_lags: int = 50
-    f1_band_mult: float = 1.96
-    f1_min_in_band: float = 0.90
+    acf_lags: int = knob(50, 1)
+    f1_band_mult: float = knob(1.96)
+    f1_min_in_band: float = knob(0.90)
     # F2
-    f2_alpha_power: int = 1
-    f2_max_lag: int = 100
-    f2_min_fit_lags: int = 10
-    f2_range_low: float = 0.2
-    f2_range_high: float = 0.4
+    f2_alpha_power: int = knob(1, 1, 2)
+    f2_max_lag: int = knob(100, 1)
+    f2_min_fit_lags: int = knob(10, 2)
+    f2_range_low: float = knob(0.2)
+    f2_range_high: float = knob(0.4)
     # F3
-    f3_min_segment: int = 500
-    f3_vol_window: int = 21
-    f3_suffix_ratio: float = 0.75
+    f3_min_segment: int = knob(500)
+    f3_vol_window: int = knob(21, 2)
+    f3_suffix_ratio: float = knob(0.75, 0, 1)
     # F4
-    f4_window: int = 5
-    f4_stride: int = 5
-    f4_lags: int = 5
-    f4_band_mult: float = 1.96
-    f4_min_windows: int = 100
+    f4_window: int = knob(5, 2)
+    f4_stride: int = knob(5, 1)
+    f4_lags: int = knob(5, 1)
+    f4_band_mult: float = knob(1.96)
+    f4_min_windows: int = knob(100)
     # F5
-    f5_max_lag: int = 10
-    f5_band_mult: float = 1.645
-    f5_frac_below: float = 0.60
+    f5_max_lag: int = knob(10, 1)
+    f5_band_mult: float = knob(1.645)
+    f5_frac_below: float = knob(0.60)
     # F6
-    f6_window: Optional[int] = None  # None: day-scale default for step_seconds
-    f6_n_boot: int = 1000
-    f6_min_volume_fraction: float = 0.80
+    f6_window: Optional[int] = knob(None, 2)  # None: day-scale default for step_seconds
+    f6_n_boot: int = knob(1000, 1)
+    f6_min_volume_fraction: float = knob(0.80)
     # F7/F8 tails
-    tail_fraction: float = 0.05
-    std_window: int = 21
-    f8_min_returns: int = 5000
-    tail_r2_min: float = 0.95
-    tail_se_mult: float = 3.0
+    tail_fraction: float = knob(0.05, 0, 0.5)
+    std_window: int = knob(21, 2)
+    f8_min_returns: int = knob(5000)
+    tail_r2_min: float = knob(0.95)
+    tail_se_mult: float = knob(3.0)
     # F9
-    f9_aggregate: int = 10
-    f9_se_mult: float = 1.0
+    f9_aggregate: int = knob(10, 1)
+    f9_se_mult: float = knob(1.0)
     # F10
-    f10_ladder_ratio: int = 4
-    f10_min_samples: int = 100
-    f10_min_step_frac: float = 0.75
+    f10_ladder_ratio: int = knob(4, 2)
+    f10_min_samples: int = knob(100, 8)
+    f10_min_step_frac: float = knob(0.75)
     # F11
-    f11_lags: int = 10
-    f11_n_boot: int = 1000
-    f11_level: float = 0.95
-    f11_min_outside: float = 0.50
+    f11_lags: int = knob(10, 1)
+    f11_n_boot: int = knob(1000, 1)
+    f11_level: float = knob(0.95, 0, 1)
+    f11_min_outside: float = knob(0.50)
 
     def __post_init__(self):
-        for f in fields(self):
-            kind, low, high = _FIELD_RULES[f.name]
-            value = getattr(self, f.name)
-            if value is None and kind == _OPT_INT:
-                continue
-            wanted = numbers.Real if kind == _REAL else numbers.Integral
-            if isinstance(value, bool) or not isinstance(value, wanted):
-                raise ValueError(f"{f.name} must be {kind}, got {value!r}")
-            if kind == _REAL:
-                ok = (low is None or value > low) and (high is None or value < high)
-                bounds = f"lie in ({low}, {high})"
-            else:
-                ok = (low is None or value >= low) and (high is None or value <= high)
-                bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
-            if not ok:
-                raise ValueError(f"{f.name} must {bounds}")
+        check_knobs(self)
 
 
 DEFAULT_CONFIG = FactConfig()
@@ -578,7 +558,7 @@ def test_volatility_clustering(ctx: SeriesContext) -> FactVerdict:
         max_lag = max(config.f4_lags, min(50, len(vol.values) - 2))
         try:
             a = acf(vol.values, max_lag)
-        except DegenerateInputError as e:
+        except (InsufficientDataError, DegenerateInputError) as e:
             return _inconclusive(FactId.F4, f"{kind} volatility ACF undefined: {e}",
                                  n=len(vol.values))
         upper = config.f4_band_mult * a.se

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DegenerateInputError, InsufficientDataError, NonMeanRevertingError
-from .stats import ADF_CV_COEF
+from .stats import adf_critical_value
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -443,9 +443,7 @@ def fit_ou(x) -> OuFit:
     b_se = math.sqrt(s2 / varx) if varx > 0 else math.inf
     t_unit = (b - 1.0) / b_se if b_se > 0 else math.inf
 
-    c = ADF_CV_COEF["5%"]
-    neff = n - 1
-    cv5 = c[0] + c[1] / neff + c[2] / neff**2 + c[3] / neff**3
+    cv5 = adf_critical_value("5%", n - 1)
     if not (0.0 < b < 1.0):
         raise NonMeanRevertingError(f"AR(1) coefficient b={b:.6f} outside (0, 1)")
     if t_unit > cv5:

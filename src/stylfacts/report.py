@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .errors import StylfactsError
-from .facts import FACT_LABELS, FactConfig, FactId, run_all_facts
+from .facts import FACT_LABELS, FactConfig, FactId, check_knobs, knob, run_all_facts
 from .series import SamplingGrid, _csv_text, read_csv, validate_and_gapfill
 from .volatility import VolatilityWindow, default_window, rolling_volatility
 
@@ -69,14 +69,15 @@ class RunConfig:
     """Mirrors the JSON config file; see load_config for the key set."""
     assets: tuple
     out_dir: str
-    step_seconds: int = 86400
+    step_seconds: int = knob(86400, 1)
     facts: tuple = ALL_FACTS
     fact_params: dict = field(default_factory=dict)
-    seed: int = 0
+    seed: int = knob(0, 0)
     gap_policy: str = "drop"
-    workers: int = 1
+    workers: int = knob(1, 1)
 
     def __post_init__(self):
+        check_knobs(self)
         # assets write <safe>/ and <safe>.json beside the summary concurrently
         owners = {"summary.csv": "the summary"}
         for a in self.assets:
@@ -94,10 +95,6 @@ class RunConfig:
             FactId(f)
         if self.gap_policy not in ("drop", "ffill"):
             raise ValueError(f"unknown gap policy {self.gap_policy!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.step_seconds <= 0:
-            raise ValueError("step_seconds must be positive")
         for k in self.fact_params:
             if k not in _TUNABLE:
                 raise ValueError(f"unknown fact parameter {k!r}")
@@ -106,53 +103,49 @@ class RunConfig:
         FactConfig(step_seconds=self.step_seconds, **self.fact_params)
 
 
+# JSON type of each config key that RunConfig does not check itself
+_JSON_KINDS = {"assets": (list, "an array"), "out_dir": (str, "a string"),
+               "facts": (list, "an array"), "fact_params": (dict, "an object")}
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON config file.
 
-    Keys: assets (list of {"id", "path"}), out_dir, step_seconds, facts,
-    fact_params, seed, gap_policy, workers.  STYLFACTS_SEED in the
-    environment overrides the seed.  Asset paths are resolved relative to
-    the config file's directory and must exist.
+    Keys are RunConfig's fields: assets (list of {"id", "path"}), out_dir,
+    step_seconds, facts, fact_params, seed, gap_policy, workers; absent keys
+    take RunConfig's defaults.  STYLFACTS_SEED in the environment overrides
+    the seed.  Asset paths and out_dir resolve relative to the config file's
+    directory, and asset paths must exist.
     """
     with open(path, "r", encoding="utf-8") as f:
         raw = json.load(f)
     if not isinstance(raw, dict):
         raise ValueError("config root must be a JSON object")
-    known = {"assets", "out_dir", "step_seconds", "facts", "fact_params",
-             "seed", "gap_policy", "workers"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in dc_fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     if "assets" not in raw or "out_dir" not in raw:
         raise ValueError("config must set 'assets' and 'out_dir'")
+    for key, (kind, name) in _JSON_KINDS.items():
+        if key in raw and not isinstance(raw[key], kind):
+            raise ValueError(f"{key} must be {name}, got {raw[key]!r}")
     base = os.path.dirname(os.path.abspath(path))
     assets = []
     for entry in raw["assets"]:
-        if not isinstance(entry, dict) or "id" not in entry or "path" not in entry:
-            raise ValueError("each asset needs 'id' and 'path'")
-        p = entry["path"]
-        if not os.path.isabs(p):
-            p = os.path.join(base, p)
+        if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                and isinstance(entry.get("path"), str)):
+            raise ValueError("each entry of assets needs a string 'id' and 'path'")
+        p = os.path.join(base, entry["path"])
         if not os.path.exists(p):
             raise ValueError(f"asset file not found: {p}")
-        assets.append(AssetInput(asset_id=str(entry["id"]), path=p))
-    out_dir = raw["out_dir"]
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base, out_dir)
-    seed = int(raw.get("seed", 0))
+        assets.append(AssetInput(asset_id=entry["id"], path=p))
+    kw = dict(raw, assets=tuple(assets), out_dir=os.path.join(base, raw["out_dir"]))
+    if "facts" in raw:
+        kw["facts"] = tuple(raw["facts"])
     env_seed = os.environ.get("STYLFACTS_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
-    return RunConfig(
-        assets=tuple(assets),
-        out_dir=out_dir,
-        step_seconds=int(raw.get("step_seconds", 86400)),
-        facts=tuple(raw.get("facts", ALL_FACTS)),
-        fact_params=dict(raw.get("fact_params", {})),
-        seed=seed,
-        gap_policy=str(raw.get("gap_policy", "drop")),
-        workers=int(raw.get("workers", 1)),
-    )
+        kw["seed"] = int(env_seed)
+    return RunConfig(**kw)
 
 
 def asset_seed(master_seed: int, asset_id: str) -> int:

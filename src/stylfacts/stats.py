@@ -48,6 +48,13 @@ ADF_CV_COEF = {
 }
 
 
+def adf_critical_value(level: str, n_eff: int) -> float:
+    """MacKinnon's finite-sample Dickey-Fuller critical value at `level`
+    ("1%", "5%" or "10%") for the constant, no-trend case."""
+    b = ADF_CV_COEF[level]
+    return b[0] + b[1] / n_eff + b[2] / n_eff**2 + b[3] / n_eff**3
+
+
 def _as1d(x) -> np.ndarray:
     return np.asarray(x, dtype=float).reshape(-1)
 
@@ -315,8 +322,7 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
         raise DegenerateInputError("ADF regression degenerate")
     se_rho = math.sqrt(ssr / dof * np.linalg.inv(gram)[1, 1])
     stat = float(beta[1] / se_rho)
-    crit = {lvl: b[0] + b[1] / neff + b[2] / neff**2 + b[3] / neff**3
-            for lvl, b in ADF_CV_COEF.items()}
+    crit = {lvl: adf_critical_value(lvl, neff) for lvl in ADF_CV_COEF}
     reject = {lvl: stat < cv for lvl, cv in crit.items()}
     return AdfResult(statistic=stat, lag=p, n_eff=neff, critical_values=crit, reject=reject,
                      note="constant, no trend; lag by AIC")

@@ -8,7 +8,10 @@ equal output files regardless of worker count or repetition.
 import csv
 import hashlib
 import json
+import math
 import os
+import re
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -82,6 +85,19 @@ class TestSimulate:
                      "--alpha", "0.9", "--beta", "0.2"])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+    @pytest.mark.parametrize("argv", [["--model", "gbm", "--theta", "0.5"],
+                                      ["--model", "ou", "--p0", "5"],
+                                      ["--model", "garch", "--gamma", "0.2"],
+                                      ["--model", "gbm", "--df", "4"]],
+                             ids=["gbm-theta", "ou-p0", "garch-gamma", "gbm-df"])
+    def test_flag_the_model_does_not_take_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", *argv, "--n", "50", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert argv[1] in err and argv[2] in err
+        assert not out.exists()
 
 
 class TestAnalyze:
@@ -227,16 +243,19 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("param", ["acf_lags", "f6_n_boot", "f10_min_samples",
-                                       "f11_lags", "f11_n_boot"])
-    def test_fact_param_below_one_exits_2_before_any_asset(self, tmp_path, capsys, param):
+    @pytest.mark.parametrize("param,low", [("acf_lags", 1), ("f6_n_boot", 1),
+                                           ("f10_min_samples", 8), ("f11_lags", 1),
+                                           ("f11_n_boot", 1)],
+                             ids=["acf_lags", "f6_n_boot", "f10_min_samples", "f11_lags",
+                                  "f11_n_boot"])
+    def test_fact_param_below_one_exits_2_before_any_asset(self, tmp_path, capsys, param, low):
         write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
             "assets": [{"id": "ok", "path": "ok.csv"}], "out_dir": "out",
             "fact_params": {param: 0}}))
         assert main(["analyze", "--config", str(cfg)]) == 2
-        assert f"{param} must be >= 1" in capsys.readouterr().err
+        assert f"{param} must be >= {low}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("param,value", [
@@ -254,6 +273,26 @@ class TestAnalyze:
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert param in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("seed", -1, "seed"), ("seed", True, "seed"), ("seed", 1.9, "seed"),
+        ("workers", 1.5, "workers"), ("step_seconds", "86400", "step_seconds"),
+        ("fact_params", [], "fact_params"), ("facts", "F1", "facts"),
+        ("fact_params", {"f1_band_mult": math.nan}, "f1_band_mult"),
+        ("fact_params", {"f11_min_outside": -math.inf}, "f11_min_outside"),
+        ("assets", [{"id": 5, "path": "bad.csv"}], "assets"),
+    ], ids=["seed-negative", "seed-bool", "seed-real", "workers-real", "step-string",
+            "params-array", "facts-string", "knob-nan", "knob-minus-inf", "id-number"])
+    def test_bad_config_value_exits_2_before_any_asset(self, tmp_path, capsys, key, value,
+                                                       named):
+        # an unreadable CSV: had any asset been read, the run would exit 1
+        (tmp_path / "bad.csv").write_text("not a csv\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "assets": [{"id": "x", "path": "bad.csv"}], "out_dir": "out", key: value}))
+        assert main(["analyze", "--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["bad.csv", "cfg.json"]
 
     @pytest.mark.parametrize("ids", [[".."], ["x y", "x_y"], ["x", "x.json"]],
                              ids=["dotdot", "same-safe-name", "dir-vs-report"])
@@ -296,6 +335,12 @@ class TestConfig:
         monkeypatch.setenv("STYLFACTS_SEED", "9")
         assert load_config(str(cfg_path)).seed == 9
 
+    def test_env_seed_takes_the_seed_rule(self, workspace, monkeypatch):
+        _, cfg_path = workspace
+        monkeypatch.setenv("STYLFACTS_SEED", "-1")
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            load_config(str(cfg_path))
+
     def test_fact_params_validated(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -317,3 +362,41 @@ class TestReportMerge:
     def test_missing_directory_exits_2(self, tmp_path, capsys):
         assert main(["report", "--merge", str(tmp_path / "absent")]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+class TestReadme:
+    """The commands README documents stay valid."""
+
+    def test_analyze_example_config_loads(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("STYLFACTS_SEED", raising=False)
+        (block,) = [b for b in _readme_blocks("json") if '"assets"' in b]
+        example = json.loads(block)
+        for a in example["assets"]:
+            write_csv(simulate(GbmSpec(n_steps=50, seed=1)), str(tmp_path / a["path"]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(block)
+        config = load_config(str(cfg))
+        assert config.facts == tuple(example["facts"])
+        assert config.fact_params == example["fact_params"]
+        assert (config.seed, config.workers) == (example["seed"], example["workers"])
+
+    def test_simulate_examples_run(self, tmp_path):
+        lines = [line.split("#")[0].split()[1:] for block in _readme_blocks("sh")
+                 for line in block.splitlines() if line.startswith("stylfacts simulate")]
+        assert lines
+        for i, argv in enumerate(lines):
+            argv[argv.index("--n") + 1] = "50"
+            out = str(tmp_path / f"{i}.csv")
+            if "--out" in argv:
+                argv[argv.index("--out") + 1] = out
+            else:
+                argv += ["--out", out]
+            assert main(argv) == 0, argv
+            assert len(read_csv(out)) == 51

@@ -5,7 +5,6 @@ assert cells that are stable across neighboring seeds; the full 20-seed
 control matrix at N=1e5 lives in the acceptance suite.
 """
 
-import dataclasses
 import math
 import threading
 
@@ -127,6 +126,12 @@ class TestInconclusiveGates:
         assert v.status is INC
         assert "volume" in v.notes[0]
         assert run_all_facts(ps, facts=[FactId.F1])[FactId.F1].status is SUP
+
+    def test_more_volatility_lags_than_windows_is_inconclusive(self):
+        ps = simulate(GbmSpec(n_steps=2000, seed=1))
+        v = facts.test_volatility_clustering(SeriesContext(ps, FactConfig(f4_lags=500)))
+        assert v.status is INC
+        assert "volatility ACF undefined" in v.notes[0]
 
     def test_sparse_volume_is_inconclusive(self, garch_case):
         ps, _ = garch_case
@@ -487,13 +492,14 @@ class TestConfigValidation:
         {"seed": -1},
         # one bar gives a NaN sample variance, so the fact is always inconclusive
         *({name: 1} for name in ("std_window", "f3_vol_window", "f4_window", "f6_window")),
+        # AD and KS need eight points on every ladder rung
+        {"f10_min_samples": 7},
+        *({name: v} for name in ("f1_band_mult", "f11_min_outside", "f11_level")
+          for v in (math.nan, math.inf, -math.inf)),
     ])
     def test_bad_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             FactConfig(**kwargs)
-
-    def test_every_field_has_a_rule(self):
-        assert set(facts._FIELD_RULES) == {f.name for f in dataclasses.fields(FactConfig)}
 
     def test_number_kinds_accepted(self):
         cfg = FactConfig(f1_band_mult=2, f6_window=None, f11_lags=np.int64(5), tail_fraction=0.1)
