@@ -35,9 +35,7 @@ from .report import (ALL_FACTS, REPORT_SCHEMA, AssetInput, RunConfig,
 from .series import (GapReport, LogReturnSeries, PriceSeries, SamplingGrid,
                      compute_log_returns, read_csv, validate_and_gapfill,
                      write_csv)
-from .simulate import (GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate,
-                       simulate_garch11, simulate_gbm, simulate_gjr,
-                       simulate_ou)
+from .simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 from .stats import (AcfResult, AdfResult, CcfResult, GofTestResult,
                     PearsonResult, QqData, acf, adf_test,
                     anderson_darling_normal, autocovariance,
@@ -66,8 +64,7 @@ __all__ = [
     "fit_garch11", "fit_ou", "fit_tail_exponent", "garch_filter",
     "gaussian_log_likelihood",
     # simulate
-    "GbmSpec", "OuSpec", "GarchSpec", "GjrSpec", "simulate", "simulate_gbm",
-    "simulate_ou", "simulate_garch11", "simulate_gjr",
+    "GbmSpec", "OuSpec", "GarchSpec", "GjrSpec", "simulate",
     # facts
     "FactId", "FactStatus", "FactVerdict", "FactConfig", "DEFAULT_CONFIG",
     "FACT_LABELS", "EXCURSION_LEVELS", "ExcursionProfile", "ZumbachResult",

@@ -14,11 +14,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Optional, get_type_hints
 
 from .errors import StylfactsError
 from .report import load_config, merge_reports, run_analyze
 from .series import write_csv
 from .simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
+
+# --model: the spec class that declares the model; its fields are the flags
+_MODELS = {"gbm": GbmSpec, "ou": OuSpec, "garch": GarchSpec, "gjr": GjrSpec}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,29 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="override the configured worker count")
 
     ps = sub.add_parser("simulate", help="emit a synthetic OHLCV CSV")
-    ps.add_argument("--model", required=True, choices=("gbm", "ou", "garch", "gjr"))
-    ps.add_argument("--n", type=int, required=True,
-                    help="number of model steps (emits n+1 bars)")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--model", required=True, choices=tuple(_MODELS))
     ps.add_argument("--out", default=None, help="output file (default stdout)")
-    ps.add_argument("--mu", type=float, default=None, help="gbm log-drift / ou level")
-    ps.add_argument("--sigma", type=float, default=None, help="gbm/ou volatility per step")
-    ps.add_argument("--p0", type=float, default=None, help="initial price")
-    ps.add_argument("--theta", type=float, default=None, help="ou mean-reversion rate")
-    ps.add_argument("--x0", type=float, default=None, help="ou initial log price")
-    ps.add_argument("--omega", type=float, default=None)
-    ps.add_argument("--alpha", type=float, default=None)
-    ps.add_argument("--beta", type=float, default=None)
-    ps.add_argument("--gamma", type=float, default=None, help="gjr leverage coefficient")
-    ps.add_argument("--mean", type=float, default=None, help="garch/gjr per-step mean return")
-    ps.add_argument("--innovation", choices=("normal", "student_t"), default=None)
-    ps.add_argument("--df", type=float, default=None, help="student_t degrees of freedom")
-    ps.add_argument("--burn-in", type=int, default=None)
-    ps.add_argument("--substeps", type=int, default=None, help="within-bar resolution")
-    ps.add_argument("--extremes", choices=("bridge", "substep"), default=None)
-    ps.add_argument("--step-seconds", type=int, default=None)
-    ps.add_argument("--t0", type=int, default=None, help="first bar timestamp")
-    ps.add_argument("--volume-mode", choices=("proportional", "none"), default=None)
+    for name, (kind, required, models) in _spec_fields().items():
+        ps.add_argument(_flag(name), dest=name, type=kind, required=required,
+                        help="models: " + ", ".join(models))
 
     pr = sub.add_parser("report", help="re-aggregate existing reports")
     pr.add_argument("--merge", required=True, metavar="DIR",
@@ -65,27 +51,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_COMMON_FLAGS = ("seed", "substeps", "extremes", "step_seconds", "t0", "volume_mode")
-_GARCH_FLAGS = ("omega", "alpha", "beta", "mean", "innovation", "df", "burn_in", "p0")
-# --model: (spec class, the model flags it takes)
-_MODELS = {
-    "gbm": (GbmSpec, ("mu", "sigma", "p0")),
-    "ou": (OuSpec, ("theta", "mu", "sigma", "x0")),
-    "garch": (GarchSpec, _GARCH_FLAGS),
-    "gjr": (GjrSpec, _GARCH_FLAGS + ("gamma",)),
-}
+def _flag(name: str) -> str:
+    return "--n" if name == "n_steps" else "--" + name.replace("_", "-")
+
+
+def _spec_fields() -> dict:
+    """Each spec field of every model, in declaration order: its flag type
+    (Optional[float] reads as a float), whether it lacks a default, and the
+    models that take it."""
+    out = {}
+    for model, cls in _MODELS.items():
+        hints = get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kind = {Optional[float]: float}.get(hints[f.name], hints[f.name])
+            required = f.default is dataclasses.MISSING
+            out.setdefault(f.name, (kind, required, []))[2].append(model)
+    return out
 
 
 def _spec_from_args(args) -> object:
-    cls, own = _MODELS[args.model]
-    others = {name for _, names in _MODELS.values() for name in names} - set(own)
-    stray = sorted(name for name in others if getattr(args, name) is not None)
+    cls = _MODELS[args.model]
+    given = {name for name in _spec_fields() if getattr(args, name) is not None}
+    stray = sorted(given - {f.name for f in dataclasses.fields(cls)})
     if stray:
-        flags = ", ".join("--" + name.replace("_", "-") for name in stray)
+        flags = ", ".join(map(_flag, stray))
         raise ValueError(f"--model {args.model} takes no {flags}")
-    kw = {name: getattr(args, name) for name in _COMMON_FLAGS + own
-          if getattr(args, name) is not None}
-    return cls(n_steps=args.n, **kw)
+    return cls(**{name: getattr(args, name) for name in given})
 
 
 def _cmd_analyze(args) -> int:

@@ -163,7 +163,9 @@ class FactConfig:
     so equal (series, config) pairs give identical verdicts.  Strides and
     lags start at 1; the F2 power-law fit needs two lags, a window that
     feeds a sample variance (ddof=1) two bars, or every value is NaN, and
-    each F10 rung eight blocks, the least the AD and KS tests take.
+    each F10 rung eight blocks, the least the AD and KS tests take.  F3's
+    segment needs the excursion profile's 100 volatility points, and a suffix
+    ratio below 0.95 makes each suffix trial at least 5 bars shorter.
     """
     seed: int = knob(0, 0)
     step_seconds: int = knob(86400, 1)
@@ -178,9 +180,9 @@ class FactConfig:
     f2_range_low: float = knob(0.2)
     f2_range_high: float = knob(0.4)
     # F3
-    f3_min_segment: int = knob(500)
+    f3_min_segment: int = knob(500, 100)
     f3_vol_window: int = knob(21, 2)
-    f3_suffix_ratio: float = knob(0.75, 0, 1)
+    f3_suffix_ratio: float = knob(0.75, 0, 0.95)
     # F4
     f4_window: int = knob(5, 2)
     f4_stride: int = knob(5, 1)
@@ -425,16 +427,14 @@ def _cdf_distance_above_median(data_vol: np.ndarray, model_vol: np.ndarray) -> f
 
 def _stationary_vol_suffix(vol_values: np.ndarray, config: FactConfig):
     """Longest suffix of the volatility series that rejects a unit root at 5%,
-    searched over a geometric grid of suffix lengths."""
+    searched over a geometric grid of suffix lengths; the lengths fall by at
+    least 5% a step, so all the trials cost under 20 full-length ADFs."""
     n = len(vol_values)
     lengths = []
     L = n
     while L >= config.f3_min_segment:
         lengths.append(L)
-        nxt = int(L * config.f3_suffix_ratio)
-        if nxt == L:
-            break
-        L = nxt
+        L = int(L * config.f3_suffix_ratio)
     for L in lengths:
         try:
             res = adf_test(vol_values[n - L:])
@@ -453,7 +453,7 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
     """
     series, config, r = ctx.series, ctx.config, ctx.returns
     w = config.f3_vol_window
-    if len(r) < max(config.f3_min_segment + w - 1, w + 2):
+    if len(r) < config.f3_min_segment + w - 1:
         return _inconclusive(FactId.F3, "series shorter than the minimum stationary segment",
                              n=len(r))
     vol = rolling_volatility(series, "basic", VolatilityWindow(w, 1), scale="std")
@@ -490,8 +490,7 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
     except (InsufficientDataError, DegenerateInputError) as e:
         return _inconclusive(FactId.F3, f"OU fit failed: {e}", n=L_ret)
 
-    sim_kw = dict(n_steps=L_ret, substeps=1, extremes="substep", volume_mode="none",
-                  step_seconds=config.step_seconds)
+    sim_kw = dict(n_steps=L_ret, substeps=1, extremes="substep", volume_mode="none")
     g_ps = simulate(GarchSpec(omega=gf.params.omega, alpha=gf.params.alpha,
                               beta=gf.params.beta, mean=gf.params.mean,
                               seed=_child_seed(config.seed, 3, 1), **sim_kw))

@@ -38,9 +38,6 @@ class SamplingGrid:
         if self.step <= 0:
             raise ValueError("grid step must be positive")
 
-    def expected(self, first: int, last: int) -> np.ndarray:
-        return np.arange(first, last + 1, self.step, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class GapReport:
@@ -66,7 +63,11 @@ class PriceSeries:
 
     def __init__(self, timestamps, open_, high, low, close, volume=None,
                  gap_report: Optional[GapReport] = None):
-        ts = np.asarray(timestamps, dtype=np.int64)
+        try:
+            ts = np.asarray(timestamps, dtype=np.int64)
+        except OverflowError:
+            i = next(i for i, t in enumerate(timestamps) if not -2**63 <= t < 2**63)
+            raise RejectedInputError(f"timestamp beyond int64 at row {i}") from None
         o = np.asarray(open_, dtype=float)
         h = np.asarray(high, dtype=float)
         l = np.asarray(low, dtype=float)
@@ -82,8 +83,10 @@ class PriceSeries:
             v = np.asarray(volume, dtype=float)
             if len(v) != n:
                 raise RejectedInputError("column lengths differ")
-        if np.any(np.diff(ts) <= 0):
-            i = int(np.flatnonzero(np.diff(ts) <= 0)[0]) + 1
+        # neighbours are compared, not differenced: a difference can wrap
+        bad = ts[1:] <= ts[:-1]
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0]) + 1
             raise RejectedInputError(f"timestamps not strictly increasing at row {i}")
         for name, arr in (("open", o), ("high", h), ("low", l), ("close", c)):
             bad = ~(arr > 0.0) | ~np.isfinite(arr)
@@ -151,28 +154,34 @@ def validate_and_gapfill(series: PriceSeries, grid: SamplingGrid,
     if policy not in ("drop", "ffill"):
         raise ValueError(f"unknown policy {policy!r}")
     ts = series.timestamps
-    first, last = int(ts[0]), int(ts[-1])
-    expected = grid.expected(first, last)
-    on_grid = np.isin(ts, expected)
-    n_off = int(np.sum(~on_grid))
+    first, last, step = int(ts[0]), int(ts[-1]), grid.step
+    # each bar's offset from the first: bars increase and span less than
+    # 2**64, so the int64 difference read as uint64 is exact even where it wraps
+    offset = (ts - ts[0]).view(np.uint64)
+    # a step longer than the span leaves one slot, the first bar's
+    off = offset % np.uint64(step) != 0 if step <= last - first else offset != 0
+    n_off = int(np.sum(off))
     if n_off > 0:
         raise RejectedInputError(
-            f"{n_off} bars off the sampling grid (first at row {int(np.flatnonzero(~on_grid)[0])})")
-    present = np.isin(expected, ts)
-    n_missing = int(np.sum(~present))
-    frac = n_missing / len(expected) if len(expected) else 0.0
+            f"{n_off} bars off the sampling grid (first at row {int(np.flatnonzero(off)[0])})")
+    # strictly increasing bars on the grid: every one fills its own slot
+    n_expected = (last - first) // step + 1
+    n_missing = n_expected - len(ts)
+    frac = n_missing / n_expected
     if frac > MAX_MISSING_FRACTION:
         raise DataQualityError(
-            f"{n_missing}/{len(expected)} grid slots missing ({frac:.1%} > {MAX_MISSING_FRACTION:.0%})")
+            f"{n_missing}/{n_expected} grid slots missing ({frac:.1%} > {MAX_MISSING_FRACTION:.0%})")
 
     if policy == "drop" or n_missing == 0:
-        report = GapReport(n_input=len(ts), n_expected=len(expected), n_missing=n_missing,
+        report = GapReport(n_input=len(ts), n_expected=n_expected, n_missing=n_missing,
                            n_filled=0, n_off_grid=0, missing_fraction=frac, policy=policy)
         return PriceSeries(ts, series.open, series.high, series.low, series.close,
                            series.volume, gap_report=report)
 
-    # ffill: insert flat bars at the previous close, zero volume
-    pos = np.searchsorted(expected, ts)
+    # ffill: insert flat bars at the previous close, zero volume; the grid
+    # holds at most 1 / (1 - MAX_MISSING_FRACTION) slots per bar
+    expected = first + step * np.arange(n_expected, dtype=np.int64)
+    pos = offset // np.uint64(step)
     o = np.empty(len(expected))
     h = np.empty(len(expected))
     l = np.empty(len(expected))

@@ -20,6 +20,11 @@ Within-bar dynamics are Brownian with the step's own volatility for every
 model, which treats volatility (GARCH) and drift pull (OU) as constant inside
 one bar.
 
+Each spec class (GbmSpec, OuSpec, GarchSpec, GjrSpec) is the one declaration
+of its model: its fields are the model's parameters, and its `_path` method
+draws the log-price path and the per-step volatilities.  `simulate(spec)` is
+the one entry point.
+
 Determinism: all draws come from a single numpy Generator seeded by
 SeedSequence(seed).  Draw order is fixed: model innovations, then substep
 normals, then the high uniforms, then the low uniforms, then volume noise.
@@ -65,6 +70,8 @@ class _SimCommon:
             raise ValueError(f"volume_mode must be one of {VOLUME_MODES}")
         if self.step_seconds < 1:
             raise ValueError("step_seconds must be >= 1")
+        if not -2**63 <= self.t0 <= 2**63 - 1 - self.step_seconds * self.n_steps:
+            raise ValueError("timestamps t0 + k * step_seconds must fit in int64")
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,10 @@ class GbmSpec(_SimCommon):
         if not (self.p0 > 0.0):
             raise ValueError("p0 must be > 0")
 
+    def _path(self, rng):
+        r = self.mu + self.sigma * rng.standard_normal(self.n_steps)
+        return _cumulate(math.log(self.p0), r), self.sigma
+
 
 @dataclass(frozen=True)
 class OuSpec(_SimCommon):
@@ -102,6 +113,14 @@ class OuSpec(_SimCommon):
         if self.sigma < 0.0:
             raise ValueError("sigma must be >= 0")
 
+    def _path(self, rng):
+        z = rng.standard_normal(self.n_steps)
+        b = math.exp(-self.theta)
+        # exact transition noise: Var = sigma^2 (1 - b^2) / (2 theta)
+        trans_sd = self.sigma * math.sqrt((1.0 - b * b) / (2.0 * self.theta))
+        x0 = self.mu if self.x0 is None else self.x0
+        return kernels.ou_path(z, x0, self.mu, b, trans_sd), trans_sd
+
 
 @dataclass(frozen=True)
 class GarchSpec(_SimCommon):
@@ -115,7 +134,7 @@ class GarchSpec(_SimCommon):
     burn_in: int = 1000
     p0: float = 1.0
 
-    gamma: float = 0.0  # leverage term; stays 0 for the symmetric model
+    gamma = 0.0  # the leverage term: a GjrSpec field, fixed at 0 here
 
     def __post_init__(self):
         self._check_common()
@@ -138,6 +157,16 @@ class GarchSpec(_SimCommon):
     @property
     def unconditional_variance(self) -> float:
         return self.omega / (1.0 - self.alpha - 0.5 * self.gamma - self.beta)
+
+    def _path(self, rng):
+        size = self.burn_in + self.n_steps
+        if self.innovation == "student_t":
+            z = rng.standard_t(self.df, size=size) * math.sqrt((self.df - 2.0) / self.df)
+        else:
+            z = rng.standard_normal(size)
+        eps, h = kernels.garch_sim(z, self.omega, self.alpha, self.gamma, self.beta,
+                                   self.unconditional_variance, self.burn_in)
+        return _cumulate(math.log(self.p0), self.mean + eps), np.sqrt(h)
 
 
 @dataclass(frozen=True)
@@ -206,68 +235,17 @@ def _bars_from_steps(x, step_vols, rng, spec) -> PriceSeries:
                        volume=volume)
 
 
-def _model_innovations(rng, spec, size: int) -> np.ndarray:
-    if getattr(spec, "innovation", "normal") == "student_t":
-        z = rng.standard_t(spec.df, size=size)
-        return z * math.sqrt((spec.df - 2.0) / spec.df)
-    return rng.standard_normal(size)
-
-
-def simulate_gbm(spec: GbmSpec) -> PriceSeries:
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    z = rng.standard_normal(spec.n_steps)
-    r = spec.mu + spec.sigma * z
-    x0 = math.log(spec.p0)
-    x = np.empty(spec.n_steps + 1)
+def _cumulate(x0: float, r: np.ndarray) -> np.ndarray:
+    """The log-price path x0, x0 + r_1, x0 + r_1 + r_2, ... (len(r) + 1 points)."""
+    x = np.empty(len(r) + 1)
     x[0] = x0
     np.cumsum(r, out=x[1:])
     x[1:] += x0
-    return _bars_from_steps(x, spec.sigma, rng, spec)
+    return x
 
 
-def simulate_ou(spec: OuSpec) -> PriceSeries:
+def simulate(spec: _SimCommon) -> PriceSeries:
+    """Draw the spec's log-price path and step volatilities, then its bars."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    z = rng.standard_normal(spec.n_steps)
-    b = math.exp(-spec.theta)
-    # exact transition noise: Var = sigma^2 (1 - b^2) / (2 theta)
-    trans_sd = spec.sigma * math.sqrt((1.0 - b * b) / (2.0 * spec.theta))
-    x0 = spec.mu if spec.x0 is None else spec.x0
-    x = kernels.ou_path(z, x0, spec.mu, b, trans_sd)
-    return _bars_from_steps(x, trans_sd, rng, spec)
-
-
-def _simulate_garch_family(spec: GarchSpec) -> PriceSeries:
-    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    z = _model_innovations(rng, spec, spec.burn_in + spec.n_steps)
-    eps, h = kernels.garch_sim(z, spec.omega, spec.alpha, spec.gamma, spec.beta,
-                               spec.unconditional_variance, spec.burn_in)
-    r = spec.mean + eps
-    x0 = math.log(spec.p0)
-    x = np.empty(spec.n_steps + 1)
-    x[0] = x0
-    np.cumsum(r, out=x[1:])
-    x[1:] += x0
-    return _bars_from_steps(x, np.sqrt(h), rng, spec)
-
-
-def simulate_garch11(spec: GarchSpec) -> PriceSeries:
-    if type(spec) is GjrSpec:
-        raise TypeError("use simulate_gjr for GjrSpec")
-    return _simulate_garch_family(spec)
-
-
-def simulate_gjr(spec: GjrSpec) -> PriceSeries:
-    return _simulate_garch_family(spec)
-
-
-def simulate(spec) -> PriceSeries:
-    """Dispatch to the simulator matching the model spec class."""
-    if isinstance(spec, GjrSpec):
-        return simulate_gjr(spec)
-    if isinstance(spec, GarchSpec):
-        return simulate_garch11(spec)
-    if isinstance(spec, OuSpec):
-        return simulate_ou(spec)
-    if isinstance(spec, GbmSpec):
-        return simulate_gbm(spec)
-    raise TypeError(f"unknown simulation spec {type(spec).__name__}")
+    x, step_vols = spec._path(rng)
+    return _bars_from_steps(x, step_vols, rng, spec)

@@ -6,6 +6,7 @@ equal output files regardless of worker count or repetition.
 """
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ import pytest
 from stylfacts.cli import main
 from stylfacts.report import REPORT_SCHEMA, load_config
 from stylfacts.series import read_csv, write_csv
-from stylfacts.simulate import GarchSpec, GbmSpec, simulate
+from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 
 
 def _tree_hashes(root):
@@ -97,6 +98,55 @@ class TestSimulate:
         assert main(["simulate", *argv, "--n", "50", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert argv[1] in err and argv[2] in err
+        assert not out.exists()
+
+
+    # a valid value for every model flag, keyed by its spec field
+    FLAG_VALUES = {"seed": "3", "substeps": "2", "extremes": "substep", "step_seconds": "60",
+                   "t0": "100", "volume_mode": "none", "mu": "0.001", "sigma": "0.02",
+                   "p0": "2", "theta": "0.2", "x0": "0.1", "omega": "2e-6", "alpha": "0.05",
+                   "beta": "0.8", "mean": "1e-4", "innovation": "normal", "df": "5",
+                   "burn_in": "10", "gamma": "0.1"}
+    SPECS = {"gbm": GbmSpec, "ou": OuSpec, "garch": GarchSpec, "gjr": GjrSpec}
+
+    @pytest.mark.parametrize("model", sorted(SPECS))
+    @pytest.mark.parametrize("name", sorted(FLAG_VALUES))
+    def test_model_takes_exactly_its_spec_fields(self, tmp_path, capsys, model, name):
+        out = tmp_path / "x.csv"
+        flag = "--" + name.replace("_", "-")
+        code = main(["simulate", "--model", model, "--n", "50", flag, self.FLAG_VALUES[name],
+                     "--out", str(out)])
+        takes = name in {f.name for f in dataclasses.fields(self.SPECS[model])}
+        assert code == (0 if takes else 2), capsys.readouterr().err
+        assert out.exists() == takes
+
+    def test_help_lists_the_same_options(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--help"])
+        assert exc.value.code == 0
+        options = set(re.findall(r"(?m)^  (--?[\w-]+)", capsys.readouterr().out))
+        assert options == {
+            "-h", "--model", "--n", "--seed", "--out", "--mu", "--sigma", "--p0", "--theta",
+            "--x0", "--omega", "--alpha", "--beta", "--gamma", "--mean", "--innovation",
+            "--df", "--burn-in", "--substeps", "--extremes", "--step-seconds", "--t0",
+            "--volume-mode"}
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gbm", "--extremes", "bogus"],
+        ["--model", "gbm", "--volume-mode", "bogus"],
+        ["--model", "garch", "--innovation", "bogus"],
+        ["--model", "gbm", "--innovation", "student_t"],
+        ["--model", "gbm", "--step-seconds", "10000000000000000000"],
+        ["--model", "gbm", "--t0", "10000000000000000000"],
+        ["--model", "gbm", "--t0", "-10000000000000000000"],
+        # 5 steps of 2**62 seconds wrap int64
+        ["--model", "gbm", "--step-seconds", "4611686018427387904"],
+    ], ids=["extremes", "volume-mode", "innovation", "gbm-innovation", "step-beyond-int64",
+            "t0-beyond-int64", "t0-below-int64", "timestamps-wrap"])
+    def test_bad_flag_value_exits_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", *argv, "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
 
@@ -195,6 +245,22 @@ class TestAnalyze:
         assert not (tmp_path / "out" / "bad.json").exists()
         assert (tmp_path / "out" / "ok.json").is_file()
 
+    def test_timestamp_beyond_int64_fails_only_its_asset(self, tmp_path, capsys):
+        write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
+        (tmp_path / "big.csv").write_text("timestamp,open,high,low,close,volume\n"
+                                          "0,1,1,1,1,1\n99999999999999999999,1,1,1,1,1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"assets": [{"id": "ok", "path": "ok.csv"},
+                                              {"id": "big", "path": "big.csv"}],
+                                   "out_dir": "out"}))
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        assert "big: RejectedInputError: timestamp beyond int64 at row 1" \
+            in capsys.readouterr().err
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            rows = {r["asset"]: r for r in csv.DictReader(f)}
+        assert "beyond int64" in rows["big"]["error"]
+        assert rows["ok"]["error"] == ""
+
     def test_summary_cells_are_quoted(self, tmp_path):
         write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
         (tmp_path / "hdr.csv").write_text("time,open,high,low,close,volume\n0,1,1,1,1,1\n")
@@ -245,9 +311,9 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("param,low", [("acf_lags", 1), ("f6_n_boot", 1),
                                            ("f10_min_samples", 8), ("f11_lags", 1),
-                                           ("f11_n_boot", 1)],
+                                           ("f11_n_boot", 1), ("f3_min_segment", 100)],
                              ids=["acf_lags", "f6_n_boot", "f10_min_samples", "f11_lags",
-                                  "f11_n_boot"])
+                                  "f11_n_boot", "f3_min_segment"])
     def test_fact_param_below_one_exits_2_before_any_asset(self, tmp_path, capsys, param, low):
         write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
         cfg = tmp_path / "cfg.json"

@@ -133,6 +133,18 @@ class TestInconclusiveGates:
         assert v.status is INC
         assert "volatility ACF undefined" in v.notes[0]
 
+    @pytest.mark.parametrize("ratio", [0.9, 0.94])
+    def test_shortest_volatility_segment_gives_a_verdict(self, ratio):
+        # log volatility a random walk: with f3_min_segment 50, every suffix
+        # long enough for ADF but under 100 points made F3 raise
+        rng = np.random.default_rng(13)
+        r = np.exp(np.cumsum(0.05 * rng.standard_normal(1200)) - 4.5) \
+            * rng.standard_normal(1200)
+        close = np.exp(np.concatenate(([0.0], np.cumsum(r))))
+        ps = PriceSeries(86400 * np.arange(1201), close, close * 1.001, close * 0.999, close)
+        cfg = FactConfig(f3_vol_window=450, f3_min_segment=100, f3_suffix_ratio=ratio)
+        assert facts.test_intermittency(SeriesContext(ps, cfg)).status is INC
+
     def test_sparse_volume_is_inconclusive(self, garch_case):
         ps, _ = garch_case
         vol = ps.volume.copy()
@@ -494,6 +506,11 @@ class TestConfigValidation:
         *({name: 1} for name in ("std_window", "f3_vol_window", "f4_window", "f6_window")),
         # AD and KS need eight points on every ladder rung
         {"f10_min_samples": 7},
+        # the excursion profile needs 100 points; each suffix trial drops 5%
+        {"f3_min_segment": 50},
+        {"f3_min_segment": 99},
+        {"f3_suffix_ratio": 0.95},
+        {"f3_suffix_ratio": 0.999},
         *({name: v} for name in ("f1_band_mult", "f11_min_outside", "f11_level")
           for v in (math.nan, math.inf, -math.inf)),
     ])

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ class TestPriceSeries:
     def test_rejects_duplicate_timestamps(self):
         with pytest.raises(RejectedInputError, match="strictly increasing"):
             PriceSeries([0, 0], [1, 1], [1, 1], [1, 1], [1, 1])
+
+    def test_rejects_timestamps_that_wrap_int64(self):
+        # np.diff of these reads 2**62 at every step
+        with pytest.raises(RejectedInputError, match="strictly increasing at row 2"):
+            PriceSeries([0, 2**62, -2**63, -2**62], [1] * 4, [1] * 4, [1] * 4, [1] * 4)
+
+    def test_increasing_timestamps_whose_difference_wraps_are_kept(self):
+        ts = [-2**63 + 1, 2**63 - 1]
+        np.testing.assert_array_equal(PriceSeries(ts, [1] * 2, [1] * 2, [1] * 2,
+                                                  [1] * 2).timestamps, ts)
+
+    def test_rejects_timestamp_beyond_int64(self):
+        with pytest.raises(RejectedInputError, match="beyond int64 at row 1"):
+            PriceSeries([0, 2**63, 2**63 + 1], [1] * 3, [1] * 3, [1] * 3, [1] * 3)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(RejectedInputError, match="lengths differ"):
@@ -209,6 +224,34 @@ class TestGapfill:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             validate_and_gapfill(make_series(), self.grid(), policy="interpolate")
+
+    def test_sparse_span_is_rejected_before_the_grid_is_built(self):
+        # two bars 2e6 days apart: the grid alone would take 16 MB
+        s = PriceSeries([0, 2_000_000 * DAY], [1] * 2, [1] * 2, [1] * 2, [1] * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataQualityError, match="1999999/2000001 grid slots missing"):
+                validate_and_gapfill(s, self.grid(), policy="ffill")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
+
+    @pytest.mark.parametrize("policy", ["drop", "ffill"])
+    def test_grid_spanning_more_than_int64(self, policy):
+        first, step = -2**63 + 1, 2**61
+        src = PriceSeries([first + k * step for k in (0, 1, 2, 3, 4, 6, 7)],
+                          *[np.arange(1.0, 8.0)] * 4)
+        out = validate_and_gapfill(src, SamplingGrid(step), policy=policy)
+        assert out.gap_report.n_expected == 8
+        if policy == "ffill":
+            np.testing.assert_array_equal(out.timestamps, [first + k * step for k in range(8)])
+            np.testing.assert_array_equal(out.close, [1, 2, 3, 4, 5, 5, 6, 7])
+
+    @pytest.mark.parametrize("step", [2**63, 2**64])
+    def test_step_longer_than_int64_puts_later_bars_off_the_grid(self, step):
+        with pytest.raises(RejectedInputError, match="1 bars off the sampling grid"):
+            validate_and_gapfill(make_series(n=2), SamplingGrid(step))
 
 
 class TestCsv:

@@ -5,9 +5,7 @@ import pytest
 
 from stylfacts.series import (SamplingGrid, compute_log_returns, read_csv,
                               validate_and_gapfill, write_csv)
-from stylfacts.simulate import (GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate,
-                                simulate_garch11, simulate_gbm, simulate_gjr,
-                                simulate_ou)
+from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 
 DAY = 86400
 
@@ -80,6 +78,16 @@ class TestCommon:
             GbmSpec(n_steps=10, extremes="exact")
         with pytest.raises(ValueError, match="volume_mode"):
             GbmSpec(n_steps=10, volume_mode="always")
+
+    @pytest.mark.parametrize("kw", [{"t0": 2**63}, {"t0": -2**63 - 1},
+                                    {"step_seconds": 2**62}, {"t0": 2**63 - 10, "step_seconds": 1}])
+    def test_timestamps_must_fit_int64(self, kw):
+        with pytest.raises(ValueError, match="int64"):
+            GbmSpec(n_steps=10, **kw)
+
+    def test_last_timestamp_may_be_the_int64_maximum(self):
+        ps = simulate(GbmSpec(n_steps=10, step_seconds=1, t0=2**63 - 11))
+        assert ps.timestamps[-1] == 2**63 - 1
 
 
 class TestGbm:
@@ -180,20 +188,15 @@ class TestGarchFamily:
         with pytest.raises(ValueError, match="df > 2"):
             GarchSpec(n_steps=100, innovation="student_t")
 
+    def test_gamma_is_a_gjr_field_only(self):
+        with pytest.raises(TypeError):
+            GarchSpec(n_steps=20, gamma=0.2)
+
     def test_dispatcher_types(self):
         assert simulate(GjrSpec(n_steps=20, seed=16)).close.shape == (21,)
-        with pytest.raises(TypeError):
-            simulate_garch11(GjrSpec(n_steps=20))
         # a GjrSpec must go through the gjr path, not slice to plain garch
-        gjr = simulate_gjr(GjrSpec(n_steps=2000, seed=17, gamma=0.24, alpha=0.03,
-                                   beta=0.75, substeps=1, extremes="substep"))
-        plain = simulate_garch11(GarchSpec(n_steps=2000, seed=17, alpha=0.03, beta=0.75,
-                                           substeps=1, extremes="substep"))
+        gjr = simulate(GjrSpec(n_steps=2000, seed=17, gamma=0.24, alpha=0.03,
+                               beta=0.75, substeps=1, extremes="substep"))
+        plain = simulate(GarchSpec(n_steps=2000, seed=17, alpha=0.03, beta=0.75,
+                                   substeps=1, extremes="substep"))
         assert not np.allclose(gjr.close, plain.close)
-
-    def test_direct_entry_points_match_dispatcher(self):
-        for spec, fn in [(GbmSpec(n_steps=50, seed=18), simulate_gbm),
-                         (OuSpec(n_steps=50, seed=18), simulate_ou),
-                         (GarchSpec(n_steps=50, seed=18), simulate_garch11),
-                         (GjrSpec(n_steps=50, seed=18), simulate_gjr)]:
-            np.testing.assert_array_equal(simulate(spec).close, fn(spec).close)
