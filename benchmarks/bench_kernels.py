@@ -1,13 +1,11 @@
 """Timing of each kernel, checked against its element-by-element loop.
 
-For every kernel with a `*_loop` twin (tests/_oracles.py) the script first
-runs both on a small input (n=2000) and prints their largest difference
-relative to the twin's largest magnitude; then it times the kernel at --n
-(best of --repeat).
-`garch_sim` is a plain recursion with no twin, so it is only timed.  The
-Zumbach bootstrap is timed twice, once for the range-sum kernel that
-`kernels.zumbach_boot` runs and once for the direct gather it falls back to
-when n_lags > block_len.
+For every kernel the script first runs it and its `*_loop` twin
+(tests/_oracles.py) on a small input (n=2000) and prints their largest
+difference relative to the twin's largest magnitude; then it times the
+kernel at --n (best of --repeat).  The Zumbach bootstrap is timed twice,
+once for the range-sum kernel that `kernels.zumbach_boot` runs and once for
+the direct gather it falls back to when n_lags > block_len.
 
 The I/O section times the two CSV writers at --n rows, `series.write_csv` on
 a simulated series and `report.write_curve_csv` on a curve shaped like
@@ -93,11 +91,11 @@ def make_args(n, n_boot, seed):
     }
 
 
-# row label -> (kernel, loop twin or None)
+# row label -> (kernel, loop twin)
 CASES = {
     "garch_filter": (kernels.garch_filter, _oracles.garch_filter_loop),
     "garch_score": (kernels.garch_score, _oracles.garch_score_loop),
-    "garch_sim": (kernels.garch_sim, None),
+    "garch_sim": (kernels.garch_sim, _oracles.garch_sim_loop),
     "ou_path": (kernels.ou_path, _oracles.ou_path_loop),
     "rolling_var": (kernels.rolling_var, _oracles.rolling_var_loop),
     "rolling_mean": (kernels.rolling_mean, _oracles.rolling_mean_loop),
@@ -230,9 +228,9 @@ def main():
     print(f"{'kernel':<20} {'time':>11}  max rel diff vs loop")
     times = {}
     for name, (f, f_loop) in CASES.items():
-        err = "-" if f_loop is None else f"{rel_diff(f(*small[name]), f_loop(*small[name])):.1e}"
+        err = rel_diff(f(*small[name]), f_loop(*small[name]))
         times[name] = best_of(lambda: f(*big[name]), args.repeat)
-        print(f"{name:<20} {times[name] * 1e3:>9.2f}ms  {err}")
+        print(f"{name:<20} {times[name] * 1e3:>9.2f}ms  {err:.1e}")
     print(f"zumbach_boot: range sums {times['zumbach_boot_gather'] / times['zumbach_boot']:.1f}x "
           f"faster than the direct gather")
     bench_io(args.n, args.repeat)

@@ -615,6 +615,11 @@ def test_leverage(ctx: SeriesContext) -> FactVerdict:
 # F6: volume-volatility correlation
 # ---------------------------------------------------------------------------
 
+# pairs-bootstrap resamples per pass: the gathers stay a few MB however
+# many resamples the config asks for
+_F6_CHUNK = 16
+
+
 def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
     """Pearson correlation between per-window traded volume and the window's
     basic volatility, with a pairs-bootstrap confidence interval."""
@@ -645,14 +650,22 @@ def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
     except (DegenerateInputError, InsufficientDataError) as e:
         return _inconclusive(FactId.F6, f"correlation undefined: {e}", n=len(x))
     rng = _child_rng(config.seed, 6)
-    idx = rng.integers(0, len(x), size=(config.f6_n_boot, len(x)))
-    bx = x[idx]
-    by = y[idx]
-    bx = bx - bx.mean(axis=1, keepdims=True)
-    by = by - by.mean(axis=1, keepdims=True)
-    denom = np.sqrt(np.einsum("ij,ij->i", bx, bx) * np.einsum("ij,ij->i", by, by))
+    n_boot = config.f6_n_boot
+    num = np.empty(n_boot)
+    denom = np.empty(n_boot)
+    # the generator carries its state from call to call, so the chunks draw
+    # the same indices as one (n_boot, len(x)) draw
+    for start in range(0, n_boot, _F6_CHUNK):
+        rows = slice(start, min(start + _F6_CHUNK, n_boot))
+        idx = rng.integers(0, len(x), size=(rows.stop - start, len(x)))
+        bx = x[idx]
+        by = y[idx]
+        bx -= bx.mean(axis=1, keepdims=True)
+        by -= by.mean(axis=1, keepdims=True)
+        num[rows] = np.einsum("ij,ij->i", bx, by)
+        denom[rows] = np.sqrt(np.einsum("ij,ij->i", bx, bx) * np.einsum("ij,ij->i", by, by))
     ok = denom > 0.0
-    r_boot = np.einsum("ij,ij->i", bx, by)[ok] / denom[ok]
+    r_boot = num[ok] / denom[ok]
     lo, hi = np.quantile(r_boot, [0.025, 0.975])
     status = FactStatus.SUPPORTED if (pr.value > 0.0 and lo > 0.0) \
         else FactStatus.NOT_SUPPORTED

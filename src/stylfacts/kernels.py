@@ -8,13 +8,14 @@ bar, and the Zumbach null band resamples the series a thousand times.
 `benchmarks/bench_kernels.py` times each kernel and checks it against its
 twin.
 
-Every kernel except `garch_sim` has a `*_loop` twin in `tests/_oracles.py`
-that spells out the arithmetic one element at a time; the tests hold the
-kernels to the twins.  The filters, the OU path and the rolling moments run
-the twin's arithmetic in another order (IIR filters, window views), which
-moves results at roundoff.  `garch_sim` is its own reference: the
-coefficient of its variance recursion changes with every draw, so no
-fixed-coefficient filter applies and it stays a plain loop.
+Every kernel has a `*_loop` twin in `tests/_oracles.py` that spells out the
+arithmetic one element at a time; the tests hold the kernels to the twins.
+The filters, the simulators and the rolling moments run the twin's
+arithmetic in another order (IIR filters, prefix scans, window views), which
+moves results at roundoff.  The two simulators are affine recursions
+x_{t+1} = c_t x_t + f_t whose coefficients are known before the recursion
+runs, so each runs as an inclusive prefix scan of affine maps (Blelloch
+1990): log2(n) whole-array passes instead of n Python steps.
 
 `zumbach_boot` computes the same statistic as its loop twin by another
 decomposition: it never builds a resample.  Pairs of bars inside one
@@ -26,10 +27,10 @@ When n_lags exceeds block_len, which happens for series shorter than about
 n_lags^3, a pair can span several blocks and the kernel falls back to
 gathering each resample in full (`_zumbach_boot_gather`).
 
-`scipy.signal.lfilter` is imported inside the three kernels that call it,
-at first use.  Importing scipy.signal takes over a second (about 1.4 s on a
-2-vCPU host), and a command that never filters (`simulate` for GBM, GARCH
-or GJR) should not pay it.  stats defers its scipy imports the same way,
+`scipy.signal.lfilter` is imported inside the two kernels that call it, at
+first use.  Importing scipy.signal takes over a second (about 1.4 s on a
+2-vCPU host), and a command that never filters (`simulate`, for any model)
+should not pay it.  stats defers its scipy imports the same way,
 so `import stylfacts` loads no scipy at all.
 """
 
@@ -149,31 +150,44 @@ def garch_sim(z, omega, alpha, gamma, beta, h1, burn):
 
     z covers burn + n steps; the first `burn` draws warm up the recursion and
     are discarded.  Returns (r, h) for the kept steps.
+
+    With r_t^2 = h_t z_t^2 the update is affine in h,
+    h_{t+1} = omega + c_t h_t with c_t = (alpha + gamma 1[z_t < 0]) z_t^2 + beta,
+    and c_t is known from the draws, so h comes from an inclusive
+    Hillis-Steele scan of the maps x -> c x + omega under composition.  The
+    first map is the constant h1 (c = 0), so the scan's offsets are h itself.
     """
     total = z.shape[0]
-    n = total - burn
-    r = np.empty(n)
-    h_out = np.empty(n)
-    h = h1
-    for t in range(total):
-        zt = z[t]
-        rt = np.sqrt(h) * zt
-        if t >= burn:
-            r[t - burn] = rt
-            h_out[t - burn] = h
-        h = omega + (alpha + (gamma if zt < 0.0 else 0.0)) * rt * rt + beta * h
-    return r, h_out
+    c = np.empty(total)
+    c[0] = 0.0
+    np.multiply(np.where(z[:-1] < 0.0, alpha + gamma, alpha), z[:-1] * z[:-1], out=c[1:])
+    c[1:] += beta
+    h = np.full(total, float(omega))
+    h[0] = h1
+    # pass d composes each map with the one d steps before it (numpy
+    # buffers the overlapping in-place operands)
+    d = 1
+    while d < total:
+        h[d:] += c[d:] * h[:-d]
+        c[d:] *= c[:-d]
+        d *= 2
+    h = h[burn:]
+    return np.sqrt(h) * z[burn:], h
 
 
 def ou_path(z, x0, mu, b, noise_scale):
     """Exact OU discretization x_{t+1} = mu + (x_t - mu) * b + noise_scale * z_t.
 
-    Returns the path including x0 (length len(z) + 1).  Linear recursion, so
-    it runs as an IIR filter on the deviations from mu.
+    Returns the path including x0 (length len(z) + 1).  The deviations from
+    mu follow the same affine recursion as `garch_sim` with the constant
+    coefficient b, so the scan needs only the powers b^d.
     """
-    from scipy.signal import lfilter
-
-    dev = lfilter([1.0], [1.0, -b], noise_scale * z, zi=np.array([b * (x0 - mu)]))[0]
+    dev = noise_scale * z
+    dev[0] += b * (x0 - mu)
+    d, bd = 1, b
+    while d < dev.shape[0] and bd != 0.0:
+        dev[d:] += bd * dev[:-d]
+        d, bd = 2 * d, bd * bd
     out = np.empty(z.shape[0] + 1)
     out[0] = x0
     out[1:] = mu + dev

@@ -9,6 +9,9 @@ Conventions
   later bar (interval end).
 - Aggregation by k (`block_sums`) sums non-overlapping blocks of k values
   anchored at the start; a trailing remainder shorter than k is dropped.
+- Error messages number data rows from 1, counting only the rows a CSV
+  keeps (the header and blank lines are not counted), so bar i of a series
+  is row i + 1.
 """
 
 from __future__ import annotations
@@ -26,6 +29,11 @@ from .errors import DataQualityError, InsufficientDataError, RejectedInputError
 MAX_MISSING_FRACTION = 0.20
 
 CSV_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
+
+
+def _row(mask) -> int:
+    """The row number of mask's first True bar."""
+    return int(np.flatnonzero(mask)[0]) + 1
 
 
 @dataclass(frozen=True)
@@ -66,7 +74,7 @@ class PriceSeries:
         try:
             ts = np.asarray(timestamps, dtype=np.int64)
         except OverflowError:
-            i = next(i for i, t in enumerate(timestamps) if not -2**63 <= t < 2**63)
+            i = next(i for i, t in enumerate(timestamps, 1) if not -2**63 <= t < 2**63)
             raise RejectedInputError(f"timestamp beyond int64 at row {i}") from None
         o = np.asarray(open_, dtype=float)
         h = np.asarray(high, dtype=float)
@@ -86,17 +94,16 @@ class PriceSeries:
         # neighbours are compared, not differenced: a difference can wrap
         bad = ts[1:] <= ts[:-1]
         if np.any(bad):
-            i = int(np.flatnonzero(bad)[0]) + 1
-            raise RejectedInputError(f"timestamps not strictly increasing at row {i}")
+            raise RejectedInputError(f"timestamps not strictly increasing at row {_row(bad) + 1}")
         for name, arr in (("open", o), ("high", h), ("low", l), ("close", c)):
             bad = ~(arr > 0.0) | ~np.isfinite(arr)
             if np.any(bad):
-                raise RejectedInputError(f"non-positive or non-finite {name} at row {int(np.flatnonzero(bad)[0])}")
+                raise RejectedInputError(f"non-positive or non-finite {name} at row {_row(bad)}")
         if np.any(h < l):
-            raise RejectedInputError(f"high < low at row {int(np.flatnonzero(h < l)[0])}")
+            raise RejectedInputError(f"high < low at row {_row(h < l)}")
         with np.errstate(invalid="ignore"):
             if np.any(v < 0.0):
-                raise RejectedInputError(f"negative volume at row {int(np.flatnonzero(v < 0.0)[0])}")
+                raise RejectedInputError(f"negative volume at row {_row(v < 0.0)}")
         self.timestamps = ts
         self.open = o
         self.high = h
@@ -163,7 +170,7 @@ def validate_and_gapfill(series: PriceSeries, grid: SamplingGrid,
     n_off = int(np.sum(off))
     if n_off > 0:
         raise RejectedInputError(
-            f"{n_off} bars off the sampling grid (first at row {int(np.flatnonzero(off)[0])})")
+            f"{n_off} bars off the sampling grid (first at row {_row(off)})")
     # strictly increasing bars on the grid: every one fills its own slot
     n_expected = (last - first) // step + 1
     n_missing = n_expected - len(ts)
@@ -244,11 +251,13 @@ def _read_csv_file(f) -> PriceSeries:
     if cols != list(CSV_COLUMNS):
         raise RejectedInputError(f"expected header {','.join(CSV_COLUMNS)}, got {','.join(cols)}")
     ts, o, h, l, c, v = [], [], [], [], [], []
-    for i, row in enumerate(reader):
+    i = 0  # data rows kept so far; blank lines are skipped and not counted
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
+        i += 1
         if len(row) != 6:
-            raise RejectedInputError(f"row {i + 1}: expected 6 fields, got {len(row)}")
+            raise RejectedInputError(f"row {i}: expected 6 fields, got {len(row)}")
         try:
             ts.append(_parse_timestamp(row[0]))
             o.append(float(row[1]))
@@ -260,7 +269,7 @@ def _read_csv_file(f) -> PriceSeries:
         except RejectedInputError:
             raise
         except ValueError as exc:
-            raise RejectedInputError(f"row {i + 1}: {exc}") from exc
+            raise RejectedInputError(f"row {i}: {exc}") from exc
     if not ts:
         raise RejectedInputError("CSV has a header but no rows")
     return PriceSeries(ts, o, h, l, c, v)

@@ -40,6 +40,22 @@ def garch_score_loop(eps2, h, omega, alpha, beta):
     return 0.5 * score / n, 0.5 * hess / n, 0.5 * fisher / n
 
 
+def garch_sim_loop(z, omega, alpha, gamma, beta, h1, burn):
+    total = z.shape[0]
+    n = total - burn
+    r = np.empty(n)
+    h_out = np.empty(n)
+    h = h1
+    for t in range(total):
+        zt = z[t]
+        rt = np.sqrt(h) * zt
+        if t >= burn:
+            r[t - burn] = rt
+            h_out[t - burn] = h
+        h = omega + (alpha + (gamma if zt < 0.0 else 0.0)) * rt * rt + beta * h
+    return r, h_out
+
+
 def ou_path_loop(z, x0, mu, b, noise_scale):
     n = z.shape[0]
     out = np.empty(n + 1)

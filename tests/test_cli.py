@@ -254,7 +254,7 @@ class TestAnalyze:
                                               {"id": "big", "path": "big.csv"}],
                                    "out_dir": "out"}))
         assert main(["analyze", "--config", str(cfg)]) == 1
-        assert "big: RejectedInputError: timestamp beyond int64 at row 1" \
+        assert "big: RejectedInputError: timestamp beyond int64 at row 2" \
             in capsys.readouterr().err
         with open(tmp_path / "out" / "summary.csv", newline="") as f:
             rows = {r["asset"]: r for r in csv.DictReader(f)}

@@ -7,6 +7,7 @@ control matrix at N=1e5 lives in the acceptance suite.
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,6 +374,36 @@ class TestVolumeVolatility:
         assert v.metrics["n"] == len(xs)
         assert v.metrics["pearson_r"] == pytest.approx(
             np.corrcoef(xs, ys)[0, 1], rel=1e-12)
+
+    # (resamples, window): whole and partial chunks of resamples, over 333
+    # and 300 windows
+    @pytest.mark.parametrize("n_boot, window", [(16, 9), (17, 9), (1000, 10), (999, 9)])
+    def test_bootstrap_equals_one_draw_of_every_resample(self, n_boot, window):
+        cfg = FactConfig(f6_n_boot=n_boot, f6_window=window, seed=4)
+        v = facts.test_volume_volatility(SeriesContext(simulate(GbmSpec(n_steps=3000, seed=12)),
+                                                       cfg))
+        x, y = (v.curves["volume_volatility"][k] for k in ("volume", "volatility"))
+        idx = facts._child_rng(cfg.seed, 6).integers(0, len(x), size=(n_boot, len(x)))
+        bx = x[idx] - x[idx].mean(axis=1, keepdims=True)
+        by = y[idx] - y[idx].mean(axis=1, keepdims=True)
+        r = np.einsum("ij,ij->i", bx, by) / np.sqrt(
+            np.einsum("ij,ij->i", bx, bx) * np.einsum("ij,ij->i", by, by))
+        assert [v.metrics["boot_ci_low"], v.metrics["boot_ci_high"]] == \
+            list(np.quantile(r, [0.025, 0.975]))
+
+    def test_bootstrap_memory_does_not_grow_with_resamples(self):
+        # 4,761 windows at 1e5 bars: one table of 1000 resamples and its two
+        # gathers are 114 MB; a chunk of 16 is under 2 MB
+        ps = simulate(GbmSpec(n_steps=100_000, seed=3))
+        ctx = SeriesContext(ps)
+        tracemalloc.start()
+        try:
+            v = facts.test_volume_volatility(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.metrics["n"] == 4761
+        assert peak < 20e6
 
 
 class TestRunAllFacts:

@@ -47,14 +47,16 @@ def test_package_simulate_is_the_function():
     assert got["simulate_is_function"]
 
 
-@pytest.mark.parametrize("model", ["gbm", "garch", "gjr"])
+@pytest.mark.parametrize("model", ["gbm", "ou", "garch", "gjr"])
 def test_simulate_loads_no_scipy(model, tmp_path):
     got = _fresh(_simulate(model, str(tmp_path / "out.csv")) + _REPORT)
     assert got["scipy"] == []
     assert got["simulate_is_function"]
 
 
-def test_ou_loads_scipy_signal(tmp_path):
-    # the positive control: the OU path filters, so the check above can see scipy
-    got = _fresh(_simulate("ou", str(tmp_path / "out.csv")) + _REPORT)
+def test_garch_filter_loads_scipy_signal():
+    # the positive control: the likelihood filter runs through scipy.signal,
+    # so the checks above can see scipy
+    got = _fresh("import numpy as np, stylfacts; from stylfacts import kernels; "
+                 "kernels.garch_filter(np.ones(10), 1e-6, 0.1, 0.85, 1e-5); " + _REPORT)
     assert "scipy.signal" in got["scipy"]

@@ -1,10 +1,10 @@
 """Each kernel against its element-by-element `*_loop` twin in `_oracles`.
 
 Tolerances come from float64 roundoff, not from the observed error.  The
-filters and rolling moments reorder short sums.  The Zumbach kernels
-decompose the statistic another way (prefix sums over the whole series,
-boundary products), so they are held to 1e-10 of the largest |Z| of the
-reference.
+filters, the simulators' scans and the rolling moments reorder short sums.
+The Zumbach kernels decompose the statistic another way (prefix sums over
+the whole series, boundary products), so they are held to 1e-10 of the
+largest |Z| of the reference.
 """
 
 import math
@@ -48,9 +48,43 @@ def test_garch_score_matches_loop(alpha, beta, n):
 
 def test_simulators_match_loop(series):
     z = series["z"]
-    np.testing.assert_allclose(
-        kernels.ou_path(z, 0.3, 0.1, math.exp(-0.05), 0.01),
-        _oracles.ou_path_loop(z, 0.3, 0.1, math.exp(-0.05), 0.01), rtol=1e-12)
+    # theta from a near random walk to near white noise; the scan's error
+    # grows with the path's largest value, not with each value
+    for theta in (1e-5, 0.05, 2.0):
+        want = _oracles.ou_path_loop(z, 0.3, 0.1, math.exp(-theta), 0.01)
+        np.testing.assert_allclose(
+            kernels.ou_path(z, 0.3, 0.1, math.exp(-theta), 0.01), want,
+            rtol=1e-12, atol=1e-14 * np.abs(want).max())
+
+
+# (omega, alpha, gamma, beta, burn, n, innovation)
+GARCH_SIM_CASES = {
+    "garch": (1e-6, 0.10, 0.0, 0.85, 100, 2000, "normal"),
+    "gjr": (1e-6, 0.05, 0.10, 0.85, 100, 2000, "normal"),
+    "student_t": (1e-6, 0.10, 0.0, 0.85, 100, 2000, "student_t"),
+    "gjr_student_t": (1e-6, 0.05, 0.10, 0.85, 100, 2000, "student_t"),
+    "near_igarch": (1e-7, 0.05, 0.0, 0.9495, 100, 2000, "normal"),
+    "beta_zero": (1e-6, 0.30, 0.0, 0.0, 100, 2000, "normal"),
+    "alpha_zero": (1e-6, 0.0, 0.0, 0.90, 100, 2000, "normal"),
+    "no_burn": (1e-6, 0.10, 0.0, 0.85, 0, 2000, "normal"),
+    "one_step": (1e-6, 0.10, 0.0, 0.85, 0, 1, "normal"),
+    "one_kept_step": (1e-6, 0.05, 0.10, 0.85, 100, 1, "normal"),
+}
+
+
+@pytest.mark.parametrize("case", list(GARCH_SIM_CASES.values()), ids=list(GARCH_SIM_CASES))
+def test_garch_sim_matches_loop(case):
+    omega, alpha, gamma, beta, burn, n, innovation = case
+    rng = np.random.default_rng(22)
+    if innovation == "student_t":
+        z = rng.standard_t(4.0, size=burn + n) * math.sqrt(0.5)
+    else:
+        z = rng.standard_normal(burn + n)
+    args = (z, omega, alpha, gamma, beta, omega / (1.0 - alpha - 0.5 * gamma - beta), burn)
+    got, want = kernels.garch_sim(*args), _oracles.garch_sim_loop(*args)
+    for g, w in zip(got, want):  # (r, h)
+        assert g.shape == w.shape == (n,)
+        np.testing.assert_allclose(g, w, rtol=1e-13)
 
 
 def test_rolling_moments_match_loop(series):

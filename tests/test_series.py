@@ -94,7 +94,7 @@ class TestPriceSeries:
 
     def test_rejects_timestamps_that_wrap_int64(self):
         # np.diff of these reads 2**62 at every step
-        with pytest.raises(RejectedInputError, match="strictly increasing at row 2"):
+        with pytest.raises(RejectedInputError, match="strictly increasing at row 3"):
             PriceSeries([0, 2**62, -2**63, -2**62], [1] * 4, [1] * 4, [1] * 4, [1] * 4)
 
     def test_increasing_timestamps_whose_difference_wraps_are_kept(self):
@@ -103,7 +103,7 @@ class TestPriceSeries:
                                                   [1] * 2).timestamps, ts)
 
     def test_rejects_timestamp_beyond_int64(self):
-        with pytest.raises(RejectedInputError, match="beyond int64 at row 1"):
+        with pytest.raises(RejectedInputError, match="beyond int64 at row 2"):
             PriceSeries([0, 2**63, 2**63 + 1], [1] * 3, [1] * 3, [1] * 3, [1] * 3)
 
     def test_rejects_length_mismatch(self):
@@ -291,6 +291,19 @@ class TestCsv:
     def test_unparseable_timestamp(self):
         with pytest.raises(RejectedInputError, match="unparseable timestamp"):
             read_csv(io.StringIO("timestamp,open,high,low,close,volume\nyesterday,1,1,1,1,1\n"))
+
+    def test_every_message_numbers_data_rows_alike(self):
+        # the third data row, after a blank line, which is not counted
+        head = "timestamp,open,high,low,close,volume\n0,1,1,1,1,1\n\n86400,1,1,1,1,1\n"
+        for last, message in (("172800,1,1,1", "row 3: expected 6 fields"),
+                              ("172800,1,one,1,1,1", "row 3: could not convert"),
+                              ("172800,1,1,2,1,1", "high < low at row 3"),
+                              ("86400,1,1,1,1,1", "strictly increasing at row 3")):
+            with pytest.raises(RejectedInputError, match=message):
+                read_csv(io.StringIO(head + last + "\n"))
+        s = read_csv(io.StringIO(head + "172801,1,1,1,1,1\n"))
+        with pytest.raises(RejectedInputError, match=r"first at row 3\)"):
+            validate_and_gapfill(s, SamplingGrid(DAY))
 
     def test_file_path_io(self, tmp_path):
         s = make_series(n=5)
