@@ -3,9 +3,8 @@
 For every kernel the script first runs it and its `*_loop` twin
 (tests/_oracles.py) on a small input (n=2000) and prints their largest
 difference relative to the twin's largest magnitude; then it times the
-kernel at --n (best of --repeat).  The Zumbach bootstrap is timed twice,
-once for the range-sum kernel that `kernels.zumbach_boot` runs and once for
-the direct gather it falls back to when n_lags > block_len.
+kernel at --n (best of --repeat).  For the Zumbach bootstrap it also prints
+the kernel's `tracemalloc` peak at --n, F11's largest allocation.
 
 The I/O section times the two CSV writers at --n rows, `series.write_csv` on
 a simulated series and `report.write_curve_csv` on a curve shaped like
@@ -87,7 +86,6 @@ def make_args(n, n_boot, seed):
         "rolling_var": (x, 21, 1),
         "rolling_mean": (x, 21, 1),
         "zumbach_boot": boot,
-        "zumbach_boot_gather": boot,
     }
 
 
@@ -100,7 +98,6 @@ CASES = {
     "rolling_var": (kernels.rolling_var, _oracles.rolling_var_loop),
     "rolling_mean": (kernels.rolling_mean, _oracles.rolling_mean_loop),
     "zumbach_boot": (kernels.zumbach_boot, _oracles.zumbach_boot_loop),
-    "zumbach_boot_gather": (kernels._zumbach_boot_gather, _oracles.zumbach_boot_loop),
 }
 
 
@@ -200,7 +197,7 @@ def bench_fits(n, repeat):
           f"{oracle.n_iter:>6}  (evals: iterations; old form: Levenberg-Marquardt) beta drift "
           f"{abs(fit.beta - oracle.beta) / abs(oracle.beta):.1e}")
 
-    vol = rolling_volatility(series["garch"], "basic", VolatilityWindow(21, 1), scale="std").values
+    vol = rolling_volatility(series["garch"], "basic", VolatilityWindow(21, 1)).values
     got, (want, want_lag) = adf_test(vol), _adf_design_matrix(vol)
     t_new = best_of(lambda: adf_test(vol), repeat)
     t_old = best_of(lambda: _adf_design_matrix(vol), repeat)
@@ -226,13 +223,12 @@ def main():
     print(f"n={args.n}, {args.boot} bootstrap resamples, best of {args.repeat}; "
           f"loop check at n={CHECK_N}")
     print(f"{'kernel':<20} {'time':>11}  max rel diff vs loop")
-    times = {}
     for name, (f, f_loop) in CASES.items():
         err = rel_diff(f(*small[name]), f_loop(*small[name]))
-        times[name] = best_of(lambda: f(*big[name]), args.repeat)
-        print(f"{name:<20} {times[name] * 1e3:>9.2f}ms  {err:.1e}")
-    print(f"zumbach_boot: range sums {times['zumbach_boot_gather'] / times['zumbach_boot']:.1f}x "
-          f"faster than the direct gather")
+        t = best_of(lambda: f(*big[name]), args.repeat)
+        print(f"{name:<20} {t * 1e3:>9.2f}ms  {err:.1e}")
+    boot_mb = traced_peak(lambda: kernels.zumbach_boot(*big["zumbach_boot"]))
+    print(f"zumbach_boot: tracemalloc peak {boot_mb:.1f} MB at n={args.n}")
     bench_io(args.n, args.repeat)
     bench_fits(args.n, args.repeat)
 

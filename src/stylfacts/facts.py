@@ -456,7 +456,7 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
     if len(r) < config.f3_min_segment + w - 1:
         return _inconclusive(FactId.F3, "series shorter than the minimum stationary segment",
                              n=len(r))
-    vol = rolling_volatility(series, "basic", VolatilityWindow(w, 1), scale="std")
+    vol = rolling_volatility(series, "basic", VolatilityWindow(w, 1))
     L_vol, adf_res = _stationary_vol_suffix(vol.values, config)
     if L_vol is None:
         return _inconclusive(FactId.F3, "no stationary volatility segment at 5%", n=len(r))
@@ -496,8 +496,8 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
                               seed=_child_seed(config.seed, 3, 1), **sim_kw))
     o_ps = simulate(OuSpec(theta=theta, mu=mu, sigma=sigma, x0=float(seg_x[0]),
                            seed=_child_seed(config.seed, 3, 2), **sim_kw))
-    g_vol = rolling_volatility(g_ps, "basic", VolatilityWindow(w, 1), scale="std").values
-    o_vol = rolling_volatility(o_ps, "basic", VolatilityWindow(w, 1), scale="std").values
+    g_vol = rolling_volatility(g_ps, "basic", VolatilityWindow(w, 1)).values
+    o_vol = rolling_volatility(o_ps, "basic", VolatilityWindow(w, 1)).values
     try:
         d_g = _cdf_distance_above_median(data_vol, g_vol)
         d_ou = _cdf_distance_above_median(data_vol, o_vol)
@@ -548,7 +548,7 @@ def test_volatility_clustering(ctx: SeriesContext) -> FactVerdict:
     ok = []
     for kind in ("basic", "parkinson", "rogers_satchell"):
         try:
-            vol = rolling_volatility(series, kind, w, scale="std")
+            vol = rolling_volatility(series, kind, w)
         except (InsufficientDataError, DegenerateInputError) as e:
             return _inconclusive(FactId.F4, f"{kind} volatility failed: {e}", n=len(series))
         if len(vol.values) < config.f4_min_windows:
@@ -631,7 +631,7 @@ def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
                              volume_present_fraction=present)
     w = config.f6_window if config.f6_window is not None else default_window(config.step_seconds)
     try:
-        vol = rolling_volatility(series, "basic", VolatilityWindow(w, w), scale="std")
+        vol = rolling_volatility(series, "basic", VolatilityWindow(w, w))
     except (InsufficientDataError, DegenerateInputError) as e:
         return _inconclusive(FactId.F6, f"volatility failed: {e}", n=len(series))
     v = series.volume
@@ -891,7 +891,7 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
     """
     n_lags = config.f11_lags if n_lags is None else int(n_lags)
     r = _values(returns)
-    v = vol.as_std().values if hasattr(vol, "as_std") else _values(vol)
+    v = _values(vol)
     if hasattr(vol, "positions"):
         r = r[vol.positions - 1]
     if len(r) != len(v):

@@ -20,12 +20,12 @@ runs, so each runs as an inclusive prefix scan of affine maps (Blelloch
 `zumbach_boot` computes the same statistic as its loop twin by another
 decomposition: it never builds a resample.  Pairs of bars inside one
 block are read from a table of circular prefix-sum differences, one row per
-possible block start; pairs that straddle a block boundary come from one
-small matrix product per resample (see its docstring).  That takes
-O(n / block_len * n_lags^2) work per resample instead of O(n * n_lags).
-When n_lags exceeds block_len, which happens for series shorter than about
-n_lags^3, a pair can span several blocks and the kernel falls back to
-gathering each resample in full (`_zumbach_boot_gather`).
+possible block start; a pair that crosses block boundaries is counted once,
+at the boundary that ends the block holding its earlier bar, from one small
+matrix product per resample (see its docstring).  That takes
+O(n / block_len * n_lags^2) work per resample instead of O(n * n_lags), for
+every n_lags: when n_lags exceeds block_len (series shorter than about
+n_lags^3), the values after a boundary come in pieces of whole blocks.
 
 `scipy.signal.lfilter` is imported inside the two kernels that call it, at
 first use.  Importing scipy.signal takes over a second (about 1.4 s on a
@@ -214,9 +214,8 @@ def rolling_mean(x, n, stride):
 # Zumbach statistic and its block-bootstrap null band
 # ---------------------------------------------------------------------------
 
-# resamples per pass of `zumbach_boot` and of `_zumbach_boot_gather`
+# resamples per pass of `zumbach_boot`
 _BOOT_CHUNK = 16
-_GATHER_CHUNK = 64
 
 def zumbach_z(a, b, n_lags):
     """Z(delta) = C(delta) - C(-delta) for delta = 1..n_lags.
@@ -251,101 +250,88 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
     l values of b - sum of its last l), where D_l = sum_t a_t b_{t-l} -
     a_{t-l} b_t.  A pair (t, t-l) either lies inside one block, where D_l's
     share is a range sum of c_l[i] = a_i b_{i-l} - a_{i-l} b_i over the
-    circular source index, or straddles the boundary between block j-1 and
-    block j (l <= block_len, so never more than one).  The straddling pairs
-    for every lag at once come from one product of the first n_lags values
-    of each block against the last n_lags of the block before it: lag l is
-    that product's diagonal at offset n_lags - l.  With n_lags > block_len a
-    pair can span several blocks, and the direct gather takes over.
+    circular source index, or crosses one or more block boundaries, and is
+    then counted once, at the boundary j that ends the block j-1 holding
+    its earlier bar.  With w = min(n_lags, block_len), that earlier bar is
+    among the last w values of block j-1, and the later one among the
+    n_lags values after the boundary: Q = ceil(n_lags / w) pieces of w
+    values at the starts of blocks j .. j+Q-1 (one piece when n_lags <=
+    block_len; whole blocks otherwise).  The crossing pairs for every lag
+    at once come from one product of those Q*w values against the w before
+    the boundary, summed over boundaries: lag l is that product's diagonal
+    at offset w - l.  Piece values past the end of the resample are zeroed.
     """
-    if n_lags > block_len:
-        return _zumbach_boot_gather(a, b, starts, block_len, n_lags)
     n = a.shape[0]
-    w = n_lags
+    w = min(n_lags, block_len)
+    n_pieces = -(-n_lags // w)
     n_res, n_blocks = starts.shape
     last_len = n - (n_blocks - 1) * block_len
-    lags = np.arange(1, w + 1)
+    lags = np.arange(1, n_lags + 1)
 
     # Block table: one row per circular start s.  Column l-1 is the part of
-    # D_l inside a block of length m at s, sum_{k=l}^{m-1} c_l[s+k]; the last
-    # four are the block sums of ac, ac^2, bc, bc^2, where centering (the
-    # variances are shift-invariant) keeps sum(x^2)/n - mean^2 from cancelling
-    # digits.  Both come as differences of prefix sums over the source index,
-    # extended circularly by one block (and by n_lags before it for the
-    # lagged factors).
+    # D_l inside a block of length m at s, sum_{k=l}^{m-1} c_l[s+k] (always
+    # zero for l >= block_len, so only the first w lags get a column); the
+    # last four are the block sums of ac, ac^2, bc, bc^2, where centering
+    # (the variances are shift-invariant) keeps sum(x^2)/n - mean^2 from
+    # cancelling digits.  Both come as differences of prefix sums over the
+    # source index, extended circularly by one block (and by w before it for
+    # the lagged factors).
     ext = np.arange(-w, n + block_len) % n
     ae, be = a[ext], b[ext]
     a_mean = a.mean()
     ac = ae[w:] - a_mean
     bc = be[w:] - b.mean()
-    cols = [ae[w:] * be[w - lag:-lag] - ae[w - lag:-lag] * be[w:] for lag in lags]
+    cols = [ae[w:] * be[w - lag:-lag] - ae[w - lag:-lag] * be[w:] for lag in lags[:w]]
     cols += [ac, ac * ac, bc, bc * bc]
     prefix = np.zeros((n + block_len + 1, w + 4))
     np.cumsum(np.stack(cols, axis=1), axis=0, out=prefix[1:])
-    src = np.arange(n)[:, None]
-    first = np.concatenate((lags, np.zeros(4, dtype=np.int64)))
+    del cols
+    first = np.concatenate((lags[:w], np.zeros(4, dtype=np.int64)))
     col = np.arange(w + 4)
 
-    def block_table(m):
-        return prefix[m:m + n] - prefix[src + np.minimum(first, m), col]
+    def block_rows(s, m):
+        return prefix[s + m] - prefix[s[:, None] + np.minimum(first, m), col]
 
-    full = block_table(block_len)
-    last = full if last_len == block_len else block_table(last_len)
+    full = block_rows(np.arange(n), block_len)
 
-    # n_lags-long windows at every circular start: a block's head as (a, b)
-    # and the previous block's tail as (b, -a), so that one contraction over
-    # blocks gives sum_j head_a[k] tail_b[k'] - tail_a[k'] head_b[k].
+    # w-long windows at every circular start: a block's head as (a, b) and
+    # the previous block's tail as (b, -a), so that one contraction over
+    # boundaries gives sum_j head_a[u] tail_b[k] - tail_a[k] head_b[u].
     aw = sliding_window_view(ae[w:n + 2 * w - 1], w)
     bw = sliding_window_view(be[w:n + 2 * w - 1], w)
     heads = np.concatenate((aw, bw), axis=1)
     tails = np.concatenate((bw, -aw), axis=1)
+    # piece q after boundary j = 1 .. n_blocks-1 is the head of block j+q,
+    # clipped to the last block; the (piece, boundary, offset) cells at
+    # resample positions >= n are zeroed
+    after = np.arange(n_pieces)[:, None] + np.arange(1, n_blocks)
+    head_blocks = np.minimum(after, n_blocks - 1)
+    past_end = np.nonzero(after[:, :, None] * block_len + np.arange(w) >= n)
     # where the resample's first and last n_lags values of b come from
-    edge_block, edge_off = np.divmod(np.r_[0:w, n - w:n], block_len)
+    edge_block, edge_off = np.divmod(np.r_[0:n_lags, n - n_lags:n], block_len)
     ones = np.ones(n_blocks - 1)
 
-    out = np.empty((n_res, w))
+    out = np.empty((n_res, n_lags))
     for lo in range(0, n_res, _BOOT_CHUNK):
         hi = min(lo + _BOOT_CHUNK, n_res)
         st = starts[lo:hi]
         # np.take: several times faster than fancy indexing for row gathers
-        sums = ones @ np.take(full, st[:, :-1], axis=0) + last[st[:, -1]]
-        h = np.take(heads, st[:, 1:], axis=0)
-        if last_len < w:  # head values past the end of the resample
-            h[:, -1, last_len:w] = 0.0
-            h[:, -1, w + last_len:] = 0.0
+        sums = ones @ np.take(full, st[:, :-1], axis=0) + block_rows(st[:, -1], last_len)
+        h = np.take(heads, st[:, head_blocks], axis=0).reshape(
+            hi - lo, n_pieces, n_blocks - 1, 2, w)
+        h[:, past_end[0], past_end[1], :, past_end[2]] = 0.0
         t = np.take(tails, (st[:, :-1] + (block_len - w)) % n, axis=0)
-        cross = np.matmul(h.reshape(hi - lo, -1, w).transpose(0, 2, 1),
-                          t.reshape(hi - lo, -1, w))
-        d = sums[:, :w] + np.stack(
+        cross = np.matmul(h.reshape(hi - lo, n_pieces, -1, w).transpose(0, 1, 3, 2),
+                          t.reshape(hi - lo, 1, -1, w)).reshape(hi - lo, -1, w)
+        d = np.stack(
             [np.trace(cross, offset=w - lag, axis1=1, axis2=2) for lag in lags], axis=1)
+        d[:, :w] += sums[:, :w]
         edge_b = b[(st[:, edge_block] + edge_off) % n]
-        head_b = np.cumsum(edge_b[:, :w], axis=1)
-        tail_b = np.cumsum(edge_b[:, w:][:, ::-1], axis=1)
+        head_b = np.cumsum(edge_b[:, :n_lags], axis=1)
+        tail_b = np.cumsum(edge_b[:, n_lags:][:, ::-1], axis=1)
         sa, saa, sb, sbb = (sums[:, w + i] / n for i in range(4))
         astd = np.sqrt(saa - sa * sa)
         bstd = np.sqrt(sbb - sb * sb)
         num = d - (a_mean + sa)[:, None] * (head_b - tail_b)
         out[lo:hi] = num / ((n - lags) * (astd * bstd)[:, None])
-    return out
-
-
-def _zumbach_boot_gather(a, b, starts, block_len, n_lags):
-    """Direct form: gathers each chunk of resamples in full, then takes
-    per-lag dot products.  Handles any n_lags, at O(n * n_lags) per resample."""
-    n = a.shape[0]
-    n_res = starts.shape[0]
-    offs = np.arange(block_len)
-    out = np.empty((n_res, n_lags))
-    for lo in range(0, n_res, _GATHER_CHUNK):
-        hi = min(lo + _GATHER_CHUNK, n_res)
-        idx = (starts[lo:hi, :, None] + offs[None, None, :]).reshape(hi - lo, -1)[:, :n] % n
-        ar = a[idx]
-        br = b[idx]
-        abar = ar.mean(axis=1)
-        astd = ar.std(axis=1)
-        bstd = br.std(axis=1)
-        for lag in range(1, n_lags + 1):
-            past = np.einsum("ij,ij->i", ar[:, lag:], br[:, :-lag]) - abar * br[:, :-lag].sum(axis=1)
-            futr = np.einsum("ij,ij->i", ar[:, :-lag], br[:, lag:]) - abar * br[:, lag:].sum(axis=1)
-            out[lo:hi, lag - 1] = (past - futr) / ((n - lag) * astd * bstd)
     return out

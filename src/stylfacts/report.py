@@ -356,7 +356,7 @@ def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
     vol_cols = {"timestamp": None}
     try:
         for kind in ("basic", "parkinson", "rogers_satchell"):
-            vs = rolling_volatility(series, kind, VolatilityWindow(w, 1), scale="std")
+            vs = rolling_volatility(series, kind, VolatilityWindow(w, 1))
             vol_cols[kind] = vs.values
             vol_cols["timestamp"] = vs.timestamps
         write_curve_csv(os.path.join(config.out_dir, safe, "volatility.csv"), vol_cols)

@@ -227,7 +227,7 @@ def _parse_timestamp(text: str) -> int:
         iso = text.replace("Z", "+00:00")
         dt = datetime.fromisoformat(iso)
     except ValueError as exc:
-        raise RejectedInputError(f"unparseable timestamp {text!r}") from exc
+        raise ValueError(f"unparseable timestamp {text!r}") from exc
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())
@@ -266,8 +266,6 @@ def _read_csv_file(f) -> PriceSeries:
             c.append(float(row[4]))
             vol = row[5].strip()
             v.append(float(vol) if vol else np.nan)
-        except RejectedInputError:
-            raise
         except ValueError as exc:
             raise RejectedInputError(f"row {i}: {exc}") from exc
     if not ts:

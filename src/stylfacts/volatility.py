@@ -2,15 +2,14 @@
 
 Three estimators over a window of n intervals:
 
-- Basic: sample variance of the n per-step log returns in the window
-  (two-pass, window mean subtracted).  Reported on the *variance* scale.
+- Basic: sample standard deviation (ddof=1) of the n per-step log returns
+  in the window (two-pass, window mean subtracted).
 - Parkinson: sqrt( (1/(4 n ln 2)) * sum ln(high_i/low_i)^2 ).  Std scale.
 - Rogers-Satchell: sqrt( (1/n) * sum [ln(h/c) ln(h/o) + ln(l/c) ln(l/o)] ).
   Std scale.  The radicand can go negative in samples; it is clamped to 0,
   with a warning when it falls below -1e-12 relative to the term magnitude.
 
-`scale="std"` converts Basic to the common standard-deviation scale so the
-three estimators are directly comparable.
+All three are on the standard-deviation scale, so they compare directly.
 
 Window alignment: a window of n intervals ends at bar index e and covers
 returns (e-n, e] / bars [e-n+1, e]; its output carries bar e's timestamp.
@@ -58,16 +57,9 @@ class VolatilitySeries:
     positions: np.ndarray
     kind: str
     window: VolatilityWindow
-    scale: str  # "variance" (basic native) or "std"
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def as_std(self) -> "VolatilitySeries":
-        if self.scale == "std":
-            return self
-        return VolatilitySeries(np.sqrt(self.values), self.timestamps, self.positions,
-                                self.kind, self.window, "std")
 
 
 def rs_terms(open_, high, low, close) -> np.ndarray:
@@ -92,13 +84,11 @@ def _rs_finalize(radicand, term_scale) -> np.ndarray:
     return np.sqrt(rad)
 
 
-def rolling_volatility(series: PriceSeries, kind: str, window: VolatilityWindow,
-                       scale: str = "native") -> VolatilitySeries:
+def rolling_volatility(series: PriceSeries, kind: str,
+                       window: VolatilityWindow) -> VolatilitySeries:
     """Rolling estimator over a PriceSeries.  See module docstring for layout."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}")
-    if scale not in ("native", "std"):
-        raise ValueError("scale must be 'native' or 'std'")
     n, stride = window.n, window.stride
     nbars = len(series)
     if kind == "basic" and n < 2:
@@ -108,25 +98,19 @@ def rolling_volatility(series: PriceSeries, kind: str, window: VolatilityWindow,
 
     if kind == "basic":
         returns = np.diff(np.log(series.close))
-        values = kernels.rolling_var(returns, n, stride)
-        out_scale = "variance"
-        if scale == "std":
-            values = np.sqrt(values)
-            out_scale = "std"
+        values = np.sqrt(kernels.rolling_var(returns, n, stride))
     elif kind == "parkinson":
         x = np.log(series.high[1:] / series.low[1:])
         values = np.sqrt(kernels.rolling_mean(x * x, n, stride) / FOUR_LN2)
-        out_scale = "std"
     else:
         t = rs_terms(series.open[1:], series.high[1:], series.low[1:], series.close[1:])
         rad = kernels.rolling_mean(t, n, stride)
         term_scale = kernels.rolling_mean(np.abs(t), n, stride)
         values = _rs_finalize(rad, term_scale)
-        out_scale = "std"
 
     ends = n + stride * np.arange(len(values))
     return VolatilitySeries(values=values, timestamps=series.timestamps[ends].copy(),
-                            positions=ends, kind=kind, window=window, scale=out_scale)
+                            positions=ends, kind=kind, window=window)
 
 
 def default_window(step_seconds: int) -> int:

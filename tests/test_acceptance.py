@@ -84,8 +84,7 @@ def test_criterion_1_estimator_agreement():
         ps = simulate(GbmSpec(n_steps=100_000, sigma=0.01, mu=0.0, seed=seed,
                               substeps=16, volume_mode="none"))
         for kind in sums:
-            sums[kind] += float(np.mean(rolling_volatility(ps, kind, w,
-                                                           scale="std").values))
+            sums[kind] += float(np.mean(rolling_volatility(ps, kind, w).values))
     means = {k: v / len(SEEDS) for k, v in sums.items()}
     elapsed = time.time() - t0
     within = {k: abs(m - 0.01) <= 0.05 * 0.01 for k, m in means.items()}

@@ -227,7 +227,7 @@ def aligned(garch_case):
     ps, _ = garch_case
     r = compute_log_returns(ps).values
     vol = rolling_volatility(ps, "parkinson", VolatilityWindow(1, 1))
-    return r[vol.positions - 1], vol.as_std().values, vol, ps
+    return r[vol.positions - 1], vol.values, vol, ps
 
 
 class TestZumbach:
@@ -360,7 +360,7 @@ class TestVolumeVolatility:
         assert v.status in (SUP, NOT)
 
         w = 21
-        win = rolling_volatility(ps, "basic", VolatilityWindow(w, w), scale="std")
+        win = rolling_volatility(ps, "basic", VolatilityWindow(w, w))
         xs, ys = [], []
         for pos, val in zip(win.positions, win.values):
             chunk = vol_arr[pos - w + 1: pos + 1]

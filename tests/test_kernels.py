@@ -107,6 +107,10 @@ ZUMBACH_SHAPES = {
     "lags_gt_block_fallback": (110, 5, 10, 30),
     "single_resample": (500, 8, 5, 1),
     "one_lag": (2000, 13, 1, 10),
+    "lags_span_three_blocks": (131, 3, 10, 25),
+    "lags_gt_block_last_block_short": (333, 7, 10, 25),
+    "lags_gt_block_last_block_of_one": (111, 5, 12, 10),
+    "block_of_one": (60, 1, 4, 10),
 }
 
 
@@ -121,8 +125,7 @@ def _zumbach_case(n, block_len, n_lags, n_res, wrap=False):
 
 
 # fixed ids, so a kernel rename does not rename the test cases
-@pytest.mark.parametrize("kernel", [kernels.zumbach_boot, kernels._zumbach_boot_gather],
-                         ids=["zumbach_boot_np", "_zumbach_boot_gather"])
+@pytest.mark.parametrize("kernel", [kernels.zumbach_boot], ids=["zumbach_boot_np"])
 @pytest.mark.parametrize("wrap", [False, True], ids=["random_starts", "starts_at_n_minus_1"])
 @pytest.mark.parametrize("shape", list(ZUMBACH_SHAPES.values()), ids=list(ZUMBACH_SHAPES))
 def test_zumbach_boot_matches_loop(kernel, shape, wrap):
@@ -131,16 +134,6 @@ def test_zumbach_boot_matches_loop(kernel, shape, wrap):
     got = kernel(*args)
     assert got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-10 * np.abs(ref).max())
-
-
-def test_zumbach_boot_is_the_range_sum_kernel(monkeypatch):
-    """The direct gather runs only when n_lags > block_len."""
-    calls = []
-    monkeypatch.setattr(kernels, "_zumbach_boot_gather", lambda *a: calls.append(a[3:]))
-    kernels.zumbach_boot(*_zumbach_case(*ZUMBACH_SHAPES["lags_eq_block"]))
-    assert calls == []
-    kernels.zumbach_boot(*_zumbach_case(*ZUMBACH_SHAPES["lags_gt_block_fallback"]))
-    assert calls == [(5, 10)]
 
 
 def test_zumbach_boot_identity_resample_gives_z():

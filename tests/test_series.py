@@ -297,6 +297,7 @@ class TestCsv:
         head = "timestamp,open,high,low,close,volume\n0,1,1,1,1,1\n\n86400,1,1,1,1,1\n"
         for last, message in (("172800,1,1,1", "row 3: expected 6 fields"),
                               ("172800,1,one,1,1,1", "row 3: could not convert"),
+                              ("yesterday,1,1,1,1,1", "row 3: unparseable timestamp"),
                               ("172800,1,1,2,1,1", "high < low at row 3"),
                               ("86400,1,1,1,1,1", "strictly increasing at row 3")):
             with pytest.raises(RejectedInputError, match=message):

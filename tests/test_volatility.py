@@ -32,7 +32,7 @@ def naive_rolling(series, kind, n, stride):
     while e < len(series):
         first_bar = e - n + 1
         if kind == "basic":
-            out.append(np.var(r[e - n:e], ddof=1))
+            out.append(math.sqrt(np.var(r[e - n:e], ddof=1)))
         elif kind == "parkinson":
             acc = 0.0
             for i in range(first_bar, e + 1):
@@ -83,20 +83,22 @@ class TestRollingAgainstOracle:
         np.testing.assert_array_equal(vs.timestamps, s.timestamps[vs.positions])
 
     def test_basic_scale_conversion(self):
+        # Basic reports standard deviations: sqrt of the rolling sample variance
         s = random_ohlc(80)
-        native = rolling_volatility(s, "basic", VolatilityWindow(10, 10))
-        std = rolling_volatility(s, "basic", VolatilityWindow(10, 10), scale="std")
-        assert native.scale == "variance"
-        assert std.scale == "std"
-        np.testing.assert_allclose(std.values, np.sqrt(native.values))
-        np.testing.assert_allclose(native.as_std().values, std.values)
-        assert std.as_std() is std
+        r = np.diff(np.log(s.close))
+        var = np.array([np.var(r[e - 10:e], ddof=1) for e in range(10, 80, 10)])
+        vs = rolling_volatility(s, "basic", VolatilityWindow(10, 10))
+        np.testing.assert_allclose(vs.values, np.sqrt(var), rtol=1e-12)
 
     def test_range_kinds_are_std_native(self):
+        # squaring every price doubles every log ratio: an estimator on the
+        # std scale doubles, one on the variance scale would quadruple
         s = random_ohlc(80)
-        for kind in ("parkinson", "rogers_satchell"):
-            vs = rolling_volatility(s, kind, VolatilityWindow(5, 5))
-            assert vs.scale == "std"
+        sq = PriceSeries(s.timestamps, s.open ** 2, s.high ** 2, s.low ** 2, s.close ** 2)
+        for kind in ("basic", "parkinson", "rogers_satchell"):
+            w = VolatilityWindow(5, 5)
+            np.testing.assert_allclose(rolling_volatility(sq, kind, w).values,
+                                       2.0 * rolling_volatility(s, kind, w).values, rtol=1e-10)
 
     def test_too_few_bars(self):
         s = random_ohlc(10)
@@ -126,15 +128,15 @@ class TestCalibration:
         ps = simulate(GbmSpec(n_steps=2000, sigma=0.01, mu=0.0, seed=5, substeps=16))
         w = VolatilityWindow(21, 1)
         for kind in ("basic", "parkinson", "rogers_satchell"):
-            vs = rolling_volatility(ps, kind, w, scale="std")
+            vs = rolling_volatility(ps, kind, w)
             assert np.mean(vs.values) == pytest.approx(0.01, rel=0.04), kind
 
     def test_parkinson_lower_sampling_variance_than_basic(self):
         # the range uses more within-bar information than close-to-close
         ps = simulate(GbmSpec(n_steps=3000, sigma=0.01, mu=0.0, seed=6, substeps=32))
         w = VolatilityWindow(21, 21)
-        basic = rolling_volatility(ps, "basic", w, scale="std")
-        park = rolling_volatility(ps, "parkinson", w, scale="std")
+        basic = rolling_volatility(ps, "basic", w)
+        park = rolling_volatility(ps, "parkinson", w)
         assert np.std(park.values) < np.std(basic.values)
 
 
