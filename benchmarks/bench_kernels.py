@@ -1,10 +1,18 @@
 """Timing of each kernel, checked against its element-by-element loop.
 
+The header names numpy's BLAS library, its build configuration and the
+CPU's SIMD extensions (`np.show_config(mode="dicts")`): the Zumbach
+bootstrap's matrix product runs in that BLAS, and einsum's loops, which
+every other product over a series uses, run on those SIMD kernels.
+
 For every kernel the script first runs it and its `*_loop` twin
 (tests/_oracles.py) on a small input (n=2000) and prints their largest
 difference relative to the twin's largest magnitude; then it times the
 kernel at --n (best of --repeat).  For the Zumbach bootstrap it also prints
-the kernel's `tracemalloc` peak at --n, F11's largest allocation.
+the kernel's `tracemalloc` peak at --n, F11's largest allocation.  Then it
+times `stats.acf(x, 50)` at --n in a fresh interpreter: the first call and a
+warm one, each as wall time and `time.process_time()` CPU, which counts
+every thread of the process, so BLAS helper threads that spin show up in it.
 
 The I/O section times the two CSV writers at --n rows, `series.write_csv` on
 a simulated series and `report.write_curve_csv` on a curve shaped like
@@ -147,11 +155,45 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def start_up(code, repeat):
+def child_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(stylfacts.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def start_up(code, repeat):
+    env = child_env()
     return best_of(lambda: subprocess.run([sys.executable, "-c", code], env=env, check=True),
                    repeat)
+
+
+def blas_header():
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+    return (f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')} "
+            f"({blas.get('openblas configuration', 'no configuration string')}), "
+            f"OPENBLAS_NUM_THREADS={threads}, SIMD "
+            f"{' '.join(config['SIMD Extensions'].get('found', []))}")
+
+
+_ACF_CALLS = """
+import sys, time
+import numpy as np
+from stylfacts.stats import acf
+x = np.random.default_rng(0).standard_normal(int(sys.argv[1]))
+for _ in range(2):
+    t0, c0 = time.perf_counter(), time.process_time()
+    acf(x, 50)
+    print(time.perf_counter() - t0, time.process_time() - c0)
+"""
+
+
+def bench_acf_cold(n):
+    out = subprocess.run([sys.executable, "-c", _ACF_CALLS, str(n)], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout.split()
+    wall0, cpu0, wall1, cpu1 = map(float, out)
+    print(f"acf(x, 50) at n={n}, fresh interpreter: first call {wall0 * 1e3:.1f}ms wall, "
+          f"{cpu0 * 1e3:.1f}ms CPU; warm {wall1 * 1e3:.1f}ms wall, {cpu1 * 1e3:.1f}ms CPU")
 
 
 def bench_io(n, repeat):
@@ -220,6 +262,7 @@ def main():
     small = make_args(CHECK_N, 5, seed=1)
     big = make_args(args.n, args.boot, seed=0)
 
+    print(blas_header())
     print(f"n={args.n}, {args.boot} bootstrap resamples, best of {args.repeat}; "
           f"loop check at n={CHECK_N}")
     print(f"{'kernel':<20} {'time':>11}  max rel diff vs loop")
@@ -229,6 +272,7 @@ def main():
         print(f"{name:<20} {t * 1e3:>9.2f}ms  {err:.1e}")
     boot_mb = traced_peak(lambda: kernels.zumbach_boot(*big["zumbach_boot"]))
     print(f"zumbach_boot: tracemalloc peak {boot_mb:.1f} MB at n={args.n}")
+    bench_acf_cold(args.n)
     bench_io(args.n, args.repeat)
     bench_fits(args.n, args.repeat)
 

@@ -90,6 +90,7 @@ def fit_power_law(lags, values) -> PowerLawFit:
 
     log_lags = np.log(lags)
     r = values - lags ** -beta
+    # np.dot (BLAS): these sums run over at most f2_max_lag values, too few to thread
     sse = float(np.dot(r, r))
     lam = 1e-3
     converged = False
@@ -228,6 +229,7 @@ def _newton_step(x, g, B):
     one.  On the alpha = 0 face the variance path is the constant
     omega/(1 - beta) for every beta, so beta is held where it is there.
     """
+    # 3 x 3 algebra stays on BLAS/LAPACK: far too small to thread
     d = -np.linalg.solve(B, g)
     if _feasible(x + d):
         return d, ()
@@ -431,13 +433,13 @@ def fit_ou(x) -> OuFit:
         raise InsufficientDataError("OU fit needs at least 30 points")
     x0, x1 = x[:-1], x[1:]
     dx0 = x0 - x0.mean()
-    varx = float(np.dot(dx0, dx0))
+    varx = float(kernels.dot(dx0, dx0))
     if varx <= 0.0:
         raise DegenerateInputError("constant input")
-    b = float(np.dot(dx0, x1 - x1.mean()) / varx)
+    b = float(kernels.dot(dx0, x1 - x1.mean()) / varx)
     a = float(x1.mean() - b * x0.mean())
     resid = x1 - a - b * x0
-    ssr = float(np.dot(resid, resid))
+    ssr = float(kernels.dot(resid, resid))
     dof = n - 1 - 2
     s2 = ssr / dof if dof > 0 else 0.0
     b_se = math.sqrt(s2 / varx) if varx > 0 else math.inf
@@ -499,10 +501,10 @@ def fit_tail_exponent(x, side: str = "right", tail_fraction: float = 0.05) -> Ta
     lp = np.log(exceedance)
     n_used = len(lx)
     dlx = lx - lx.mean()
-    sxx = float(np.dot(dlx, dlx))
+    sxx = float(kernels.dot(dlx, dlx))
     if sxx <= 0.0:
         raise DegenerateInputError("tail values all equal")
-    slope = float(np.dot(dlx, lp - lp.mean()) / sxx)
+    slope = float(kernels.dot(dlx, lp - lp.mean()) / sxx)
     intercept = float(lp.mean() - slope * lx.mean())
     fitted = intercept + slope * lx
     ss_res = float(np.sum((lp - fitted) ** 2))

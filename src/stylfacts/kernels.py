@@ -27,6 +27,20 @@ O(n / block_len * n_lags^2) work per resample instead of O(n * n_lags), for
 every n_lags: when n_lags exceeds block_len (series shorter than about
 n_lags^3), the values after a boundary come in pieces of whole blocks.
 
+`dot` is the one dot product for every sum over a series whose result
+reaches a report (`stats`, `fitting`, `zumbach_z`).  `np.dot` on 1-D
+arrays calls BLAS `ddot`, which OpenBLAS splits across threads past 10,000
+elements: each split adds its partial sums in another order, so the bits
+would depend on the thread count, and every threaded call wakes helper
+threads that then spin.  `np.einsum` runs numpy's own loop in one fixed
+order.  Two products stay on BLAS.  `zumbach_boot`'s batched `np.matmul`
+multiplies w x (2 n / block_len) x w blocks (10 x 4,300 x 10 at 1e5 bars):
+as an einsum the kernel takes about three times as long (1.2-1.4 s against
+0.36-0.46 s per 1,000 resamples at 1e5 bars on a 2-vCPU host), and at these
+shapes its bits are the same under one and two BLAS threads (the thread
+tests in tests/test_cli.py check this).  `fitting.fit_power_law` sums over
+at most `f2_max_lag` ACF values, far below the threading threshold.
+
 `scipy.signal.lfilter` is imported inside the two kernels that call it, at
 first use.  Importing scipy.signal takes over a second (about 1.4 s on a
 2-vCPU host), and a command that never filters (`simulate`, for any model)
@@ -42,6 +56,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 # There is no compiled path.  perfbench/run.py's machine probe still reads
 # this flag into every result record.
 USE_NUMBA = False
+
+
+def dot(x, y):
+    """Sum of x[i] * y[i] over two 1-D arrays, as a numpy float64.
+
+    A fixed-order sum of products in numpy's own loop, never in BLAS, so
+    the result does not depend on the BLAS library's thread count (see the
+    module docstring)."""
+    return np.einsum("i,i->", x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +254,8 @@ def zumbach_z(a, b, n_lags):
     sb = b.std()
     z = np.empty(n_lags)
     for lag in range(1, n_lags + 1):
-        past = np.dot(a[lag:] - abar, b[:-lag])
-        futr = np.dot(a[:-lag] - abar, b[lag:])
+        past = dot(a[lag:] - abar, b[:-lag])
+        futr = dot(a[:-lag] - abar, b[lag:])
         z[lag - 1] = (past - futr) / ((n - lag) * sa * sb)
     return z
 
@@ -309,18 +332,19 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
     past_end = np.nonzero(after[:, :, None] * block_len + np.arange(w) >= n)
     # where the resample's first and last n_lags values of b come from
     edge_block, edge_off = np.divmod(np.r_[0:n_lags, n - n_lags:n], block_len)
-    ones = np.ones(n_blocks - 1)
 
     out = np.empty((n_res, n_lags))
     for lo in range(0, n_res, _BOOT_CHUNK):
         hi = min(lo + _BOOT_CHUNK, n_res)
         st = starts[lo:hi]
         # np.take: several times faster than fancy indexing for row gathers
-        sums = ones @ np.take(full, st[:, :-1], axis=0) + block_rows(st[:, -1], last_len)
+        sums = (np.einsum("rkj->rj", np.take(full, st[:, :-1], axis=0))
+                + block_rows(st[:, -1], last_len))
         h = np.take(heads, st[:, head_blocks], axis=0).reshape(
             hi - lo, n_pieces, n_blocks - 1, 2, w)
         h[:, past_end[0], past_end[1], :, past_end[2]] = 0.0
         t = np.take(tails, (st[:, :-1] + (block_len - w)) % n, axis=0)
+        # stays on BLAS: as an einsum the kernel takes 3x as long (module docstring)
         cross = np.matmul(h.reshape(hi - lo, n_pieces, -1, w).transpose(0, 1, 3, 2),
                           t.reshape(hi - lo, 1, -1, w)).reshape(hi - lo, -1, w)
         d = np.stack(

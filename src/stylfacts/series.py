@@ -228,6 +228,10 @@ def _parse_timestamp(text: str) -> int:
         dt = datetime.fromisoformat(iso)
     except ValueError as exc:
         raise ValueError(f"unparseable timestamp {text!r}") from exc
+    if dt.microsecond:
+        # int() would truncate it onto the grid, or onto the next second
+        # before 1970
+        raise ValueError(f"fractional second in timestamp {text!r}")
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return int(dt.timestamp())

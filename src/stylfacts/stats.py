@@ -36,6 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateInputError, InsufficientDataError
+from .kernels import dot
 
 AD_ASYMPTOTIC_CRITICAL = {"10%": 0.656, "5%": 0.787, "1%": 1.092}
 
@@ -120,7 +121,7 @@ def autocovariance(x, max_lag: int) -> np.ndarray:
     out = np.empty(max_lag + 1)
     for lag in range(max_lag + 1):
         tail = dx[lag:] if lag else dx
-        out[lag] = np.dot(dx[: n - lag], tail) / (n - 1)
+        out[lag] = dot(dx[: n - lag], tail) / (n - 1)
     return out
 
 
@@ -155,10 +156,10 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
             a, b = x[-lag:], y[: n + lag]
         da = a - a.mean()
         db = b - b.mean()
-        denom = np.sqrt(np.dot(da, da) * np.dot(db, db))
+        denom = np.sqrt(dot(da, da) * dot(db, db))
         if denom == 0.0:
             raise DegenerateInputError(f"zero variance in overlap at lag {lag}")
-        values[i] = np.dot(da, db) / denom
+        values[i] = dot(da, db) / denom
         se[i] = 1.0 / math.sqrt(n - abs(lag))
     return CcfResult(lags=lags, values=values, se=se, n=n)
 
@@ -173,10 +174,10 @@ def pearson_corr(x, y) -> PearsonResult:
         raise InsufficientDataError("need at least 4 pairs")
     dx = x - x.mean()
     dy = y - y.mean()
-    denom = math.sqrt(np.dot(dx, dx) * np.dot(dy, dy))
+    denom = math.sqrt(dot(dx, dx) * dot(dy, dy))
     if denom == 0.0:
         raise DegenerateInputError("zero variance input")
-    r = float(np.dot(dx, dy) / denom)
+    r = float(dot(dx, dy) / denom)
     r = max(-1.0, min(1.0, r))
     z = math.atanh(max(-1 + 1e-15, min(1 - 1e-15, r)))
     z_se = 1.0 / math.sqrt(n - 3)
@@ -248,8 +249,8 @@ def _lag_gram(x, dy, p, start):
     lags = np.r_[1:p + 1, 0]  # the lag of each dy column; dy_t last
     head = np.stack((np.ones(n - 1 - start), x[start:n - 1]))
     G = np.empty((p + 3, p + 3))
-    G[:2, :2] = head @ head.T
-    G[:2, 2:] = np.array([head @ dy[start - j:n - 1 - j] for j in lags]).T
+    G[:2, :2] = np.einsum("it,jt->ij", head, head)
+    G[:2, 2:] = np.array([np.einsum("it,t->i", head, dy[start - j:n - 1 - j]) for j in lags]).T
     G[2:, :2] = G[:2, 2:].T
     m = np.maximum.outer(lags, lags)
     d = np.abs(np.subtract.outer(lags, lags))
@@ -294,6 +295,7 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
         except np.linalg.LinAlgError:
             raise DegenerateInputError(
                 "singular regression (constant or collinear input)") from None
+        # np.dot (BLAS) over at most pmax + 2 Gram entries, too few to thread
         ssr = G[-1, -1] - float(np.dot(beta, G[:k, -1]))
         if ssr <= 0.0:
             raise DegenerateInputError("perfect fit in ADF regression")

@@ -1,8 +1,10 @@
 """End-to-end tests of the command-line interface.
 
-Everything runs in-process through cli.main(argv) against temp directories;
-byte-level comparisons pin the determinism contract: equal configs give
-equal output files regardless of worker count or repetition.
+Everything runs in-process through cli.main(argv) against temp directories,
+except the BLAS thread-count tests, which need a fresh interpreter per
+setting; byte-level comparisons pin the determinism contract: equal configs
+give equal output files regardless of worker count, BLAS thread count or
+repetition.
 """
 
 import csv
@@ -12,12 +14,15 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import stylfacts
 from stylfacts.cli import main
 from stylfacts.report import REPORT_SCHEMA, load_config
 from stylfacts.series import read_csv, write_csv
@@ -392,6 +397,72 @@ class TestAnalyze:
             "assets": [{"id": "x", "path": "absent.csv"}], "out_dir": "out"}))
         assert main(["analyze", "--config", str(cfg)]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(stylfacts.__file__)))
+
+# One seeded 1e5 input through every library call whose sums run over the
+# series; prints each result float as float.hex.  1e5 is past OpenBLAS's
+# 10,000-element threshold for splitting a ddot across threads.
+_LIBRARY_CALLS = """
+import json, math
+import numpy as np
+from stylfacts import kernels
+from stylfacts.fitting import fit_ou, fit_tail_exponent
+from stylfacts.stats import acf, adf_test, cross_correlation, pearson_corr
+rng = np.random.default_rng(17)
+n = 100_000
+x = kernels.ou_path(rng.standard_normal(n - 1), 0.0, 0.0, 0.95, 1.0)
+y = rng.standard_normal(n) + 0.3 * x
+block_len = math.ceil(n ** (1 / 3))
+starts = rng.integers(0, n, size=(16, -(-n // block_len)))
+ou = fit_ou(x)
+tail = fit_tail_exponent(y, tail_fraction=0.4)  # a regression over 4e4 points
+out = {
+    "acf": acf(x, 50).values,
+    "cross_correlation": cross_correlation(x, y, 5).values,
+    "pearson_corr": [pearson_corr(x, y).value],
+    "adf_test": [adf_test(x).statistic],
+    "fit_ou": [ou.b, ou.b_se, ou.residual_variance, ou.params.mu],
+    "fit_tail_exponent": [tail.alpha, tail.intercept, tail.r_squared],
+    "zumbach_z": kernels.zumbach_z(x * x, y * y, 10),
+    "zumbach_boot": kernels.zumbach_boot(x * x, y * y, starts, block_len, 10).ravel(),
+}
+print(json.dumps({k: [float(v).hex() for v in vals] for k, vals in out.items()}))
+"""
+
+
+def _with_blas_threads(threads, args, cwd=None):
+    """stdout of `python args` in a fresh interpreter whose environment
+    alone sets OPENBLAS_NUM_THREADS."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                         text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestBlasThreads:
+    def test_analyze_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # 2e4 bars: every sum over the returns is past ddot's threading threshold
+        write_csv(simulate(GjrSpec(n_steps=20_000, seed=9)), str(tmp_path / "gjr.csv"))
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "assets": [{"id": "gjr", "path": "gjr.csv"}], "out_dir": "out", "seed": 5}))
+        for threads in (1, 2):
+            _with_blas_threads(threads, ["-m", "stylfacts", "analyze", "--config", "cfg.json",
+                                         "--out", f"out{threads}"], cwd=tmp_path)
+        one, two = _tree_hashes(tmp_path / "out1"), _tree_hashes(tmp_path / "out2")
+        assert len(one) > 10
+        assert one == two
+        facts = json.loads((tmp_path / "out1" / "gjr.json").read_text())["facts"]
+        assert len(facts) == 11
+        assert all(body["status"] != "skipped" for body in facts.values())
+
+    def test_library_results_do_not_depend_on_blas_threads(self):
+        one, two = (json.loads(_with_blas_threads(t, ["-c", _LIBRARY_CALLS]))
+                    for t in (1, 2))
+        assert one == two
 
 
 class TestConfig:

@@ -292,6 +292,19 @@ class TestCsv:
         with pytest.raises(RejectedInputError, match="unparseable timestamp"):
             read_csv(io.StringIO("timestamp,open,high,low,close,volume\nyesterday,1,1,1,1,1\n"))
 
+    def test_fractional_second_is_rejected(self):
+        # truncating would put 00:00:00.5 on the grid and 23:59:59.5 of 1969
+        # on the epoch second; the epoch form 946684800.5 is unparseable too
+        head = "timestamp,open,high,low,close,volume\n"
+        for stamp, message in (("2000-01-01T00:00:00.5Z", "row 1: fractional second"),
+                               ("1969-12-31T23:59:59.5Z", "row 1: fractional second"),
+                               ("2000-01-01T00:00:00.000001+00:00", "row 1: fractional second"),
+                               ("946684800.5", "row 1: unparseable timestamp")):
+            with pytest.raises(RejectedInputError, match=message):
+                read_csv(io.StringIO(f"{head}{stamp},1,1,1,1,1\n"))
+        s = read_csv(io.StringIO(head + "2000-01-01T00:00:00.000Z,1,1,1,1,1\n"))
+        assert s.timestamps[0] == 946_684_800
+
     def test_every_message_numbers_data_rows_alike(self):
         # the third data row, after a blank line, which is not counted
         head = "timestamp,open,high,low,close,volume\n0,1,1,1,1,1\n\n86400,1,1,1,1,1\n"
