@@ -19,7 +19,12 @@ a simulated series and `report.write_curve_csv` on a curve shaped like
 `volatility.csv` (an int64 column and three float columns), next to the
 row-at-a-time oracles in tests/test_series.py, after checking at n=2000
 that each writer's bytes equal its oracle's.  Then it times
-`import stylfacts` in a fresh interpreter against a bare interpreter start.
+`import stylfacts` in a fresh interpreter against a bare interpreter start,
+and the first call of each scientific function on `analyze`'s path that
+imports scipy (`garch_filter`, `ks_test_normal`, `anderson_darling_normal`,
+`qq_data`, on 2000 points), each in a fresh interpreter after
+`import stylfacts`: the call's wall and CPU time, the process's peak RSS
+and the scipy subpackages loaded after it.
 
 The fit section times `fit_garch11` on a simulated GARCH and a GBM series of
 --n returns, with its likelihood evaluations, next to the Nelder-Mead fit
@@ -35,6 +40,7 @@ to its design-matrix form (kept in tests/test_stats.py), each with its
 """
 
 import argparse
+import json
 import math
 import os
 import subprocess
@@ -45,6 +51,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 import stylfacts
 from stylfacts import kernels
@@ -196,6 +203,42 @@ def bench_acf_cold(n):
           f"{cpu0 * 1e3:.1f}ms CPU; warm {wall1 * 1e3:.1f}ms wall, {cpu1 * 1e3:.1f}ms CPU")
 
 
+# peak RSS from VmHWM, which starts afresh at exec; ru_maxrss would carry
+# over the (larger) peak of this script, the process that forked the child
+_FIRST_CALL = """
+import json, sys, time
+import numpy as np
+from stylfacts import kernels, stats
+x = np.random.default_rng(0).standard_normal(2000)
+calls = {
+    "garch_filter": lambda: kernels.garch_filter(x * x, 1e-6, 0.1, 0.85, 1e-5),
+    "ks_test_normal": lambda: stats.ks_test_normal(x),
+    "anderson_darling_normal": lambda: stats.anderson_darling_normal(x),
+    "qq_data": lambda: stats.qq_data(x),
+}
+t0, c0 = time.perf_counter(), time.process_time()
+calls[sys.argv[1]]()
+print(json.dumps({"wall": time.perf_counter() - t0, "cpu": time.process_time() - c0,
+                  "rss_mb": [int(line.split()[1]) / 1024 for line in open("/proc/self/status")
+                             if line.startswith("VmHWM")][0],
+                  "modules": sorted(m for m in sys.modules if m.startswith("scipy."))}))
+"""
+
+
+def bench_first_calls(repeat):
+    """Each first call in a fresh interpreter; the run with the least wall
+    time of `repeat`."""
+    print(f"{'first call, fresh':<24} {'wall':>9} {'CPU':>9} {'peak RSS':>9}  scipy subpackages")
+    for name in ("garch_filter", "ks_test_normal", "anderson_darling_normal", "qq_data"):
+        runs = [json.loads(subprocess.run([sys.executable, "-c", _FIRST_CALL, name],
+                                          env=child_env(), capture_output=True, text=True,
+                                          check=True).stdout) for _ in range(repeat)]
+        best = min(runs, key=lambda r: r["wall"])
+        loaded = [s for s in scipy.submodules if f"scipy.{s}" in best["modules"]]
+        print(f"{name:<24} {best['wall'] * 1e3:>7.0f}ms {best['cpu'] * 1e3:>7.0f}ms "
+              f"{best['rss_mb']:>6.1f} MB  {', '.join(loaded) or 'none'}")
+
+
 def bench_io(n, repeat):
     small_series = simulate(GbmSpec(n_steps=CHECK_N - 1, seed=1))
     big_series = simulate(GbmSpec(n_steps=n - 1, seed=0))
@@ -214,6 +257,7 @@ def bench_io(n, repeat):
     pkg = start_up("import stylfacts", repeat)
     print(f"{'import stylfacts':<20} {pkg * 1e3:>9.1f}ms  (fresh interpreter; "
           f"a bare start takes {bare * 1e3:.1f}ms)")
+    bench_first_calls(repeat)
 
 
 def bench_fits(n, repeat):

@@ -17,10 +17,11 @@ Numerics pinned here:
   omega scaled by the sample variance so all coordinates are O(1).  The
   score and Hessian are exact: the derivatives of the variance path obey the
   same first-order recursion as the path itself (Fiorentini, Calzolari &
-  Panattoni 1996) and run as IIR filters (`kernels.garch_score`).  A fit
-  with alpha = 0, whose variance path is the same constant for every beta,
-  is reported at beta = 0.  n_evaluations counts variance-path filters: one
-  per line-search trial, none for the score.
+  Panattoni 1996) and run as banded triangular solves
+  (`kernels.garch_score`).  A fit with alpha = 0, whose variance path is
+  the same constant for every beta, is reported at beta = 0.
+  n_evaluations counts variance-path filters: one per line-search trial,
+  none for the score.
 - fit_ou regresses x_{t+1} on x_t and refuses to report mean reversion unless
   b lies in (0,1) *and* the unit root is rejected at 5% (Dickey-Fuller
   constant-case critical value); plain random walks must error here.
@@ -29,8 +30,8 @@ Numerics pinned here:
   alpha * sqrt(2/n_tail); the naive homoskedastic OLS SE is far too small on
   EDF points, whose residuals are strongly autocorrelated.
 
-fitting imports no scipy itself; the kernels it calls import scipy.signal at
-first use (see `kernels`).
+fitting imports no scipy itself; the kernels it calls import scipy.linalg at
+first use, for LAPACK's banded triangular solve (see `kernels`).
 """
 
 from __future__ import annotations

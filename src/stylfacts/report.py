@@ -91,8 +91,10 @@ class RunConfig:
                     raise ValueError(f"asset id {a.asset_id!r} would write {name!r}, "
                                      f"as does {owners[name]}")
                 owners[name] = f"asset id {a.asset_id!r}"
-        for f in self.facts:
+        for i, f in enumerate(self.facts):
             FactId(f)
+            if f in self.facts[:i]:
+                raise ValueError(f"facts lists {f!r} twice")
         if self.gap_policy not in ("drop", "ffill"):
             raise ValueError(f"unknown gap policy {self.gap_policy!r}")
         for k in self.fact_params:
@@ -144,7 +146,10 @@ def load_config(path: str) -> RunConfig:
         kw["facts"] = tuple(raw["facts"])
     env_seed = os.environ.get("STYLFACTS_SEED")
     if env_seed is not None:
-        kw["seed"] = int(env_seed)
+        try:
+            kw["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"STYLFACTS_SEED must be an integer, got {env_seed!r}") from None
     return RunConfig(**kw)
 
 

@@ -349,11 +349,13 @@ class TestAnalyze:
         ("seed", -1, "seed"), ("seed", True, "seed"), ("seed", 1.9, "seed"),
         ("workers", 1.5, "workers"), ("step_seconds", "86400", "step_seconds"),
         ("fact_params", [], "fact_params"), ("facts", "F1", "facts"),
+        ("facts", ["F1", "F2", "F1"], "facts lists 'F1' twice"),
         ("fact_params", {"f1_band_mult": math.nan}, "f1_band_mult"),
         ("fact_params", {"f11_min_outside": -math.inf}, "f11_min_outside"),
         ("assets", [{"id": 5, "path": "bad.csv"}], "assets"),
     ], ids=["seed-negative", "seed-bool", "seed-real", "workers-real", "step-string",
-            "params-array", "facts-string", "knob-nan", "knob-minus-inf", "id-number"])
+            "params-array", "facts-string", "facts-repeated", "knob-nan", "knob-minus-inf",
+            "id-number"])
     def test_bad_config_value_exits_2_before_any_asset(self, tmp_path, capsys, key, value,
                                                        named):
         # an unreadable CSV: had any asset been read, the run would exit 1
@@ -477,6 +479,12 @@ class TestConfig:
         monkeypatch.setenv("STYLFACTS_SEED", "-1")
         with pytest.raises(ValueError, match="seed must be >= 0"):
             load_config(str(cfg_path))
+
+    def test_env_seed_not_an_integer_exits_2(self, workspace, monkeypatch, capsys):
+        _, cfg_path = workspace
+        monkeypatch.setenv("STYLFACTS_SEED", "abc")
+        assert main(["analyze", "--config", str(cfg_path)]) == 2
+        assert "STYLFACTS_SEED must be an integer, got 'abc'" in capsys.readouterr().err
 
     def test_fact_params_validated(self, tmp_path):
         cfg = tmp_path / "cfg.json"

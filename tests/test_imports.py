@@ -11,8 +11,11 @@ import subprocess
 import sys
 
 import pytest
+import scipy
 
 import stylfacts
+from stylfacts.series import write_csv
+from stylfacts.simulate import GarchSpec, simulate
 
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(stylfacts.__file__)))
 
@@ -54,9 +57,26 @@ def test_simulate_loads_no_scipy(model, tmp_path):
     assert got["simulate_is_function"]
 
 
-def test_garch_filter_loads_scipy_signal():
-    # the positive control: the likelihood filter runs through scipy.signal,
-    # so the checks above can see scipy
+def test_analyze_loads_only_scipy_linalg_and_special(tmp_path):
+    # all eleven facts; at 800 bars F7 fits a GARCH model and F10 runs the
+    # KS and AD tests and the QQ curve
+    write_csv(simulate(GarchSpec(n_steps=800, seed=3)), str(tmp_path / "a.csv"))
+    (tmp_path / "cfg.json").write_text(json.dumps({
+        "assets": [{"id": "a", "path": "a.csv"}], "out_dir": "out", "seed": 5}))
+    args = ["analyze", "--config", str(tmp_path / "cfg.json")]
+    got = _fresh(f"import stylfacts; from stylfacts import cli; "
+                 f"assert cli.main({args!r}) == 0; " + _REPORT)
+    facts = json.loads((tmp_path / "out" / "a.json").read_text())["facts"]
+    assert len(facts) == 11
+    assert facts["F7"]["status"] != "inconclusive"
+    assert facts["F10"]["status"] != "inconclusive"
+    loaded = {name for name in scipy.submodules if f"scipy.{name}" in got["scipy"]}
+    assert loaded <= {"linalg", "special"}
+
+
+def test_garch_filter_loads_scipy_linalg():
+    # the positive control: the likelihood filter solves through LAPACK in
+    # scipy.linalg, so the checks above can see scipy
     got = _fresh("import numpy as np, stylfacts; from stylfacts import kernels; "
                  "kernels.garch_filter(np.ones(10), 1e-6, 0.1, 0.85, 1e-5); " + _REPORT)
-    assert "scipy.signal" in got["scipy"]
+    assert "scipy.linalg" in got["scipy"]

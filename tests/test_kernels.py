@@ -32,7 +32,9 @@ def test_filters_match_loop(series):
         _oracles.garch_filter_loop(eps2, 1e-6, 0.1, 0.85, 2e-5), rtol=1e-13)
 
 
-@pytest.mark.parametrize("n", [500, 9000])  # one block, and three with a short last one
+# one block; one short of a block, exactly one, one over; three with a short
+# last one; three full blocks and one value
+@pytest.mark.parametrize("n", [500, 4095, 4096, 4097, 9000, 3 * 4096 + 1])
 @pytest.mark.parametrize("alpha, beta", [(0.1, 0.85), (0.0, 0.5), (0.3, 0.0), (0.05, 0.9494)])
 def test_garch_score_matches_loop(alpha, beta, n):
     eps2 = np.random.default_rng(21).standard_normal(n) ** 2 * 1e-4
@@ -44,6 +46,19 @@ def test_garch_score_matches_loop(alpha, beta, n):
     # is held to its own size; the kernel sums block by block
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-14 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-3, 0.85, 0.9995])
+def test_first_order_recursion_matches_lfilter(beta):
+    # the IIR filter the recursion replaced; one row and stacked rows
+    from scipy.signal import lfilter
+
+    forcing = np.random.default_rng(23).standard_normal((3, 5000)) ** 2
+    want = lfilter([1.0], [1.0, -beta], forcing, axis=1)
+    for got, ref in ((kernels._first_order_recursion(forcing.copy(), beta), want),
+                     (kernels._first_order_recursion(forcing[0].copy(), beta), want[0])):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-14
 
 
 def test_simulators_match_loop(series):

@@ -177,6 +177,36 @@ class TestPearson:
             pearson_corr(np.ones(10), np.arange(10.0))
 
 
+def _standardized_sorted(x):
+    return np.sort((x - x.mean()) / x.std(ddof=1))
+
+
+def _ks_statistic_norm(x):
+    """KS statistic with the normal CDF from scipy.stats.norm."""
+    z = _standardized_sorted(x)
+    n = len(z)
+    f = scipy.stats.norm.cdf(z)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
+
+
+def _ad_statistic_norm(x):
+    """A^2 with the log CDF and log survival function from scipy.stats.norm."""
+    z = _standardized_sorted(x)
+    n = len(z)
+    i = np.arange(1, n + 1)
+    log_f = scipy.stats.norm.logcdf(z)
+    log_sf = scipy.stats.norm.logsf(z)
+    return float(-n - np.mean((2 * i - 1) * (log_f + log_sf[::-1])))
+
+
+def _gof_inputs():
+    rng = np.random.default_rng(14)
+    outliers = np.concatenate((rng.standard_normal(1000), [60.0, -45.0]))
+    return {"normal": rng.standard_normal(500), "student_t2": rng.standard_t(2, 3000),
+            "outliers": outliers, "cauchy": rng.standard_cauchy(1000)}
+
+
 class TestNormalityTests:
     def test_ks_matches_scipy_statistic(self):
         rng = np.random.default_rng(9)
@@ -192,6 +222,16 @@ class TestNormalityTests:
         got = anderson_darling_normal(x)
         want = scipy.stats.anderson(x, "norm", method="interpolate")
         assert got.statistic == pytest.approx(want.statistic, rel=1e-8)
+
+    @pytest.mark.parametrize("name", list(_gof_inputs()))
+    def test_equal_to_scipy_stats_norm(self, name):
+        # scipy.special's ndtr and log_ndtr are the functions scipy.stats.norm
+        # evaluates, so both statistics are bit-equal to the norm form
+        x = _gof_inputs()[name]
+        if name in ("outliers", "cauchy"):
+            assert np.max(np.abs(_standardized_sorted(x))) > 8.0
+        assert ks_test_normal(x).statistic == _ks_statistic_norm(x)
+        assert anderson_darling_normal(x).statistic == _ad_statistic_norm(x)
 
     def test_normal_usually_accepted_heavy_rejected(self):
         rng = np.random.default_rng(11)
