@@ -8,11 +8,15 @@ every other product over a series uses, run on those SIMD kernels.
 For every kernel the script first runs it and its `*_loop` twin
 (tests/_oracles.py) on a small input (n=2000) and prints their largest
 difference relative to the twin's largest magnitude; then it times the
-kernel at --n (best of --repeat).  For the Zumbach bootstrap it also prints
-the kernel's `tracemalloc` peak at --n, F11's largest allocation.  Then it
-times `stats.acf(x, 50)` at --n in a fresh interpreter: the first call and a
-warm one, each as wall time and `time.process_time()` CPU, which counts
-every thread of the process, so BLAS helper threads that spin show up in it.
+kernel at --n (best of --repeat).  Then it prints `tracemalloc` peaks at
+--n: the Zumbach bootstrap kernel, `rolling_var` at the daily window (21)
+and at one day of one-minute bars (1,440), and facts F3, F8 and F11 on a
+simulated GJR series, each fact on a fresh `SeriesContext`, so the shared
+pieces it reads (the GARCH fit, the standardized returns, the Parkinson
+proxy) count in its peak.  Then it times `stats.acf(x, 50)` at --n in a
+fresh interpreter: the first call and a warm one, each as wall time and
+`time.process_time()` CPU, which counts every thread of the process, so
+BLAS helper threads that spin show up in it.
 
 The I/O section times the two CSV writers at --n rows, `series.write_csv` on
 a simulated series and `report.write_curve_csv` on a curve shaped like
@@ -54,11 +58,12 @@ import numpy as np
 import scipy
 
 import stylfacts
-from stylfacts import kernels
+from stylfacts import facts, kernels
+from stylfacts.facts import SeriesContext
 from stylfacts.fitting import fit_garch11, fit_power_law
 from stylfacts.report import write_curve_csv
 from stylfacts.series import compute_log_returns, write_csv
-from stylfacts.simulate import GarchSpec, GbmSpec, simulate
+from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, simulate
 from stylfacts.stats import acf, adf_test
 from stylfacts.volatility import VolatilityWindow, rolling_volatility
 
@@ -181,6 +186,22 @@ def blas_header():
             f"({blas.get('openblas configuration', 'no configuration string')}), "
             f"OPENBLAS_NUM_THREADS={threads}, SIMD "
             f"{' '.join(config['SIMD Extensions'].get('found', []))}")
+
+
+def bench_peaks(n, args):
+    """tracemalloc peaks at n of the kernels whose temporaries grow with the
+    series and of the facts whose peaks they set."""
+    x = args["rolling_var"][0]
+    series = simulate(GjrSpec(n_steps=n, seed=3))
+    rows = [("zumbach_boot", lambda: kernels.zumbach_boot(*args["zumbach_boot"]))]
+    rows += [(f"rolling_var w={w}", lambda w=w: kernels.rolling_var(x, w, 1))
+             for w in (21, 1440) if w <= n]
+    rows += [(fact, lambda test=test: getattr(facts, test)(SeriesContext(series)))
+             for fact, test in (("F3", "test_intermittency"), ("F8", "test_unconditional_tail"),
+                                ("F11", "test_time_scale_asymmetry"))]
+    print(f"\n{'tracemalloc peak, n=' + str(n):<24} {'MB':>8}")
+    for label, fn in rows:
+        print(f"{label:<24} {traced_peak(fn):>8.1f}")
 
 
 _ACF_CALLS = """
@@ -314,8 +335,7 @@ def main():
         err = rel_diff(f(*small[name]), f_loop(*small[name]))
         t = best_of(lambda: f(*big[name]), args.repeat)
         print(f"{name:<20} {t * 1e3:>9.2f}ms  {err:.1e}")
-    boot_mb = traced_peak(lambda: kernels.zumbach_boot(*big["zumbach_boot"]))
-    print(f"zumbach_boot: tracemalloc peak {boot_mb:.1f} MB at n={args.n}")
+    bench_peaks(args.n, big)
     bench_acf_cold(args.n)
     bench_io(args.n, args.repeat)
     bench_fits(args.n, args.repeat)

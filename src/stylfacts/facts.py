@@ -635,7 +635,13 @@ def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
     except (InsufficientDataError, DegenerateInputError) as e:
         return _inconclusive(FactId.F6, f"volatility failed: {e}", n=len(series))
     v = series.volume
-    cs = np.concatenate(([0.0], np.nancumsum(v)))
+    # the sums run on volumes scaled by the power of two that puts the
+    # largest finite one below 1, so neither they nor the correlation's
+    # products overflow; the scaling is exact and correlation is scale-free,
+    # so where the unscaled products stay finite the metrics are the same
+    # bits, and the curve gets the unscaled sums
+    scale = np.frexp(np.max(v, where=np.isfinite(v), initial=0.0))[1]
+    cs = np.concatenate(([0.0], np.nancumsum(np.ldexp(v, -scale))))
     bad = np.concatenate(([0], np.cumsum(np.isnan(v).astype(np.int64))))
     pos = vol.positions
     vsum = cs[pos + 1] - cs[pos - w + 1]
@@ -665,15 +671,20 @@ def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
         num[rows] = np.einsum("ij,ij->i", bx, by)
         denom[rows] = np.sqrt(np.einsum("ij,ij->i", bx, bx) * np.einsum("ij,ij->i", by, by))
     ok = denom > 0.0
+    if not ok.any():
+        return _inconclusive(FactId.F6, "no bootstrap resample has a defined correlation",
+                             n=len(x))
     r_boot = num[ok] / denom[ok]
     lo, hi = np.quantile(r_boot, [0.025, 0.975])
     status = FactStatus.SUPPORTED if (pr.value > 0.0 and lo > 0.0) \
         else FactStatus.NOT_SUPPORTED
+    with np.errstate(over="ignore"):  # a sum beyond the float range is inf
+        volume_sums = np.ldexp(x, scale)
     return FactVerdict(
         FactId.F6, status,
         metrics={"n": len(x), "pearson_r": pr.value, "boot_ci_low": float(lo),
                  "boot_ci_high": float(hi), "volume_present_fraction": present},
-        curves={"volume_volatility": {"volume": x, "volatility": y}})
+        curves={"volume_volatility": {"volume": volume_sums, "volatility": y}})
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +889,10 @@ def test_aggregational_gaussianity(ctx: SeriesContext) -> FactVerdict:
 # F11: time-reversal asymmetry
 # ---------------------------------------------------------------------------
 
+# bootstrap rows of block starts drawn per call
+_F11_DRAW_ROWS = 16
+
+
 def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
                       config: FactConfig = DEFAULT_CONFIG) -> ZumbachResult:
     """Z(delta) with a circular-block-bootstrap null band.
@@ -907,7 +922,12 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
     block_len = math.ceil(n ** (1.0 / 3.0))
     n_blocks = math.ceil(n / block_len)
     rng = _child_rng(config.seed, 11)
-    starts = rng.integers(0, n, size=(config.f11_n_boot, n_blocks), dtype=np.int64)
+    # int64 draws, the same stream as one (n_boot, n_blocks) draw, kept as
+    # int32 (every start is below n): half the largest array of F11
+    starts = np.empty((config.f11_n_boot, n_blocks), dtype=np.int32)
+    for lo in range(0, config.f11_n_boot, _F11_DRAW_ROWS):
+        rows = starts[lo:lo + _F11_DRAW_ROWS]
+        rows[:] = rng.integers(0, n, size=rows.shape, dtype=np.int64)
     boots = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
     dev = boots - boots.mean(axis=0)
     tail = (1.0 - config.f11_level) / 2.0

@@ -18,6 +18,7 @@ aborts the whole run.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import io
@@ -35,7 +36,7 @@ import numpy as np
 from . import __version__
 from .errors import StylfactsError
 from .facts import FACT_LABELS, FactConfig, FactId, check_knobs, knob, run_all_facts
-from .series import SamplingGrid, _csv_text, read_csv, validate_and_gapfill
+from .series import SamplingGrid, _csv_rows, read_csv, validate_and_gapfill
 from .volatility import VolatilityWindow, default_window, rolling_volatility
 
 ALL_FACTS = tuple(f.value for f in FactId)
@@ -283,13 +284,16 @@ def _jsonable(obj):
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
+@contextlib.contextmanager
+def _atomic_writer(path: str):
+    """A binary file in path's directory that replaces path when the block
+    ends; if the block raises, the file is removed and path is untouched."""
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -299,14 +303,31 @@ def _atomic_write_bytes(path: str, data: bytes) -> None:
         raise
 
 
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    with _atomic_writer(path) as f:
+        f.write(data)
+
+
 def write_json(path: str, obj) -> None:
     data = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
     _atomic_write_bytes(path, data.encode("utf-8"))
 
 
+# curve rows formatted per write: a block's cell strings stay near 1 MB
+_CURVE_BLOCK_ROWS = 4096
+
+
 def write_curve_csv(path: str, columns: dict) -> None:
-    """One curve as CSV; column order follows the dict."""
-    _atomic_write_bytes(path, _csv_text(list(columns), columns.values()).encode("utf-8"))
+    """One curve as CSV; column order follows the dict.  The rows are
+    formatted and written a block at a time."""
+    arrays = [np.asarray(c) for c in columns.values()]
+    if any(len(a) != len(arrays[0]) for a in arrays):
+        raise ValueError("curve columns differ in length")
+    with _atomic_writer(path) as f:
+        f.write((",".join(columns) + "\n").encode("utf-8"))
+        for lo in range(0, len(arrays[0]), _CURVE_BLOCK_ROWS):
+            block = [a[lo:lo + _CURVE_BLOCK_ROWS] for a in arrays]
+            f.write(_csv_rows(block).encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,15 @@ Conventions
 - Error messages number data rows from 1, counting only the rows a CSV
   keeps (the header and blank lines are not counted), so bar i of a series
   is row i + 1.
+- `read_csv` has two parsers with one result.  A seekable file whose every
+  row holds an integer epoch stamp and five plain numbers, as `write_csv`
+  writes them, goes through numpy's C parser (`np.loadtxt`), which keeps
+  no per-row Python objects: a 1e5-row file takes about 0.1 s and 10 MB
+  instead of 0.4 s and 25 MB.  Any other file (ISO stamps, an empty
+  volume cell, quoted fields, a malformed row, a header with no rows, an
+  ASCII separator character that only numpy reads as a space) and any
+  stream that cannot seek is read from its start by `csv.reader`, which
+  writes every error message.
 """
 
 from __future__ import annotations
@@ -246,7 +255,59 @@ def read_csv(path_or_file) -> PriceSeries:
         return _read_csv_file(f)
 
 
+_EPOCH_ROW = np.dtype([(name, np.int64 if name == "timestamp" else np.float64)
+                       for name in CSV_COLUMNS])
+# ASCII separators that numpy's number parser skips as whitespace and
+# Python's float() rejects
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _c_parser_reads(header: str, f) -> bool:
+    """Whether numpy's C parser may read f, positioned after its header line:
+    the header is the expected one and holds no quote, which could open a
+    field that csv.reader carries onto later lines; a first row follows
+    (loadtxt warns when it finds none); and no cell holds a character the
+    two parsers read differently."""
+    if '"' in header or [c.strip().lower() for c in header.split(",")] != list(CSV_COLUMNS):
+        return False
+    body = f.tell()
+    if not f.readline().strip():
+        return False
+    f.seek(body)
+    for chunk in iter(lambda: f.read(1 << 20), ""):
+        if any(c in chunk for c in _SEPARATORS):
+            return False
+    return True
+
+
+def _read_epoch_columns(f):
+    """The six columns of a seekable file whose rows all hold an integer
+    timestamp and five plain numbers, parsed by numpy's C parser; None, with
+    the file back where it started, for any other file."""
+    try:
+        if not f.seekable():
+            return None
+        start = f.tell()
+    except (AttributeError, OSError):
+        return None
+    header = f.readline()
+    body = f.tell()
+    if _c_parser_reads(header, f):
+        f.seek(body)
+        try:
+            rows = np.loadtxt(f, delimiter=",", dtype=_EPOCH_ROW, comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            return [rows[name].copy() for name in CSV_COLUMNS]
+    f.seek(start)
+    return None
+
+
 def _read_csv_file(f) -> PriceSeries:
+    columns = _read_epoch_columns(f)
+    if columns is not None:
+        return PriceSeries(*columns)
     reader = csv.reader(f)
     header = next(reader, None)
     if header is None:
@@ -281,8 +342,8 @@ def write_csv(series: PriceSeries, path_or_file) -> None:
     """Write the series as `timestamp,open,high,low,close,volume`: integer
     timestamps, floats by `repr` (they read back bit-equal), NaN volume as
     an empty cell."""
-    text = _csv_text(CSV_COLUMNS, (series.timestamps, series.open, series.high,
-                                  series.low, series.close, series.volume))
+    text = ",".join(CSV_COLUMNS) + "\n" + _csv_rows(
+        (series.timestamps, series.open, series.high, series.low, series.close, series.volume))
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -314,16 +375,13 @@ def _column_cells(a: np.ndarray) -> list:
     return list(map(_fmt_cell, a))
 
 
-def _csv_text(names, columns) -> str:
-    """Header plus one line per row, every line ending in a newline.
+def _csv_rows(arrays) -> str:
+    """One line per row of equal-length columns, every line ending in a
+    newline.
 
     Columns are formatted one at a time and zipped into rows, which halves
     the cost of formatting cell by cell; most of what is left is `repr` of
     each float."""
-    arrays = [np.asarray(c) for c in columns]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
-        raise ValueError("curve columns differ in length")
-    lines = [",".join(names)]
-    lines.extend(map(",".join, zip(*map(_column_cells, arrays))))
-    return "\n".join(lines) + "\n"
+    lines = list(map(",".join, zip(*map(_column_cells, arrays))))
+    lines.append("")
+    return "\n".join(lines)

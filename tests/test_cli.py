@@ -467,6 +467,35 @@ class TestBlasThreads:
         assert one == two
 
 
+# analyze in this interpreter, then its peak RSS in MB: VmHWM starts afresh
+# at exec, where ru_maxrss can carry over the peak of the test process that
+# started the child
+_ANALYZE_PEAK = """
+import sys
+from stylfacts.cli import main
+assert main(["analyze", "--config", sys.argv[1]]) == 0
+with open("/proc/self/status") as f:
+    print([int(line.split()[1]) / 1024 for line in f if line.startswith("VmHWM")][0])
+"""
+
+
+class TestMemory:
+    def test_one_minute_bars_analyze_in_bounded_memory(self, tmp_path):
+        # 1e5 one-minute bars: volatility.csv's day window is 1,440 bars, and
+        # its whole-view variance alone took 1.15 GB
+        write_csv(simulate(GjrSpec(n_steps=100_000, seed=3, step_seconds=60)),
+                  str(tmp_path / "gjr1m.csv"))
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "assets": [{"id": "gjr1m", "path": "gjr1m.csv"}], "out_dir": "out",
+            "step_seconds": 60, "seed": 1}))
+        out = _with_blas_threads(1, ["-c", _ANALYZE_PEAK, "cfg.json"], cwd=tmp_path)
+        peak_mb = float(out.split()[-1])
+        facts = json.loads((tmp_path / "out" / "gjr1m.json").read_text())["facts"]
+        assert all(body["status"] != "skipped" for body in facts.values())
+        assert (tmp_path / "out" / "gjr1m" / "volatility.csv").exists()
+        assert peak_mb <= 400
+
+
 class TestConfig:
     def test_env_seed_override(self, workspace, monkeypatch):
         _, cfg_path = workspace

@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from stylfacts import facts
+from stylfacts import facts, kernels
 from stylfacts.errors import DegenerateInputError, InsufficientDataError
 from stylfacts.facts import (EXCURSION_LEVELS, FactConfig, FactId, FactStatus,
                              SeriesContext, excursion_lengths, run_all_facts,
@@ -271,6 +271,22 @@ class TestZumbach:
         with pytest.raises(ValueError):
             zumbach_statistic(np.ones(200), np.ones(199), n_lags=3)
 
+    @pytest.mark.parametrize("n_boot", [1, 16, 17, 40])
+    def test_band_from_one_draw_of_every_start(self, aligned, n_boot):
+        # the starts are drawn 16 rows at a time and kept as int32: the band
+        # is the one from a single int64 draw of the whole table
+        r, v, _, _ = aligned
+        cfg = FactConfig(f11_n_boot=n_boot, seed=9)
+        zr = zumbach_statistic(r, v, n_lags=5, config=cfg)
+        n = len(v)
+        starts = facts._child_rng(cfg.seed, 11).integers(
+            0, n, size=(n_boot, math.ceil(n / zr.block_len)), dtype=np.int64)
+        boots = kernels.zumbach_boot(v * v, r * r, starts, zr.block_len, 5)
+        dev = boots - boots.mean(axis=0)
+        tail = (1.0 - cfg.f11_level) / 2.0
+        assert zr.band_low.tobytes() == np.quantile(dev, tail, axis=0).tobytes()
+        assert zr.band_high.tobytes() == np.quantile(dev, 1.0 - tail, axis=0).tobytes()
+
     def test_degenerate_inputs_raise(self):
         rng = np.random.default_rng(14)
         v = np.abs(rng.standard_normal(2000)) + 0.1
@@ -405,6 +421,29 @@ class TestVolumeVolatility:
         assert v.metrics["n"] == 4761
         assert peak < 20e6
 
+    @pytest.mark.parametrize("scale", [1e160, 1e308])
+    def test_huge_volumes_give_the_metrics_of_ordinary_ones(self, scale):
+        # window sums of volumes near 1e160 overflow their products, near
+        # 1e308 the sums themselves; correlation is scale-free
+        ps = simulate(GarchSpec(n_steps=3000, seed=56))
+        volume = ps.volume / ps.volume.max()
+        ctx = [SeriesContext(PriceSeries(ps.timestamps, ps.open, ps.high, ps.low, ps.close, v))
+               for v in (volume, volume * scale)]
+        base, huge = (facts.test_volume_volatility(c) for c in ctx)
+        assert base.status is huge.status is SUP
+        assert base.metrics["n"] == huge.metrics["n"]
+        for key in ("pearson_r", "boot_ci_low", "boot_ci_high"):
+            assert huge.metrics[key] == pytest.approx(base.metrics[key], rel=1e-12)
+
+    def test_power_of_two_volumes_give_identical_bits(self):
+        ps = simulate(GarchSpec(n_steps=3000, seed=56))
+        base, scaled = (facts.test_volume_volatility(SeriesContext(
+            PriceSeries(ps.timestamps, ps.open, ps.high, ps.low, ps.close, v)))
+            for v in (ps.volume, np.ldexp(ps.volume, 500)))
+        assert base.metrics == scaled.metrics
+        assert np.array_equal(np.ldexp(base.curves["volume_volatility"]["volume"], 500),
+                              scaled.curves["volume_volatility"]["volume"])
+
 
 class TestRunAllFacts:
     def test_fact_selection(self, gbm_case):
@@ -429,6 +468,20 @@ class TestRunAllFacts:
             again[FactId.F6].metrics["boot_ci_low"]
         assert first[FactId.F3].metrics["d_garch"] == \
             again[FactId.F3].metrics["d_garch"]
+
+
+def test_run_all_facts_memory_at_1e5_bars():
+    # F11's tables, the rolling windows of F3 and F7/F8 and the shared
+    # pieces of the context: 117 MB with whole-view windows and full tables
+    ps = simulate(GjrSpec(n_steps=100_000, seed=3))
+    tracemalloc.start()
+    try:
+        out = run_all_facts(ps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 11
+    assert peak <= 80e6
 
 
 @pytest.fixture(scope="module")

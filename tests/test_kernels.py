@@ -8,9 +8,11 @@ largest |Z| of the reference.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stylfacts import kernels
 
@@ -113,6 +115,32 @@ def test_rolling_moments_match_loop(series):
             atol=1e-14)
 
 
+# elements per block: one row per block, a few rows, a block larger than the input
+@pytest.mark.parametrize("block_elements", [1, 60, 1 << 18])
+@pytest.mark.parametrize("n, window, stride", [(500, 21, 1), (500, 21, 3), (500, 2, 7),
+                                               (3001, 1440, 1), (1441, 1440, 5), (21, 21, 1)])
+def test_rolling_blocks_equal_one_whole_view(monkeypatch, block_elements, n, window, stride):
+    # rows reduce alone, so any blocking gives the bits of the whole view
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", block_elements)
+    x = np.random.default_rng(24).standard_normal(n) * 0.01 + 0.003
+    win = sliding_window_view(x, window)[::stride]
+    for got, want in ((kernels.rolling_var(x, window, stride), win.var(axis=1, ddof=1)),
+                      (kernels.rolling_mean(x, window, stride), win.mean(axis=1))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_rolling_var_memory_does_not_grow_with_the_window():
+    # one day of one-minute bars: the whole view's centred copy is 1.15 GB
+    x = np.random.default_rng(25).standard_normal(100_000)
+    tracemalloc.start()
+    try:
+        kernels.rolling_var(x, 1440, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 # (n, block_len, n_lags, n_resamples); the last block holds
 # n - (ceil(n / block_len) - 1) * block_len values
 ZUMBACH_SHAPES = {
@@ -160,3 +188,11 @@ def test_zumbach_boot_identity_resample_gives_z():
     ref = kernels.zumbach_z(a, b, n_lags)
     np.testing.assert_allclose(kernels.zumbach_boot(a, b, starts, block_len, n_lags)[0],
                                ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("shape", list(ZUMBACH_SHAPES.values()), ids=list(ZUMBACH_SHAPES))
+def test_zumbach_boot_int32_starts_give_the_int64_bits(shape):
+    a, b, starts, block_len, n_lags = _zumbach_case(*shape, wrap=True)
+    want = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    got = kernels.zumbach_boot(a, b, starts.astype(np.int32), block_len, n_lags)
+    assert got.tobytes() == want.tobytes()

@@ -2,6 +2,8 @@ import csv
 import io
 import math
 import tracemalloc
+import warnings
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from hypothesis import strategies as st
 from stylfacts.errors import (DataQualityError, InsufficientDataError,
                               RejectedInputError)
 from stylfacts.report import write_curve_csv
-from stylfacts.series import (PriceSeries, SamplingGrid, block_sums,
-                              compute_log_returns,
-                              read_csv, validate_and_gapfill, write_csv)
+from stylfacts.series import (PriceSeries, SamplingGrid, _read_epoch_columns, block_sums,
+                              compute_log_returns, read_csv, validate_and_gapfill,
+                              write_csv)
 from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 
 DAY = 86400
@@ -327,6 +329,177 @@ class TestCsv:
         np.testing.assert_array_equal(back.close, s.close)
 
 
+class _Unseekable(io.StringIO):
+    """A text stream that cannot seek, like a pipe: read_csv parses it with
+    csv.reader, the path that owns every message."""
+
+    def seekable(self):
+        return False
+
+
+_HEAD = "timestamp,open,high,low,close,volume\n"
+_COLUMNS = ("timestamps", "open", "high", "low", "close", "volume")
+
+
+# cells in the forms the two parsers might read differently: signs,
+# padding (ASCII, Unicode and control whitespace), exponents, underscores,
+# quotes, special values, bounds and non-numbers
+_CELLS = ["1", "2", "+3", "-0", " 4 ", "5\t", "\u00a06", "7\u2003", "8\x1c", "9\x85",
+          "0.5", ".5", "5.", "1e3", "1E+03", "1_0", "1,5", '"1"', "nan", "-inf", "Infinity",
+          "1e999", "4.9e-324", "0x10", "\u0661", "", " ", "1.5e", "9223372036854775807",
+          "9223372036854775808", "-9223372036854775809", "2024-01-01T00:00:00Z", "1d3"]
+
+
+def _read_outcome(f):
+    """read_csv's columns as (dtype, bytes) pairs, or its error's type and message."""
+    try:
+        s = read_csv(f)
+    except Exception as e:  # the exception itself is the outcome compared
+        return type(e), str(e)
+    return tuple((getattr(s, c).dtype, getattr(s, c).tobytes()) for c in _COLUMNS)
+
+
+def _assert_parsers_agree(text, c_parser):
+    """numpy's C parser (seekable input) and csv.reader (unseekable input)
+    give the same series or the same error, without a warning; c_parser says
+    whether the C parser accepts the text or hands it to csv.reader."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert (_read_epoch_columns(io.StringIO(text)) is not None) is c_parser
+        fast, slow = _read_outcome(io.StringIO(text)), _read_outcome(_Unseekable(text))
+    assert fast == slow
+    return fast
+
+
+def _perfbench_style(n, seed, volume=True, iso=False):
+    """Bars written as the benchmark's generator writes them: epoch or ISO
+    stamps, %.12g floats, an empty volume column when volume is False."""
+    s = make_series(n=n, seed=seed)
+    lines = [_HEAD.rstrip("\n")]
+    for i in range(n):
+        t = int(s.timestamps[i]) + 946_684_800
+        stamp = (datetime.fromtimestamp(t, timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+                 if iso else str(t))
+        vol = "%.12g" % s.volume[i] if volume else ""
+        lines.append("%s,%.12g,%.12g,%.12g,%.12g,%s" % (stamp, s.open[i], s.high[i],
+                                                       s.low[i], s.close[i], vol))
+    return "\n".join(lines) + "\n"
+
+
+def _written(series):
+    buf = io.StringIO()
+    write_csv(series, buf)
+    return buf.getvalue()
+
+
+class TestCsvParsers:
+    """The C parser takes files with an integer stamp and a number in every
+    cell; anything else goes to csv.reader, whose result or message it is."""
+
+    @pytest.mark.parametrize("text", [
+        _written(make_series(n=7)),
+        _written(make_series(n=1)),
+        _written(simulate(GbmSpec(n_steps=2000, seed=11))),
+        _written(simulate(OuSpec(n_steps=2000, seed=12))),
+        _written(simulate(GarchSpec(n_steps=2000, seed=13, innovation="student_t", df=5.0))),
+        _perfbench_style(500, 3),
+        _HEAD + "1,+1.5,2,.5,1.,1e3\n2, 1 ,2,0.5,1.5,inf\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n\n2,1,2,0.5,1.5,4\n\n",
+        _HEAD + "1,1,2,0.5,1.5,3\r\n2,1,2,0.5,1.5,4\r\n",
+        _HEAD + "1,1,2,0.5,1.5,3",
+        " Timestamp,OPEN,high,low,close,volume \n1,1,2,0.5,1.5,3\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n1,1,2,0.5,1.5,3\n",
+        _HEAD + "1,1,2,0.5,1.5,-3\n",
+        _HEAD + "1,1,0.5,2,1.5,3\n",
+        _HEAD + "-9223372036854775808,1,2,0.5,1.5,3\n9223372036854775807,1,2,0.5,1.5,3\n",
+    ], ids=["roundtrip", "one_row", "gbm", "ou", "garch_t", "perfbench_epoch", "number_forms",
+            "blank_lines", "crlf", "no_final_newline", "header_case_and_space",
+            "duplicate_stamp", "negative_volume", "high_below_low", "int64_extremes"])
+    def test_c_parser_gives_the_csv_reader_result(self, text):
+        _assert_parsers_agree(text, c_parser=True)
+
+    @pytest.mark.parametrize("text", [
+        _perfbench_style(300, 4, iso=True),
+        _perfbench_style(300, 5, volume=False),
+        _written(simulate(GjrSpec(n_steps=500, seed=14, volume_mode="none"))),
+        _HEAD + "1,1,2,0.5,1.5,3\n2,1,2,0.5,1.5,\n",
+        _HEAD + '"1",1,2,0.5,1.5,3\n2,"1",2,0.5,1.5,3\n',
+        _HEAD + "1_000,1,2,0.5,1.5,3\n",
+        _HEAD + "1,1_0,2,0.5,1.5,3\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n2,1,2,0.5\n",
+        _HEAD + "1,1,2,0.5,1.5,3,\n",
+        _HEAD + "9223372036854775808,1,2,0.5,1.5,3\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n-9223372036854775809,1,2,0.5,1.5,3\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n   \n2,1,2,0.5,1.5,4\n",
+        _HEAD + "\n1,1,2,0.5,1.5,3\n",
+        _HEAD + "1,1,2,0.5,1.5,3\r2,1,2,0.5,1.5,4\r",
+        _HEAD + "#1,1,2,0.5,1.5,3\n",
+        _HEAD + "5.0,1,2,0.5,1.5,3\n",
+        _HEAD + "1,one,2,0.5,1.5,3\n",
+        _HEAD + "\u0661,1,2,0.5,1.5,3\n",
+        _HEAD,
+        _HEAD + "\n\n",
+        "",
+        "time,o,h,l,c,v\n0,1,1,1,1,1\n",
+        _HEAD + "1,8\x1c,8,1,1,1\n",
+        _HEAD + "1,1,1,1,1,1\n2,1,1,1,1,1\x1f\n",
+        'timestamp,open,high,low,close,"volume\n1,1,1,1,1,1\n"\n',
+    ], ids=["iso", "empty_volume_column", "gjr_no_volume", "one_empty_volume", "quoted",
+            "underscore_stamp", "underscore_price", "five_fields", "seven_fields",
+            "int64_overflow", "int64_underflow", "whitespace_line", "blank_first_row",
+            "cr_line_ends", "hash", "float_stamp", "word_price", "arabic_digit",
+            "header_only", "header_and_blank_lines", "empty", "wrong_header",
+            "separator_in_first_row", "separator_in_last_row", "quote_in_header"])
+    def test_every_other_file_gets_the_csv_reader_outcome(self, text):
+        _assert_parsers_agree(text, c_parser=False)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(_CELLS), min_size=5, max_size=7),
+                    min_size=1, max_size=4))
+    def test_any_cells_give_one_outcome(self, rows):
+        text = _HEAD + "".join(",".join(r) + "\n" for r in rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_outcome(io.StringIO(text)) == _read_outcome(_Unseekable(text))
+
+    def test_messages_are_the_csv_readers(self):
+        for text, message in ((_HEAD, "CSV has a header but no rows"),
+                              (_HEAD + "1,1,2,0.5,1.5,3\n2,1,2\n", "row 2: expected 6 fields, got 3"),
+                              (_HEAD + "9223372036854775808,1,2,0.5,1.5,3\n",
+                               "timestamp beyond int64 at row 1")):
+            assert _assert_parsers_agree(text, c_parser=False) == (RejectedInputError, message)
+
+    def test_file_paths_take_the_c_parser(self, tmp_path):
+        p = tmp_path / "bars.csv"
+        p.write_text(_perfbench_style(400, 6), newline="")
+        with open(p, newline="") as f:
+            assert _read_epoch_columns(f) is not None
+        with open(p, newline="") as f:
+            want = _read_outcome(_Unseekable(f.read()))
+        assert _read_outcome(str(p)) == want
+
+    def test_fallback_reads_from_the_start_of_the_stream(self):
+        # a stream positioned after some preamble is read from there
+        text = "preamble\n" + _perfbench_style(50, 7, volume=False)
+        f = io.StringIO(text)
+        f.readline()
+        want = _read_outcome(_Unseekable(text[len("preamble\n"):]))
+        assert _read_outcome(f) == want
+
+    def test_c_parser_keeps_no_row_lists(self, tmp_path):
+        p = tmp_path / "bars.csv"
+        p.write_text(_written(simulate(GbmSpec(n_steps=100_000, seed=8))), newline="")
+        tracemalloc.start()
+        try:
+            s = read_csv(str(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s) == 100_001
+        # the six columns are 4.8 MB; csv.reader's row lists peak near 25 MB
+        assert peak <= 12e6
+
+
 # Values where repr's output changes shape: signed zeros, subnormals, the
 # switch to exponent notation at 1e16 and below 1e-4, the float extremes.
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -433,6 +606,34 @@ class TestWritersMatchRowOracles:
     def test_unequal_curve_columns_raise(self, tmp_path):
         with pytest.raises(ValueError, match="differ in length"):
             write_curve_csv(str(tmp_path / "c.csv"), {"a": [1, 2], "b": [1.0]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_curve_rows_are_written_in_blocks(self, tmp_path):
+        # volatility.csv's shape at 1e5 bars: whole-file cell lists and text
+        # peak near 43 MB
+        cols = {"timestamp": 946_684_800 + 86_400 * np.arange(100_000, dtype=np.int64)}
+        for j, name in enumerate(("basic", "parkinson", "rogers_satchell")):
+            cols[name] = np.abs(np.random.default_rng(j).standard_normal(100_000)) * 0.01
+            cols[name][:20] = np.nan
+        tracemalloc.start()
+        try:
+            write_curve_csv(str(tmp_path / "volatility.csv"), cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+        _write_curve_csv_loop(str(tmp_path / "ref.csv"), cols)
+        assert (tmp_path / "volatility.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_a_failed_curve_write_leaves_the_old_file(self, tmp_path):
+        # the cell that cannot be formatted lies in the third block of rows
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"old\n")
+        bad = np.array([1.0] * 10_000 + ["x"], dtype=object)
+        with pytest.raises(ValueError):
+            write_curve_csv(str(path), {"lag": np.arange(10_001), "value": bad})
+        assert path.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["c.csv"]
 
     @pytest.mark.parametrize("spec", [
         GbmSpec(n_steps=2000, seed=11),
