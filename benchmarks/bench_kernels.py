@@ -13,10 +13,13 @@ kernel at --n (best of --repeat).  Then it prints `tracemalloc` peaks at
 and at one day of one-minute bars (1,440), and facts F3, F8 and F11 on a
 simulated GJR series, each fact on a fresh `SeriesContext`, so the shared
 pieces it reads (the GARCH fit, the standardized returns, the Parkinson
-proxy) count in its peak.  Then it times `stats.acf(x, 50)` at --n in a
-fresh interpreter: the first call and a warm one, each as wall time and
-`time.process_time()` CPU, which counts every thread of the process, so
-BLAS helper threads that spin show up in it.
+proxy) count in its peak.  It prints the time and the `tracemalloc` peak
+at --n of the bars layer: `simulate` of a GJR series with bridge
+extremes, and `series.write_csv` of that series.  Then it times
+`stats.acf(x, 50)` at --n in a fresh interpreter: the first call and a
+warm one, each as wall time and `time.process_time()` CPU, which counts
+every thread of the process, so BLAS helper threads that spin show up in
+it.
 
 The I/O section times the two CSV writers at --n rows, `series.write_csv` on
 a simulated series and `report.write_curve_csv` on a curve shaped like
@@ -204,6 +207,22 @@ def bench_peaks(n, args):
         print(f"{label:<24} {traced_peak(fn):>8.1f}")
 
 
+def bench_bars(n, repeat):
+    """Time (best of repeat) and tracemalloc peak at n of the bars layer:
+    `simulate` of a GJR series with bridge extremes and 16 substeps (the
+    defaults), and `write_csv` of it to a file."""
+    spec = GjrSpec(n_steps=n, seed=3)
+    series = simulate(spec)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "gjr.csv")
+        rows = [("simulate gjr bridge", lambda: simulate(spec)),
+                ("write_csv", lambda: write_csv(series, path))]
+        print(f"\n{'bars, n=' + str(n):<24} {'time':>11} {'peak MB':>8}")
+        for label, fn in rows:
+            t = best_of(fn, repeat)
+            print(f"{label:<24} {t * 1e3:>9.1f}ms {traced_peak(fn):>8.1f}")
+
+
 _ACF_CALLS = """
 import sys, time
 import numpy as np
@@ -336,6 +355,7 @@ def main():
         t = best_of(lambda: f(*big[name]), args.repeat)
         print(f"{name:<20} {t * 1e3:>9.2f}ms  {err:.1e}")
     bench_peaks(args.n, big)
+    bench_bars(args.n, args.repeat)
     bench_acf_cold(args.n)
     bench_io(args.n, args.repeat)
     bench_fits(args.n, args.repeat)

@@ -902,7 +902,9 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
     kernels.zumbach_z for the exact normalization.  The band is the 95%
     spread of Z on joint block resamples of the aligned pair, centered at
     zero: resampling preserves the series' dependence (and hence the sampling
-    noise of Z) while the centering removes the asymmetry itself.
+    noise of Z) while the centering removes the asymmetry itself.  The band
+    and `n_boot` count only the resamples with a Z (`kernels.zumbach_boot`);
+    fewer than half of them raise DegenerateInputError.
     """
     n_lags = config.f11_lags if n_lags is None else int(n_lags)
     r = _values(returns)
@@ -929,12 +931,19 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
         rows = starts[lo:lo + _F11_DRAW_ROWS]
         rows[:] = rng.integers(0, n, size=rows.shape, dtype=np.int64)
     boots = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    # a resample whose a or b is constant up to roundoff (one that misses a
+    # series' only jump) has no Z: its row is NaN and is dropped, as F6
+    # drops zero denominators
+    boots = boots[~np.isnan(boots).any(axis=1)]
+    if 2 * len(boots) < config.f11_n_boot:
+        raise DegenerateInputError(f"only {len(boots)} of {config.f11_n_boot} bootstrap "
+                                   "resamples have a defined Z")
     dev = boots - boots.mean(axis=0)
     tail = (1.0 - config.f11_level) / 2.0
     lo = np.quantile(dev, tail, axis=0)
     hi = np.quantile(dev, 1.0 - tail, axis=0)
     return ZumbachResult(lags=np.arange(1, n_lags + 1), z=z, band_low=lo, band_high=hi,
-                         n=n, block_len=block_len, n_boot=config.f11_n_boot)
+                         n=n, block_len=block_len, n_boot=len(boots))
 
 
 def test_time_scale_asymmetry(ctx: SeriesContext) -> FactVerdict:

@@ -300,6 +300,9 @@ def rolling_mean(x, n, stride):
 
 # resamples per pass of `zumbach_boot`
 _BOOT_CHUNK = 8
+# a resample variance at most this many times n * eps times the series'
+# variance is roundoff: the resample has no Z (`zumbach_boot`)
+_VAR_FLOOR_ULPS = 16
 
 def zumbach_z(a, b, n_lags):
     """Z(delta) = C(delta) - C(-delta) for delta = 1..n_lags.
@@ -350,6 +353,16 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
     row read as two items in swapped order with the a half negated,
     (b, -a).  Resamples run _BOOT_CHUNK at a time, so each pass gathers a
     few MB.  starts may be int32 or int64; the results are the same.
+
+    A resample whose a or b is constant up to roundoff has no Z, and its
+    row is NaN, with no warning.  Its variance comes from differences of
+    prefix sums over the whole series, whose roundoff reaches about n ulps
+    of the series' mean square (centred, so its variance): a resample that
+    misses a series' only jump reads 0, a tiny negative or a tiny positive
+    number, and the last would give a huge Z.  So a resample counts as
+    undefined when its a or b variance is at most _VAR_FLOOR_ULPS * n * eps
+    times that series' variance (3.5e-10 of it at 1e5 bars; such resamples
+    read about 1e-12 of it there, real ones about 1).
     """
     n = a.shape[0]
     w = min(n_lags, block_len)
@@ -417,6 +430,7 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
     # where the resample's first and last n_lags values of b come from
     edge_block, edge_off = np.divmod(np.r_[0:n_lags, n - n_lags:n], block_len)
 
+    a_floor, b_floor = (_VAR_FLOOR_ULPS * n * np.finfo(float).eps * x.var() for x in (a, b))
     out = np.empty((n_res, n_lags))
     for lo in range(0, n_res, _BOOT_CHUNK):
         hi = min(lo + _BOOT_CHUNK, n_res)
@@ -441,8 +455,12 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
         head_b = np.cumsum(edge_b[:, :n_lags], axis=1)
         tail_b = np.cumsum(edge_b[:, n_lags:][:, ::-1], axis=1)
         sa, saa, sb, sbb = (sums[:, w + i] / n for i in range(4))
-        astd = np.sqrt(saa - sa * sa)
-        bstd = np.sqrt(sbb - sb * sb)
+        a_var = saa - sa * sa
+        b_var = sbb - sb * sb
+        # sqrt of NaN, unlike that of a negative, does not warn
+        undefined = (a_var <= a_floor) | (b_var <= b_floor)
+        astd = np.sqrt(np.where(undefined, np.nan, a_var))
+        bstd = np.sqrt(np.where(undefined, np.nan, b_var))
         num = d - (a_mean + sa)[:, None] * (head_b - tail_b)
         out[lo:hi] = num / ((n - lags) * (astd * bstd)[:, None])
     return out

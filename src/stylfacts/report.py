@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .errors import StylfactsError
 from .facts import FACT_LABELS, FactConfig, FactId, check_knobs, knob, run_all_facts
-from .series import SamplingGrid, _csv_rows, read_csv, validate_and_gapfill
+from .series import SamplingGrid, _write_rows, read_csv, validate_and_gapfill
 from .volatility import VolatilityWindow, default_window, rolling_volatility
 
 ALL_FACTS = tuple(f.value for f in FactId)
@@ -313,21 +313,14 @@ def write_json(path: str, obj) -> None:
     _atomic_write_bytes(path, data.encode("utf-8"))
 
 
-# curve rows formatted per write: a block's cell strings stay near 1 MB
-_CURVE_BLOCK_ROWS = 4096
-
-
 def write_curve_csv(path: str, columns: dict) -> None:
     """One curve as CSV; column order follows the dict.  The rows are
-    formatted and written a block at a time."""
-    arrays = [np.asarray(c) for c in columns.values()]
-    if any(len(a) != len(arrays[0]) for a in arrays):
+    formatted and written a block at a time (`series._write_rows`)."""
+    lengths = {len(c) for c in columns.values()}
+    if len(lengths) > 1:
         raise ValueError("curve columns differ in length")
     with _atomic_writer(path) as f:
-        f.write((",".join(columns) + "\n").encode("utf-8"))
-        for lo in range(0, len(arrays[0]), _CURVE_BLOCK_ROWS):
-            block = [a[lo:lo + _CURVE_BLOCK_ROWS] for a in arrays]
-            f.write(_csv_rows(block).encode("utf-8"))
+        _write_rows(f, columns, encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -341,14 +341,33 @@ def _read_csv_file(f) -> PriceSeries:
 def write_csv(series: PriceSeries, path_or_file) -> None:
     """Write the series as `timestamp,open,high,low,close,volume`: integer
     timestamps, floats by `repr` (they read back bit-equal), NaN volume as
-    an empty cell."""
-    text = ",".join(CSV_COLUMNS) + "\n" + _csv_rows(
-        (series.timestamps, series.open, series.high, series.low, series.close, series.volume))
+    an empty cell.  The rows are formatted and written a block at a time
+    (`_write_rows`), so a 1e5-bar series never exists as one string."""
+    columns = dict(zip(CSV_COLUMNS, (series.timestamps, series.open, series.high,
+                                     series.low, series.close, series.volume)))
     if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
+        _write_rows(path_or_file, columns)
     else:
         with open(path_or_file, "w", newline="") as f:
-            f.write(text)
+            _write_rows(f, columns)
+
+
+# rows formatted per write: a block's cell strings stay near 1 MB
+_WRITE_BLOCK_ROWS = 4096
+
+
+def _write_rows(f, columns: dict, encoding: Optional[str] = None) -> None:
+    """The header line of column names, then one line per row of the
+    equal-length columns, formatted and written _WRITE_BLOCK_ROWS rows at a
+    time.  With an encoding, f is a binary file and takes encoded bytes."""
+    arrays = [np.asarray(c) for c in columns.values()]
+
+    def write(text):
+        f.write(text if encoding is None else text.encode(encoding))
+
+    write(",".join(columns) + "\n")
+    for lo in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
+        write(_csv_rows([a[lo:lo + _WRITE_BLOCK_ROWS] for a in arrays]))
 
 
 def _fmt_cell(v) -> str:

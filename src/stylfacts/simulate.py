@@ -29,6 +29,17 @@ Determinism: all draws come from a single numpy Generator seeded by
 SeedSequence(seed).  Draw order is fixed: model innovations, then substep
 normals, then the high uniforms, then the low uniforms, then volume noise.
 Equal specs give byte-identical series.
+
+Memory: the draws are whole n x substeps arrays (at 1e5 steps and 16
+substeps, 12.8 MB each: 38.4 MB for the normals and the two uniforms of the
+bridge), drawn before any bar is built, so the stream does not depend on
+how the bars are built.  Everything derived from them (increments, the
+substep grid, the extremes and their log and sqrt temporaries) is built a
+block of about 2^16 elements (rows x substeps) at a time.
+`simulate(GbmSpec(n_steps=100_000))` peaks at 46 MB of allocations
+(`tracemalloc`), against 146 MB with every derived array whole, and a
+`simulate --n 100000` process at 84 MiB of RSS against 180 MiB (2-vCPU
+host).
 """
 
 from __future__ import annotations
@@ -47,6 +58,10 @@ VOLUME_MODES = ("none", "proportional")
 INNOVATIONS = ("normal", "student_t")
 
 VOLUME_SCALE = 1e6
+
+# elements (rows x substeps) per block of `_bars_from_steps`: a block's
+# temporaries stay near 0.5 MB each at any substep count
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -189,27 +204,38 @@ def _bars_from_steps(x, step_vols, rng, spec) -> PriceSeries:
     m = spec.substeps
     r = np.diff(x)
     s = np.broadcast_to(np.asarray(step_vols, dtype=float), (n,))
+    bridge = spec.extremes == "bridge"
 
+    # the draws whole, in the module docstring's order; every array derived
+    # from them a block of rows at a time.  Each row's arithmetic (its mean,
+    # cumsum, max and min) runs alone, so any blocking gives the same bits.
     w = rng.standard_normal((n, m))
-    inc = r[:, None] / m + (s[:, None] / math.sqrt(m)) * (w - w.mean(axis=1, keepdims=True))
-    sub = np.empty((n, m + 1))
-    sub[:, 0] = x[:-1]
-    np.cumsum(inc, axis=1, out=sub[:, 1:])
-    sub[:, 1:] += x[:-1, None]
-
-    if spec.extremes == "bridge":
-        dx = np.diff(sub, axis=1)
-        var_sub = (s * s / m)[:, None]
-        # 1 - random() lies in (0, 1]: log never overflows
-        u = 1.0 - rng.random((n, m))
-        hi_sub = 0.5 * (sub[:, :-1] + sub[:, 1:] + np.sqrt(dx * dx - 2.0 * var_sub * np.log(u)))
-        v = 1.0 - rng.random((n, m))
-        lo_sub = 0.5 * (sub[:, :-1] + sub[:, 1:] - np.sqrt(dx * dx - 2.0 * var_sub * np.log(v)))
-        hi = hi_sub.max(axis=1)
-        lo = lo_sub.min(axis=1)
-    else:
-        hi = sub.max(axis=1)
-        lo = sub.min(axis=1)
+    u = rng.random((n, m)) if bridge else None
+    v = rng.random((n, m)) if bridge else None
+    hi = np.empty(n)
+    lo = np.empty(n)
+    step = max(1, _BLOCK_ELEMENTS // m)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        wb, sb, x0 = w[rows], s[rows, None], x[rows, None]
+        inc = r[rows, None] / m + (sb / math.sqrt(m)) * (wb - wb.mean(axis=1, keepdims=True))
+        sub = np.empty((inc.shape[0], m + 1))
+        sub[:, :1] = x0
+        np.cumsum(inc, axis=1, out=sub[:, 1:])
+        sub[:, 1:] += x0
+        if bridge:
+            dx = np.diff(sub, axis=1)
+            var_sub = sb * sb / m
+            mid = sub[:, :-1] + sub[:, 1:]
+            # 1 - random() lies in (0, 1]: log never overflows
+            hi[rows] = (0.5 * (mid + np.sqrt(dx * dx - 2.0 * var_sub * np.log(1.0 - u[rows])))
+                        ).max(axis=1)
+            lo[rows] = (0.5 * (mid - np.sqrt(dx * dx - 2.0 * var_sub * np.log(1.0 - v[rows])))
+                        ).min(axis=1)
+        else:
+            hi[rows] = sub.max(axis=1)
+            lo[rows] = sub.min(axis=1)
+    del w, u, v
 
     # substep roundoff must not leave close/open outside [low, high]
     hi = np.maximum(hi, np.maximum(x[:-1], x[1:]))

@@ -7,6 +7,8 @@ Each spells out its kernel's arithmetic one element at a time.
 
 import numpy as np
 
+from stylfacts import kernels
+
 
 def garch_filter_loop(eps2, omega, alpha, beta, h1):
     n = eps2.shape[0]
@@ -101,9 +103,12 @@ def zumbach_boot_loop(a, b, starts, block_len, n_lags):
 
     starts[r, j] is the start index of block j in resample r; blocks are
     copied jointly from both series so their cross-dependence survives.
-    Returns (n_resamples, n_lags).
+    Returns (n_resamples, n_lags); a resample whose a or b variance is at
+    most the kernel's roundoff floor gets a row of NaN.
     """
     n = a.shape[0]
+    a_floor = kernels._VAR_FLOOR_ULPS * n * np.finfo(float).eps * a.var()
+    b_floor = kernels._VAR_FLOOR_ULPS * n * np.finfo(float).eps * b.var()
     n_res, n_blocks = starts.shape
     out = np.empty((n_res, n_lags))
     ar = np.empty(n)
@@ -130,8 +135,13 @@ def zumbach_boot_loop(a, b, starts, block_len, n_lags):
             sb += br[t]
             sbb += br[t] * br[t]
         abar = sa / n
-        astd = np.sqrt(saa / n - abar * abar)
-        bstd = np.sqrt(sbb / n - (sb / n) * (sb / n))
+        a_var = saa / n - abar * abar
+        b_var = sbb / n - (sb / n) * (sb / n)
+        if a_var <= a_floor or b_var <= b_floor:
+            out[r] = np.nan
+            continue
+        astd = np.sqrt(a_var)
+        bstd = np.sqrt(b_var)
         for lag in range(1, n_lags + 1):
             s_ab_past = 0.0
             s_b_past = 0.0

@@ -8,6 +8,7 @@ control matrix at N=1e5 lives in the acceptance suite.
 import math
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -294,6 +295,56 @@ class TestZumbach:
             zumbach_statistic(np.ones(2000), v, n_lags=5)
         with pytest.raises(DegenerateInputError):
             zumbach_statistic(rng.standard_normal(2000), np.ones(2000), n_lags=5)
+
+
+def _one_jump_series(range_noise, n=6000, jump_at=3000, spike_at=None):
+    """A price drifting 1e-3 per bar with one jump of 0.05 in its log: every
+    return but one is the drift, so b (the squared returns) is constant off
+    the jump.  Each bar spans the same log range around its open-close
+    midpoint, plus uniform noise of up to range_noise; spike_at widens one
+    bar's range, so the Parkinson proxy a has one spike there."""
+    t = np.arange(n)
+    x = 1e-3 * t
+    x[jump_at:] += 0.05
+    x_open = np.concatenate(([x[0]], x[:-1]))
+    half = 0.03 + range_noise * np.random.default_rng(28).random(n)
+    if spike_at is not None:
+        half[spike_at] = 0.04
+    mid = 0.5 * (x_open + x)
+    return PriceSeries(86400 * t, np.exp(x_open), np.exp(mid + half), np.exp(mid - half),
+                       np.exp(x), np.ones(n))
+
+
+class TestZumbachUndefinedResamples:
+    def test_one_jump_gives_a_band_on_the_correlation_scale(self):
+        # about 37% of the resamples miss the jump: they have no Z and are
+        # dropped, and the band comes from the rest (kept, their roundoff
+        # variances put the band's edges near -36 at lag 1 and 110 at lag 10)
+        ps = _one_jump_series(range_noise=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = facts.test_time_scale_asymmetry(SeriesContext(ps))
+        assert verdict.status in (SUP, NOT)
+        curve = verdict.curves["zumbach"]
+        band = np.concatenate((curve["band_low"], curve["band_high"]))
+        assert np.all(np.isfinite(band)) and np.all(np.abs(band) <= 1.0)
+        assert np.all(curve["band_low"] <= curve["band_high"])
+
+    def test_too_few_defined_resamples_are_inconclusive(self):
+        # a and b each constant but for one bar, far apart: a resample needs
+        # both bars, which about 40% of them hold
+        ps = _one_jump_series(range_noise=0.0, jump_at=1000, spike_at=4000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = facts.test_time_scale_asymmetry(SeriesContext(ps))
+        assert verdict.status is INC
+        assert "bootstrap resamples have a defined Z" in verdict.notes[0]
+
+    def test_the_band_counts_only_defined_resamples(self):
+        ps = _one_jump_series(range_noise=0.01)
+        ctx = SeriesContext(ps)
+        zr = zumbach_statistic(ctx.returns, ctx.parkinson)
+        assert 500 <= zr.n_boot < 1000
 
 
 class TestGainLossMirror:

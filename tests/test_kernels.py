@@ -9,6 +9,7 @@ largest |Z| of the reference.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,45 @@ def test_zumbach_boot_identity_resample_gives_z():
     ref = kernels.zumbach_z(a, b, n_lags)
     np.testing.assert_allclose(kernels.zumbach_boot(a, b, starts, block_len, n_lags)[0],
                                ref, rtol=0, atol=1e-10 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("level", [0.0, 3e-6], ids=["zero", "constant"])
+def test_zumbach_boot_resamples_that_miss_the_only_jump_are_nan(level):
+    # b is level except at one point; a resample without that point has a
+    # constant b, whose variance rounds to 0, a tiny negative or a tiny
+    # positive number: no warning, a NaN row, and no huge Z from the others
+    n, n_lags = 5999, 10
+    rng = np.random.default_rng(26)
+    a = np.abs(rng.standard_normal(n)) + 0.1
+    b = np.full(n, level)
+    b[2000] = 1e-2
+    block_len = math.ceil(n ** (1 / 3))
+    starts = rng.integers(0, n, size=(1000, math.ceil(n / block_len)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    nan_rows = np.isnan(out).all(axis=1)
+    lengths = np.full(starts.shape[1], block_len)
+    lengths[-1] = n - (starts.shape[1] - 1) * block_len
+    holds_jump = ((2000 - starts) % n < lengths).any(axis=1)
+    assert np.array_equal(nan_rows, ~holds_jump)
+    assert 300 < nan_rows.sum() < 450
+    assert np.all(np.abs(out[~nan_rows]) <= 1.0)
+
+
+def test_zumbach_boot_undefined_rows_match_loop():
+    n, block_len, n_lags = 200, 6, 3
+    rng = np.random.default_rng(27)
+    a = rng.standard_normal(n) ** 2 + 0.1
+    b = np.full(n, 2e-4)
+    b[50] = 0.3
+    starts = rng.integers(0, n, size=(30, math.ceil(n / block_len)))
+    ref = _oracles.zumbach_boot_loop(a, b, starts, block_len, n_lags)
+    got = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    assert 0 < np.isnan(ref).all(axis=1).sum() < 30
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    ok = ~np.isnan(ref)
+    np.testing.assert_allclose(got[ok], ref[ok], rtol=0, atol=1e-10 * np.abs(ref[ok]).max())
 
 
 @pytest.mark.parametrize("shape", list(ZUMBACH_SHAPES.values()), ids=list(ZUMBACH_SHAPES))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stylfacts import series as series_module
 from stylfacts.errors import (DataQualityError, InsufficientDataError,
                               RejectedInputError)
 from stylfacts.report import write_curve_csv
@@ -624,6 +625,33 @@ class TestWritersMatchRowOracles:
         assert peak <= 8e6
         _write_curve_csv_loop(str(tmp_path / "ref.csv"), cols)
         assert (tmp_path / "volatility.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_series_rows_are_written_in_blocks(self, tmp_path):
+        # a 1e5-bar simulated series: the whole file as one string and its
+        # cell lists peaked at 60 MB
+        s = simulate(GbmSpec(n_steps=100_000))
+        tracemalloc.start()
+        try:
+            write_csv(s, str(tmp_path / "gbm.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_write_csv_bytes_at_the_block_edge(self, extra):
+        n = series_module._WRITE_BLOCK_ROWS + extra
+        s = make_series(n=n)
+        volume = s.volume.copy()
+        volume[::3] = np.nan
+        volume[n - 1] = np.nan
+        s = PriceSeries(s.timestamps, s.open, s.high, s.low, s.close, volume)
+        out = io.StringIO()
+        write_csv(s, out)
+        ref = io.StringIO()
+        _write_csv_loop(s, ref)
+        assert out.getvalue() == ref.getvalue()
+        assert out.getvalue().count("\n") == n + 1
 
     def test_a_failed_curve_write_leaves_the_old_file(self, tmp_path):
         # the cell that cannot be formatted lies in the third block of rows
