@@ -36,10 +36,9 @@ from .series import (GapReport, LogReturnSeries, PriceSeries, SamplingGrid,
                      compute_log_returns, read_csv, validate_and_gapfill,
                      write_csv)
 from .simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
-from .stats import (AcfResult, AdfResult, CcfResult, GofTestResult,
-                    PearsonResult, QqData, acf, adf_test,
-                    anderson_darling_normal, autocovariance,
-                    cross_correlation, ks_test_normal, pearson_corr, qq_data)
+from .stats import (AcfResult, AdfResult, CcfResult, GofTestResult, QqData,
+                    acf, adf_test, anderson_darling_normal, autocovariance,
+                    cross_correlation, ks_test_normal, qq_data)
 from .volatility import (VolatilitySeries, VolatilityWindow, default_window,
                          rolling_volatility)
 
@@ -55,8 +54,8 @@ __all__ = [
     "VolatilityWindow", "VolatilitySeries", "rolling_volatility",
     "default_window",
     # stats
-    "AcfResult", "CcfResult", "PearsonResult", "GofTestResult", "AdfResult",
-    "QqData", "acf", "autocovariance", "cross_correlation", "pearson_corr",
+    "AcfResult", "CcfResult", "GofTestResult", "AdfResult",
+    "QqData", "acf", "autocovariance", "cross_correlation",
     "ks_test_normal", "anderson_darling_normal", "adf_test", "qq_data",
     # fitting
     "PowerLawFit", "GarchParams", "GarchFit", "OuParams", "OuFit", "TailFit",

@@ -45,7 +45,7 @@ from .fitting import (GarchFit, fit_garch11, fit_ou, fit_power_law,
 from .series import PriceSeries, block_sums, compute_log_returns
 from .simulate import GarchSpec, OuSpec, simulate
 from .stats import acf, adf_test, anderson_darling_normal, cross_correlation, \
-    ks_test_normal, pearson_corr, qq_data
+    ks_test_normal, qq_data
 from .volatility import VolatilityWindow, default_window, rolling_volatility
 
 
@@ -620,9 +620,24 @@ def test_leverage(ctx: SeriesContext) -> FactVerdict:
 _F6_CHUNK = 16
 
 
+def _pearson_terms(x, y):
+    """Numerator and denominator of Pearson's r for each row pair of the
+    (rows, n) arrays x and y: the centred cross sum and the square root of
+    the product of the centred sums of squares."""
+    dx = x - x.mean(axis=1, keepdims=True)
+    dy = y - y.mean(axis=1, keepdims=True)
+    return (np.einsum("ij,ij->i", dx, dy),
+            np.sqrt(np.einsum("ij,ij->i", dx, dx) * np.einsum("ij,ij->i", dy, dy)))
+
+
 def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
     """Pearson correlation between per-window traded volume and the window's
-    basic volatility, with a pairs-bootstrap confidence interval."""
+    basic volatility, with a pairs-bootstrap confidence interval.
+
+    The observed r and every resample's come from one arithmetic
+    (`_pearson_terms`); a zero denominator leaves the observed r undefined
+    (inconclusive) and drops a resample.
+    """
     series, config = ctx.series, ctx.config
     present = series.volume_present_fraction()
     if present < config.f6_min_volume_fraction:
@@ -651,10 +666,11 @@ def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
     if len(x) < 30:
         return _inconclusive(FactId.F6, f"only {len(x)} complete volume windows",
                              n=int(len(x)))
-    try:
-        pr = pearson_corr(x, y)
-    except (DegenerateInputError, InsufficientDataError) as e:
-        return _inconclusive(FactId.F6, f"correlation undefined: {e}", n=len(x))
+    (r_num,), (r_denom,) = _pearson_terms(x[None], y[None])
+    if r_denom == 0.0:
+        return _inconclusive(FactId.F6, "correlation undefined: zero variance input",
+                             n=len(x))
+    r = min(1.0, max(-1.0, float(r_num / r_denom)))
     rng = _child_rng(config.seed, 6)
     n_boot = config.f6_n_boot
     num = np.empty(n_boot)
@@ -664,25 +680,20 @@ def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
     for start in range(0, n_boot, _F6_CHUNK):
         rows = slice(start, min(start + _F6_CHUNK, n_boot))
         idx = rng.integers(0, len(x), size=(rows.stop - start, len(x)))
-        bx = x[idx]
-        by = y[idx]
-        bx -= bx.mean(axis=1, keepdims=True)
-        by -= by.mean(axis=1, keepdims=True)
-        num[rows] = np.einsum("ij,ij->i", bx, by)
-        denom[rows] = np.sqrt(np.einsum("ij,ij->i", bx, bx) * np.einsum("ij,ij->i", by, by))
+        num[rows], denom[rows] = _pearson_terms(x[idx], y[idx])
     ok = denom > 0.0
     if not ok.any():
         return _inconclusive(FactId.F6, "no bootstrap resample has a defined correlation",
                              n=len(x))
     r_boot = num[ok] / denom[ok]
     lo, hi = np.quantile(r_boot, [0.025, 0.975])
-    status = FactStatus.SUPPORTED if (pr.value > 0.0 and lo > 0.0) \
+    status = FactStatus.SUPPORTED if (r > 0.0 and lo > 0.0) \
         else FactStatus.NOT_SUPPORTED
     with np.errstate(over="ignore"):  # a sum beyond the float range is inf
         volume_sums = np.ldexp(x, scale)
     return FactVerdict(
         FactId.F6, status,
-        metrics={"n": len(x), "pearson_r": pr.value, "boot_ci_low": float(lo),
+        metrics={"n": len(x), "pearson_r": r, "boot_ci_low": float(lo),
                  "boot_ci_high": float(hi), "volume_present_fraction": present},
         curves={"volume_volatility": {"volume": volume_sums, "volatility": y}})
 
@@ -891,6 +902,9 @@ def test_aggregational_gaussianity(ctx: SeriesContext) -> FactVerdict:
 
 # bootstrap rows of block starts drawn per call
 _F11_DRAW_ROWS = 16
+# a null band at most this many times n * eps wide is roundoff
+# (`test_time_scale_asymmetry`)
+_BAND_FLOOR_ULPS = 16
 
 
 def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
@@ -899,12 +913,15 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
 
     Z(delta) is the correlation-scale difference between "squared volatility
     explained by past squared returns" and the time-reversed pairing; see
-    kernels.zumbach_z for the exact normalization.  The band is the 95%
+    kernels.zumbach_boot for the exact normalization.  The band is the 95%
     spread of Z on joint block resamples of the aligned pair, centered at
     zero: resampling preserves the series' dependence (and hence the sampling
     noise of Z) while the centering removes the asymmetry itself.  The band
     and `n_boot` count only the resamples with a Z (`kernels.zumbach_boot`);
     fewer than half of them raise DegenerateInputError.
+
+    Z itself is one more row of the same kernel call: after the drawn
+    resamples, the blocks laid end to end from 0, which rebuild the series.
     """
     n_lags = config.f11_lags if n_lags is None else int(n_lags)
     r = _values(returns)
@@ -920,23 +937,28 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
     b = r * r
     if a.std() == 0.0 or b.std() == 0.0:
         raise DegenerateInputError("degenerate variance: Z undefined")
-    z = kernels.zumbach_z(a, b, n_lags)
     block_len = math.ceil(n ** (1.0 / 3.0))
     n_blocks = math.ceil(n / block_len)
+    n_boot = config.f11_n_boot
     rng = _child_rng(config.seed, 11)
     # int64 draws, the same stream as one (n_boot, n_blocks) draw, kept as
-    # int32 (every start is below n): half the largest array of F11
-    starts = np.empty((config.f11_n_boot, n_blocks), dtype=np.int32)
-    for lo in range(0, config.f11_n_boot, _F11_DRAW_ROWS):
-        rows = starts[lo:lo + _F11_DRAW_ROWS]
+    # int32 (every start is below n): half the largest array of F11.  The
+    # last row is the identity resample, whose Z is the observed one.
+    starts = np.empty((n_boot + 1, n_blocks), dtype=np.int32)
+    for lo in range(0, n_boot, _F11_DRAW_ROWS):
+        rows = starts[lo:min(lo + _F11_DRAW_ROWS, n_boot)]
         rows[:] = rng.integers(0, n, size=rows.shape, dtype=np.int64)
+    starts[-1] = np.arange(n_blocks) * block_len
     boots = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    boots, z = boots[:-1], boots[-1]
+    if np.isnan(z).any():
+        raise DegenerateInputError("degenerate variance: Z undefined")
     # a resample whose a or b is constant up to roundoff (one that misses a
     # series' only jump) has no Z: its row is NaN and is dropped, as F6
     # drops zero denominators
     boots = boots[~np.isnan(boots).any(axis=1)]
-    if 2 * len(boots) < config.f11_n_boot:
-        raise DegenerateInputError(f"only {len(boots)} of {config.f11_n_boot} bootstrap "
+    if 2 * len(boots) < n_boot:
+        raise DegenerateInputError(f"only {len(boots)} of {n_boot} bootstrap "
                                    "resamples have a defined Z")
     dev = boots - boots.mean(axis=0)
     tail = (1.0 - config.f11_level) / 2.0
@@ -948,7 +970,17 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
 
 def test_time_scale_asymmetry(ctx: SeriesContext) -> FactVerdict:
     """Supported when Z escapes its null band at >= half the lags, always on
-    the same side."""
+    the same side.
+
+    Inconclusive when the band has zero width up to roundoff at some lag,
+    where every Z would count as outside.  Z is on the correlation scale,
+    and each value is a ratio of sums over the series' n bars, which carry
+    about n ulps of roundoff; so a width of at most _BAND_FLOOR_ULPS * n *
+    eps (2.1e-11 at 6,000 bars, 3.5e-10 at 1e5) is zero.  A real band's
+    width shrinks like 1 / sqrt(n), and is near 1e-2 at 1e5 bars.  A band
+    collapses when nearly every resample's Z comes from the same few bars,
+    as on a series whose volatility is constant but for one jump.
+    """
     config, r = ctx.config, ctx.returns
     try:
         vol = ctx.parkinson
@@ -961,6 +993,10 @@ def test_time_scale_asymmetry(ctx: SeriesContext) -> FactVerdict:
         zr = zumbach_statistic(r, vol, config=config)
     except (DegenerateInputError, InsufficientDataError) as e:
         return _inconclusive(FactId.F11, f"statistic undefined: {e}", n=len(vol.values))
+    flat = zr.band_high - zr.band_low <= _BAND_FLOOR_ULPS * zr.n * np.finfo(float).eps
+    if flat.any():
+        return _inconclusive(FactId.F11, f"null band of zero width at lag {zr.lags[flat][0]}",
+                             n=zr.n)
     above = zr.z > zr.band_high
     below = zr.z < zr.band_low
     outside = above | below

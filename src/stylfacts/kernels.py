@@ -42,7 +42,7 @@ bars and 1,000 resamples it peaks at 36 MB of allocations and takes
 and tail table and 16 resamples per pass (2-vCPU host).
 
 `dot` is the one dot product for every sum over a series whose result
-reaches a report (`stats`, `fitting`, `zumbach_z`).  `np.dot` on 1-D
+reaches a report (`stats`, `fitting`).  `np.dot` on 1-D
 arrays calls BLAS `ddot`, which OpenBLAS splits across threads past 10,000
 elements: each split adds its partial sums in another order, so the bits
 would depend on the thread count, and every threaded call wakes helper
@@ -304,34 +304,22 @@ _BOOT_CHUNK = 8
 # variance is roundoff: the resample has no Z (`zumbach_boot`)
 _VAR_FLOOR_ULPS = 16
 
-def zumbach_z(a, b, n_lags):
-    """Z(delta) = C(delta) - C(-delta) for delta = 1..n_lags.
-
-    a is the (squared) volatility proxy, b the squared returns, aligned on the
-    same grid.  C(delta) pairs a_t with b_{t-delta} and is normalized by
-    (n_valid * std(a) * std(b)), population std, mean-centered in a.  Centering
-    only a is enough: sum (a_t - abar) * b equals the full cross-covariance.
-    """
-    n = a.shape[0]
-    abar = a.mean()
-    sa = a.std()
-    sb = b.std()
-    z = np.empty(n_lags)
-    for lag in range(1, n_lags + 1):
-        past = dot(a[lag:] - abar, b[:-lag])
-        futr = dot(a[:-lag] - abar, b[lag:])
-        z[lag - 1] = (past - futr) / ((n - lag) * sa * sb)
-    return z
-
 
 def zumbach_boot(a, b, starts, block_len, n_lags):
-    """Z (`zumbach_z`) on circular-block resamples of the aligned pair
-    (a, b), from block range sums, without materialising any resample.
+    """Zumbach's Z on circular-block resamples of the aligned pair (a, b),
+    from block range sums, without materialising any resample.
+
+    a is the (squared) volatility proxy and b the squared returns, aligned
+    on the same grid.  On n bars, Z(l) = C(l) - C(-l) for l = 1..n_lags:
+    C(l) pairs a_t with b_{t-l} over the n - l overlapping bars, centred in
+    a alone (on the mean of all n values of a), and is normalized by
+    (n - l) * std(a) * std(b), population stds over all n values.
 
     starts[r, j] is the start index of block j in resample r; blocks of
     block_len bars wrap around the end of the series and are copied jointly
     from both series, so their cross-dependence survives.  Returns
-    (n_resamples, n_lags).
+    (n_resamples, n_lags).  Blocks laid end to end from 0 (starts[r, j] =
+    j * block_len) rebuild the series itself: that row is Z of (a, b).
 
     For each lag l the numerator is D_l - abar * (sum of the resample's first
     l values of b - sum of its last l), where D_l = sum_t a_t b_{t-l} -

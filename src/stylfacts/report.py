@@ -21,7 +21,6 @@ import concurrent.futures
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -286,13 +285,14 @@ def _jsonable(obj):
 
 @contextlib.contextmanager
 def _atomic_writer(path: str):
-    """A binary file in path's directory that replaces path when the block
-    ends; if the block raises, the file is removed and path is untouched."""
+    """A UTF-8 text file (newline="", so "\n" stays "\n") in path's
+    directory that replaces path when the block ends; if the block raises,
+    the file is removed and path is untouched."""
     d = os.path.dirname(path)
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as f:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
             yield f
         os.replace(tmp, path)
     except BaseException:
@@ -303,14 +303,10 @@ def _atomic_writer(path: str):
         raise
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    with _atomic_writer(path) as f:
-        f.write(data)
-
-
 def write_json(path: str, obj) -> None:
     data = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    _atomic_write_bytes(path, data.encode("utf-8"))
+    with _atomic_writer(path) as f:
+        f.write(data)
 
 
 def write_curve_csv(path: str, columns: dict) -> None:
@@ -320,7 +316,7 @@ def write_curve_csv(path: str, columns: dict) -> None:
     if len(lengths) > 1:
         raise ValueError("curve columns differ in length")
     with _atomic_writer(path) as f:
-        _write_rows(f, columns, encoding="utf-8")
+        _write_rows(f, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +433,10 @@ def _summary_row(asset_id: str, report: Optional[dict], error: Optional[str] = N
 
 
 def _write_summary(path: str, rows: list) -> None:
-    buf = io.StringIO()
-    out = csv.writer(buf, lineterminator="\n")
-    out.writerow(["asset", *ALL_FACTS, "error"])
-    out.writerows(rows)
-    _atomic_write_bytes(path, buf.getvalue().encode("utf-8"))
+    with _atomic_writer(path) as f:
+        out = csv.writer(f, lineterminator="\n")
+        out.writerow(["asset", *ALL_FACTS, "error"])
+        out.writerows(rows)
 
 
 def run_analyze(config: RunConfig) -> RunResult:

@@ -197,26 +197,15 @@ def validate_and_gapfill(series: PriceSeries, grid: SamplingGrid,
     # ffill: insert flat bars at the previous close, zero volume; the grid
     # holds at most 1 / (1 - MAX_MISSING_FRACTION) slots per bar
     expected = first + step * np.arange(n_expected, dtype=np.int64)
-    pos = offset // np.uint64(step)
-    o = np.empty(len(expected))
-    h = np.empty(len(expected))
-    l = np.empty(len(expected))
-    c = np.empty(len(expected))
-    v = np.zeros(len(expected))
-    src = np.full(len(expected), -1, dtype=np.int64)
-    src[pos] = np.arange(len(ts))
+    src = np.full(n_expected, -1, dtype=np.int64)
+    src[offset // np.uint64(step)] = np.arange(len(ts))
     have = src >= 0
-    for dst, col in ((o, series.open), (h, series.high), (l, series.low), (c, series.close)):
-        dst[have] = col[src[have]]
-    # first expected slot coincides with ts[0], so every miss has a predecessor
-    carry = np.maximum.accumulate(np.where(have, np.arange(len(expected)), 0))
-    missing = ~have
-    filled_close = series.close[src[carry[missing]]]
-    o[missing] = filled_close
-    h[missing] = filled_close
-    l[missing] = filled_close
-    c[missing] = filled_close
-    v[have] = series.volume
+    # each slot's own bar, or the last bar before it: the first slot holds
+    # ts[0], so every missing slot has one
+    bar = src[np.maximum.accumulate(np.where(have, np.arange(n_expected), 0))]
+    c = series.close[bar]
+    o, h, l = (np.where(have, col[bar], c) for col in (series.open, series.high, series.low))
+    v = np.where(have, series.volume[bar], 0.0)
     report = GapReport(n_input=len(ts), n_expected=len(expected), n_missing=n_missing,
                        n_filled=n_missing, n_off_grid=0, missing_fraction=frac, policy=policy)
     return PriceSeries(expected, o, h, l, c, v, gap_report=report)
@@ -356,18 +345,14 @@ def write_csv(series: PriceSeries, path_or_file) -> None:
 _WRITE_BLOCK_ROWS = 4096
 
 
-def _write_rows(f, columns: dict, encoding: Optional[str] = None) -> None:
+def _write_rows(f, columns: dict) -> None:
     """The header line of column names, then one line per row of the
-    equal-length columns, formatted and written _WRITE_BLOCK_ROWS rows at a
-    time.  With an encoding, f is a binary file and takes encoded bytes."""
+    equal-length columns, formatted and written to the text file f
+    _WRITE_BLOCK_ROWS rows at a time."""
     arrays = [np.asarray(c) for c in columns.values()]
-
-    def write(text):
-        f.write(text if encoding is None else text.encode(encoding))
-
-    write(",".join(columns) + "\n")
+    f.write(",".join(columns) + "\n")
     for lo in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
-        write(_csv_rows([a[lo:lo + _WRITE_BLOCK_ROWS] for a in arrays]))
+        f.write(_csv_rows([a[lo:lo + _WRITE_BLOCK_ROWS] for a in arrays]))
 
 
 def _fmt_cell(v) -> str:

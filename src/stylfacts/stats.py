@@ -81,15 +81,6 @@ class CcfResult:
 
 
 @dataclass(frozen=True)
-class PearsonResult:
-    value: float
-    fisher_z: float
-    z_se: float
-    ci95: tuple
-    n: int
-
-
-@dataclass(frozen=True)
 class GofTestResult:
     statistic: float
     p_value: Optional[float]
@@ -166,27 +157,6 @@ def cross_correlation(x, y, max_lag: int) -> CcfResult:
         values[i] = dot(da, db) / denom
         se[i] = 1.0 / math.sqrt(n - abs(lag))
     return CcfResult(lags=lags, values=values, se=se, n=n)
-
-
-def pearson_corr(x, y) -> PearsonResult:
-    x = _as1d(x)
-    y = _as1d(y)
-    if len(x) != len(y):
-        raise ValueError("series lengths differ")
-    n = len(x)
-    if n < 4:
-        raise InsufficientDataError("need at least 4 pairs")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = math.sqrt(dot(dx, dx) * dot(dy, dy))
-    if denom == 0.0:
-        raise DegenerateInputError("zero variance input")
-    r = float(dot(dx, dy) / denom)
-    r = max(-1.0, min(1.0, r))
-    z = math.atanh(max(-1 + 1e-15, min(1 - 1e-15, r)))
-    z_se = 1.0 / math.sqrt(n - 3)
-    ci = (math.tanh(z - 1.959963984540054 * z_se), math.tanh(z + 1.959963984540054 * z_se))
-    return PearsonResult(value=r, fisher_z=z, z_se=z_se, ci95=ci, n=n)
 
 
 def edf_exceedance(x):

@@ -411,23 +411,24 @@ import json, math
 import numpy as np
 from stylfacts import kernels
 from stylfacts.fitting import fit_ou, fit_tail_exponent
-from stylfacts.stats import acf, adf_test, cross_correlation, pearson_corr
+from stylfacts.stats import acf, adf_test, cross_correlation
 rng = np.random.default_rng(17)
 n = 100_000
 x = kernels.ou_path(rng.standard_normal(n - 1), 0.0, 0.0, 0.95, 1.0)
 y = rng.standard_normal(n) + 0.3 * x
 block_len = math.ceil(n ** (1 / 3))
-starts = rng.integers(0, n, size=(16, -(-n // block_len)))
+n_blocks = -(-n // block_len)
+# 16 drawn resamples and the identity one, whose Z is the observed Z
+starts = np.vstack((rng.integers(0, n, size=(16, n_blocks)),
+                    np.arange(n_blocks) * block_len))
 ou = fit_ou(x)
 tail = fit_tail_exponent(y, tail_fraction=0.4)  # a regression over 4e4 points
 out = {
     "acf": acf(x, 50).values,
     "cross_correlation": cross_correlation(x, y, 5).values,
-    "pearson_corr": [pearson_corr(x, y).value],
     "adf_test": [adf_test(x).statistic],
     "fit_ou": [ou.b, ou.b_se, ou.residual_variance, ou.params.mu],
     "fit_tail_exponent": [tail.alpha, tail.intercept, tail.r_squared],
-    "zumbach_z": kernels.zumbach_z(x * x, y * y, 10),
     "zumbach_boot": kernels.zumbach_boot(x * x, y * y, starts, block_len, 10).ravel(),
 }
 print(json.dumps({k: [float(v).hex() for v in vals] for k, vals in out.items()}))

@@ -346,6 +346,31 @@ class TestZumbachUndefinedResamples:
         zr = zumbach_statistic(ctx.returns, ctx.parkinson)
         assert 500 <= zr.n_boot < 1000
 
+    def test_a_band_of_zero_width_is_inconclusive(self):
+        # a drifting price with one 0.05 jump in its log; every bar's high
+        # and low lie 1e-3 in log beyond its open and close (5e-3 at one
+        # other bar), so a and b vary only at those two bars.  The 635
+        # resamples that hold the jump give Z within roundoff of one value,
+        # the band's edges meet, and every Z would be "outside" it.
+        n = 6000
+        x = 1e-3 * np.arange(n)
+        x[3000:] += 0.05
+        x_open = np.concatenate(([x[0]], x[:-1]))
+        beyond = np.full(n, 1e-3)
+        beyond[1000] = 5e-3
+        ps = PriceSeries(86400 * np.arange(n), np.exp(x_open),
+                         np.exp(np.maximum(x_open, x) + beyond),
+                         np.exp(np.minimum(x_open, x) - beyond), np.exp(x), np.ones(n))
+        ctx = SeriesContext(ps)
+        zr = zumbach_statistic(ctx.returns, ctx.parkinson)
+        assert zr.n_boot == 635
+        assert np.all(zr.band_high - zr.band_low < 1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = facts.test_time_scale_asymmetry(ctx)
+        assert verdict.status is INC
+        assert verdict.notes == ("null band of zero width at lag 1",)
+
 
 class TestGainLossMirror:
     def test_negated_returns_swap_the_tails(self, gjr_case):
@@ -441,6 +466,26 @@ class TestVolumeVolatility:
         assert v.metrics["n"] == len(xs)
         assert v.metrics["pearson_r"] == pytest.approx(
             np.corrcoef(xs, ys)[0, 1], rel=1e-12)
+
+    def test_observed_r_matches_a_loop(self):
+        v = facts.test_volume_volatility(SeriesContext(simulate(GbmSpec(n_steps=3000, seed=12)),
+                                                       FactConfig(f6_window=9)))
+        x, y = (v.curves["volume_volatility"][k].tolist() for k in ("volume", "volatility"))
+        mx, my = sum(x) / len(x), sum(y) / len(y)
+        sxy = sxx = syy = 0.0
+        for xi, yi in zip(x, y):
+            sxy += (xi - mx) * (yi - my)
+            sxx += (xi - mx) ** 2
+            syy += (yi - my) ** 2
+        assert v.metrics["n"] == len(x) == 333
+        assert v.metrics["pearson_r"] == pytest.approx(sxy / math.sqrt(sxx * syy), rel=1e-12)
+
+    def test_constant_volume_is_inconclusive(self):
+        ps = simulate(GbmSpec(n_steps=3000, seed=12))
+        v = facts.test_volume_volatility(SeriesContext(
+            PriceSeries(ps.timestamps, ps.open, ps.high, ps.low, ps.close, np.ones(len(ps)))))
+        assert v.status is INC
+        assert v.notes == ("correlation undefined: zero variance input",)
 
     # (resamples, window): whole and partial chunks of resamples, over 333
     # and 300 windows

@@ -1,12 +1,16 @@
-"""Start-up cost: what importing the package and running a command load.
+"""Start-up cost: what importing the package and running a command load,
+and the package's exported surface.
 
 Importing scipy takes most of a second, so the package imports it inside the
 functions that call it.  These tests run a fresh interpreter each, because
-the test process itself has loaded scipy long before they run.
+the test process itself has loaded scipy long before they run.  Every name
+the package exports must be read by some module of the package.
 """
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -80,3 +84,49 @@ def test_garch_filter_loads_scipy_linalg():
     got = _fresh("import numpy as np, stylfacts; from stylfacts import kernels; "
                  "kernels.garch_filter(np.ones(10), 1e-6, 0.1, 0.85, 1e-5); " + _REPORT)
     assert "scipy.linalg" in got["scipy"]
+
+
+# the documented report contract: read by the tests and by users, not by
+# the package itself
+_EXPORTS_WITHOUT_CALLER = {"REPORT_SCHEMA"}
+
+
+def _names_read(tree):
+    """Every name a module reads: loaded names, attribute names, imported
+    names and the function names held as strings in `_TESTS`, except a
+    top-level definition's reads of its own name."""
+    reads = set()
+
+    def visit(node, owner):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name.rpartition(".")[2]
+        else:
+            name = None
+        if name is not None and name != owner:
+            reads.add(name)
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_TESTS"
+                                                for t in node.targets):
+            reads.update(c.value for c in ast.walk(node.value)
+                         if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return reads
+
+
+def test_every_export_has_a_caller():
+    # an exported name that no module of the package reads is dead API
+    package = pathlib.Path(stylfacts.__file__).parent
+    reads = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            reads |= _names_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert sorted(set(stylfacts.__all__) - reads - _EXPORTS_WITHOUT_CALLER) == []
+    assert _EXPORTS_WITHOUT_CALLER <= set(stylfacts.__all__)

@@ -202,6 +202,33 @@ class TestGapfill:
         assert out.volume[i] == 0.0
         assert out.gap_report.n_filled == 1
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_ffill_matches_a_row_loop(self, seed):
+        # about 15% of the slots missing, in runs of any length, and NaN
+        # volumes on some kept bars
+        rng = np.random.default_rng(seed)
+        n = 300
+        s = make_series(n=n, seed=seed)
+        volume = np.where(rng.random(n) < 0.1, np.nan, s.volume)
+        keep = np.flatnonzero(np.r_[True, rng.random(n - 1) < 0.85])
+        src = PriceSeries(s.timestamps[keep], s.open[keep], s.high[keep], s.low[keep],
+                          s.close[keep], volume[keep])
+        out = validate_and_gapfill(src, self.grid(), policy="ffill")
+
+        rows, j = [], 0
+        for k in range(keep[-1] + 1):
+            if src.timestamps[j] == k * DAY:
+                rows.append([src.open[j], src.high[j], src.low[j], src.close[j],
+                             src.volume[j]])
+                j += 1
+            else:
+                rows.append([rows[-1][3]] * 4 + [0.0])
+        want = np.array(rows)
+        assert out.gap_report.n_filled == len(rows) - len(keep) > 0
+        np.testing.assert_array_equal(out.timestamps, DAY * np.arange(len(rows)))
+        got = np.column_stack((out.open, out.high, out.low, out.close, out.volume))
+        assert got.tobytes() == want.tobytes()
+
     def test_idempotent(self):
         once = validate_and_gapfill(self.gappy(), self.grid(), policy="ffill")
         twice = validate_and_gapfill(once, self.grid(), policy="ffill")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from stylfacts.errors import DegenerateInputError, InsufficientDataError
 from stylfacts.stats import (_lag_gram, acf, adf_test, anderson_darling_normal,
                              autocovariance, cross_correlation, edf_exceedance,
-                             ks_test_normal, pearson_corr, qq_data)
+                             ks_test_normal, qq_data)
 
 
 def naive_acf(x, max_lag):
@@ -148,33 +148,6 @@ class TestCrossCorrelation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cross_correlation(np.arange(10.0), np.arange(9.0), 2)
-
-
-class TestPearson:
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(100)
-        y = 0.5 * x + rng.standard_normal(100)
-        got = pearson_corr(x, y)
-        want = scipy.stats.pearsonr(x, y)
-        assert got.value == pytest.approx(want.statistic, rel=1e-12)
-
-    def test_ci_covers_r(self):
-        rng = np.random.default_rng(8)
-        x = rng.standard_normal(50)
-        y = rng.standard_normal(50)
-        res = pearson_corr(x, y)
-        lo, hi = res.ci95
-        assert lo < res.value < hi
-
-    def test_perfect_correlation(self):
-        x = np.arange(20.0)
-        res = pearson_corr(x, 3.0 * x + 1.0)
-        assert res.value == pytest.approx(1.0)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            pearson_corr(np.ones(10), np.arange(10.0))
 
 
 def _standardized_sorted(x):
