@@ -9,7 +9,9 @@ For every kernel the script first runs it and its `*_loop` twin
 (tests/_oracles.py) on a small input (n=2000) and prints their largest
 difference relative to the twin's largest magnitude; then it times the
 kernel at --n (best of --repeat).  Then it prints `tracemalloc` peaks at
---n: the Zumbach bootstrap kernel, `rolling_var` at the daily window (21)
+--n: the Zumbach bootstrap kernel, next to the size of its prefix table,
+(n + block_len + 1) x (min(n_lags, block_len) + 4) float64 values, the
+floor it cannot go below; `rolling_var` at the daily window (21)
 and at one day of one-minute bars (1,440), and facts F3, F8 and F11 on a
 simulated GJR series, each fact on a fresh `SeriesContext`, so the shared
 pieces it reads (the GARCH fit, the standardized returns, the Parkinson
@@ -196,15 +198,19 @@ def bench_peaks(n, args):
     series and of the facts whose peaks they set."""
     x = args["rolling_var"][0]
     series = simulate(GjrSpec(n_steps=n, seed=3))
-    rows = [("zumbach_boot", lambda: kernels.zumbach_boot(*args["zumbach_boot"]))]
-    rows += [(f"rolling_var w={w}", lambda w=w: kernels.rolling_var(x, w, 1))
+    _, _, _, block_len, n_lags = args["zumbach_boot"]
+    # the one table the kernel keeps: its floor
+    table_mb = (n + block_len + 1) * (min(n_lags, block_len) + 4) * 8 / 1e6
+    rows = [("zumbach_boot", lambda: kernels.zumbach_boot(*args["zumbach_boot"]),
+             f"prefix table {table_mb:.1f} MB")]
+    rows += [(f"rolling_var w={w}", lambda w=w: kernels.rolling_var(x, w, 1), "")
              for w in (21, 1440) if w <= n]
-    rows += [(fact, lambda test=test: getattr(facts, test)(SeriesContext(series)))
+    rows += [(fact, lambda test=test: getattr(facts, test)(SeriesContext(series)), "")
              for fact, test in (("F3", "test_intermittency"), ("F8", "test_unconditional_tail"),
                                 ("F11", "test_time_scale_asymmetry"))]
     print(f"\n{'tracemalloc peak, n=' + str(n):<24} {'MB':>8}")
-    for label, fn in rows:
-        print(f"{label:<24} {traced_peak(fn):>8.1f}")
+    for label, fn, note in rows:
+        print(f"{label:<24} {traced_peak(fn):>8.1f}  {note}".rstrip())
 
 
 def bench_bars(n, repeat):

@@ -902,6 +902,9 @@ def test_aggregational_gaussianity(ctx: SeriesContext) -> FactVerdict:
 
 # bootstrap rows of block starts drawn per call
 _F11_DRAW_ROWS = 16
+# drawn resamples per `kernels.zumbach_boot` call, a multiple of
+# _F11_DRAW_ROWS: the default n_boot runs as one call
+_F11_BATCH_ROWS = 1024
 # a null band at most this many times n * eps wide is roundoff
 # (`test_time_scale_asymmetry`)
 _BAND_FLOOR_ULPS = 16
@@ -920,8 +923,9 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
     and `n_boot` count only the resamples with a Z (`kernels.zumbach_boot`);
     fewer than half of them raise DegenerateInputError.
 
-    Z itself is one more row of the same kernel call: after the drawn
-    resamples, the blocks laid end to end from 0, which rebuild the series.
+    Z itself is one more row of the same kernel arithmetic: after the drawn
+    resamples of the last kernel call, the blocks laid end to end from 0,
+    which rebuild the series.
     """
     n_lags = config.f11_lags if n_lags is None else int(n_lags)
     r = _values(returns)
@@ -941,15 +945,22 @@ def zumbach_statistic(returns, vol, n_lags: Optional[int] = None,
     n_blocks = math.ceil(n / block_len)
     n_boot = config.f11_n_boot
     rng = _child_rng(config.seed, 11)
-    # int64 draws, the same stream as one (n_boot, n_blocks) draw, kept as
-    # int32 (every start is below n): half the largest array of F11.  The
-    # last row is the identity resample, whose Z is the observed one.
-    starts = np.empty((n_boot + 1, n_blocks), dtype=np.int32)
-    for lo in range(0, n_boot, _F11_DRAW_ROWS):
-        rows = starts[lo:min(lo + _F11_DRAW_ROWS, n_boot)]
-        rows[:] = rng.integers(0, n, size=rows.shape, dtype=np.int64)
-    starts[-1] = np.arange(n_blocks) * block_len
-    boots = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    # The resamples run in batches of _F11_BATCH_ROWS through one buffer of
+    # starts, which does not grow with n_boot.  int64 draws, the same stream
+    # as one (n_boot, n_blocks) draw, kept as int32 (every start is below n).
+    # The last batch ends with the identity resample, whose Z is the observed
+    # one.
+    boots = np.empty((n_boot + 1, n_lags))
+    starts = np.empty((min(n_boot, _F11_BATCH_ROWS) + 1, n_blocks), dtype=np.int32)
+    for lo in range(0, n_boot, _F11_BATCH_ROWS):
+        hi = min(lo + _F11_BATCH_ROWS, n_boot)
+        batch = starts[:hi - lo + (hi == n_boot)]
+        for row in range(0, hi - lo, _F11_DRAW_ROWS):
+            rows = batch[row:min(row + _F11_DRAW_ROWS, hi - lo)]
+            rows[:] = rng.integers(0, n, size=rows.shape, dtype=np.int64)
+        if hi == n_boot:
+            batch[-1] = np.arange(n_blocks) * block_len
+        boots[lo:lo + len(batch)] = kernels.zumbach_boot(a, b, batch, block_len, n_lags)
     boots, z = boots[:-1], boots[-1]
     if np.isnan(z).any():
         raise DegenerateInputError("degenerate variance: Z undefined")

@@ -21,8 +21,8 @@ recursion runs, so each runs as an inclusive prefix scan of affine maps
 decomposition: it never builds a resample.  Pairs of bars inside one
 block are read from a table of circular prefix-sum differences, one row per
 possible block start; a pair that crosses block boundaries is counted once,
-at the boundary that ends the block holding its earlier bar, from one small
-matrix product per resample (see its docstring).  That takes
+at the boundary that ends the block holding its earlier bar, from two small
+matrix products per resample (see its docstring).  That takes
 O(n / block_len * n_lags^2) work per resample instead of O(n * n_lags), for
 every n_lags: when n_lags exceeds block_len (series shorter than about
 n_lags^3), the values after a boundary come in pieces of whole blocks.
@@ -33,13 +33,18 @@ reduce a window view a block of rows at a time (`_rolling`): numpy's `var`
 makes a centred copy of every window it is given, 8 n w bytes for the whole
 view, which is 1.15 GB at 1e5 one-minute bars and a day's window of 1,440,
 and a few MB per block.  Each row reduces alone, so the blocks give the
-whole view's bits.  `zumbach_boot` writes its prefix sums in place, builds
-its block table from them in row blocks and frees them before the
-resamples, keeps one n x 2w table of windows from which it gathers both
-the heads and the tails of blocks, and runs 8 resamples per pass.  At 1e5
-bars and 1,000 resamples it peaks at 36 MB of allocations and takes
-0.31 s on one BLAS thread, against 75 MB and 0.29 s with a separate head
-and tail table and 16 resamples per pass (2-vCPU host).
+whole view's bits.  `zumbach_boot` keeps one table of the series' length,
+(n + block_len + 1) x (w + 4) values: it writes its prefix sums in place,
+then writes its block table over them in ascending row blocks, since each
+block row reads only prefix rows at and after its own.  It gathers the
+heads and tails of blocks straight from the circularly extended series,
+through views whose items are the overlapping w-value windows at every
+start (`_windows`), and runs as many resamples per pass as keep a pass's
+gathers near 8 MB (9 at 1e5 bars, 1 at 1e6).  At 1e5 bars and 1,000
+resamples it peaks at 22.5 MB of allocations (the table is 11.2 MB) and
+takes 0.28-0.41 s on one BLAS thread, against 36 MB and 0.40-0.53 s with
+an n x 2w table of windows and a second n x (w + 4) block table; at 1e6
+bars, 136 MB and 2.5-3.5 s against 313 MB and 3.8-4.0 s (2-vCPU host).
 
 `dot` is the one dot product for every sum over a series whose result
 reaches a report (`stats`, `fitting`).  `np.dot` on 1-D
@@ -47,13 +52,14 @@ arrays calls BLAS `ddot`, which OpenBLAS splits across threads past 10,000
 elements: each split adds its partial sums in another order, so the bits
 would depend on the thread count, and every threaded call wakes helper
 threads that then spin.  `np.einsum` runs numpy's own loop in one fixed
-order.  Two products stay on BLAS.  `zumbach_boot`'s batched `np.matmul`
-multiplies w x (2 n / block_len) x w blocks (10 x 4,300 x 10 at 1e5 bars):
-as an einsum the kernel takes about three times as long (1.2-1.4 s against
-0.36-0.46 s per 1,000 resamples at 1e5 bars on a 2-vCPU host), and at these
-shapes its bits are the same under one and two BLAS threads (the thread
-tests in tests/test_cli.py check this).  `fitting.fit_power_law` sums over
-at most `f2_max_lag` ACF values, far below the threading threshold.
+order.  Two products stay on BLAS.  `zumbach_boot`'s two batched
+`np.matmul`s multiply w x (n / block_len) x w blocks (10 x 2,127 x 10 at
+1e5 bars): as einsums the kernel takes about three times as long (1.1-1.2 s
+against 0.28-0.41 s per 1,000 resamples at 1e5 bars on a 2-vCPU host), and
+at these shapes their bits are the same under one and two BLAS threads (the
+thread tests in tests/test_cli.py check this).  `fitting.fit_power_law`
+sums over at most `f2_max_lag` ACF values, far below the threading
+threshold.
 
 The GARCH filter and score run their first-order recursions
 y[t] = beta y[t-1] + f[t] as one triangular solve each: y solves the unit
@@ -298,11 +304,27 @@ def rolling_mean(x, n, stride):
 # Zumbach statistic and its block-bootstrap null band
 # ---------------------------------------------------------------------------
 
-# resamples per pass of `zumbach_boot`
-_BOOT_CHUNK = 8
+# elements gathered per pass of `zumbach_boot` (`_resamples_per_pass`)
+_BOOT_ELEMENTS = 1 << 20
 # a resample variance at most this many times n * eps times the series'
 # variance is roundoff: the resample has no Z (`zumbach_boot`)
 _VAR_FLOOR_ULPS = 16
+
+
+def _resamples_per_pass(n_blocks, n_pieces, w):
+    """Resamples per pass of `zumbach_boot`: as many as keep a pass's
+    gathers (the heads and tails of both series and the block-table rows)
+    within _BOOT_ELEMENTS, and at least one.  That is 9 at 1e5 bars and 10
+    lags, and 1 at 1e6."""
+    per_resample = (n_blocks - 1) * (2 * (n_pieces + 1) * w + w + 4)
+    return max(1, _BOOT_ELEMENTS // max(per_resample, 1))
+
+
+def _windows(x, n, w):
+    """The w-value windows of x at starts 0 .. n-1 as n void items of 8 w
+    bytes at a stride of 8 bytes: a view of x whose items overlap, so a
+    fancy index gathers whole windows without a table of them."""
+    return np.ndarray((n,), dtype=np.dtype((np.void, 8 * w)), buffer=x, strides=(8,))
 
 
 def zumbach_boot(a, b, starts, block_len, n_lags):
@@ -332,15 +354,17 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
     n_lags values after the boundary: Q = ceil(n_lags / w) pieces of w
     values at the starts of blocks j .. j+Q-1 (one piece when n_lags <=
     block_len; whole blocks otherwise).  The crossing pairs for every lag
-    at once come from one product of those Q*w values against the w before
-    the boundary, summed over boundaries: lag l is that product's diagonal
-    at offset w - l.  Piece values past the end of the resample are zeroed.
+    at once come from two products of those Q*w values against the w before
+    the boundary, summed over boundaries, head_a^T tail_b - head_b^T
+    tail_a: lag l is that difference's diagonal at offset w - l.  Piece
+    values past the end of the resample are zeroed.
 
-    The heads and tails come from one table of w-value windows at every
-    circular start, held as (a, b) rows: a head is its row; a tail is its
-    row read as two items in swapped order with the a half negated,
-    (b, -a).  Resamples run _BOOT_CHUNK at a time, so each pass gathers a
-    few MB.  starts may be int32 or int64; the results are the same.
+    The heads and tails are gathered straight from the circularly extended
+    series, through one view per series whose items are the overlapping
+    w-value windows at every start (`_windows`); no table of windows is
+    built.  Resamples run `_resamples_per_pass` at a time, so each pass
+    gathers a few MB.  starts may be int32 or int64; the results are the
+    same.
 
     A resample whose a or b is constant up to roundoff has no Z, and its
     row is NaN, with no warning.  Its variance comes from differences of
@@ -366,15 +390,15 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
     # (the variances are shift-invariant) keeps sum(x^2)/n - mean^2 from
     # cancelling digits.  Both come as differences of prefix sums over the
     # source index, extended circularly by one block (and by w before it for
-    # the lagged factors).  Each column is written straight into the prefix
-    # buffer, which is then summed in place.
+    # the lagged factors).  Each column is written straight into `table`,
+    # which is then summed in place into the prefix sums.
     ext = np.arange(-w, n + block_len) % n
     ae, be = a[ext], b[ext]
     del ext
     a_mean = a.mean()
-    prefix = np.empty((n + block_len + 1, w + 4))
-    prefix[0] = 0.0
-    body = prefix[1:]
+    table = np.empty((n + block_len + 1, w + 4))
+    table[0] = 0.0
+    body = table[1:]
     for lag in lags[:w]:
         np.multiply(ae[w:], be[w - lag:-lag], out=body[:, lag - 1])
         body[:, lag - 1] -= ae[w - lag:-lag] * be[w:]
@@ -388,27 +412,21 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
     col = np.arange(w + 4)
 
     def block_rows(s, m):
-        return prefix[s + m] - prefix[s[:, None] + np.minimum(first, m), col]
+        return table[s + m] - table[s[:, None] + np.minimum(first, m), col]
 
-    # every full block, built in row blocks; the drawn last blocks; then the
-    # prefix sums are no longer needed
-    full = np.empty((n, w + 4))
+    # the drawn last blocks first; then every full block, written over the
+    # prefix sums in ascending row blocks: row s reads rows s .. s +
+    # block_len only, and each right-hand side is evaluated before it is
+    # assigned, so no row is read after it is overwritten
+    last = block_rows(starts[:, -1], last_len)
     step = max(1, _BLOCK_ELEMENTS // (w + 4))
     for lo in range(0, n, step):
-        full[lo:lo + step] = block_rows(np.arange(lo, min(lo + step, n)), block_len)
-    last = block_rows(starts[:, -1], last_len)
-    del prefix
+        hi = min(lo + step, n)
+        table[lo:hi] = block_rows(np.arange(lo, hi), block_len)
+    full = table[:n]
 
-    # One window table: the w values at every circular start as (a, b)
-    # rows.  A block's head is its row; the previous block's tail is its row
-    # with the halves swapped and the a half negated, (b, -a), so that one
-    # contraction over boundaries gives sum_j head_a[u] tail_b[k] -
-    # tail_a[k] head_b[u].
-    windows = np.concatenate((sliding_window_view(ae[w:n + 2 * w - 1], w),
-                              sliding_window_view(be[w:n + 2 * w - 1], w)), axis=1)
-    del ae, be
-    # the table as 2n items of w values: a, b of start 0, a, b of start 1, ...
-    halves = windows.view(np.dtype((np.void, 8 * w))).reshape(-1)
+    # the w values of a and of b at every start, read from ae[w:] and be[w:]
+    a_win, b_win = _windows(ae[w:], n, w), _windows(be[w:], n, w)
     # piece q after boundary j = 1 .. n_blocks-1 is the head of block j+q,
     # clipped to the last block; the (piece, boundary, offset) cells at
     # resample positions >= n are zeroed
@@ -420,28 +438,33 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
 
     a_floor, b_floor = (_VAR_FLOOR_ULPS * n * np.finfo(float).eps * x.var() for x in (a, b))
     out = np.empty((n_res, n_lags))
-    for lo in range(0, n_res, _BOOT_CHUNK):
-        hi = min(lo + _BOOT_CHUNK, n_res)
+    chunk = _resamples_per_pass(n_blocks, n_pieces, w)
+    for lo in range(0, n_res, chunk):
+        hi = min(lo + chunk, n_res)
         st = starts[lo:hi]
         # np.take: several times faster than fancy indexing for row gathers
         sums = np.einsum("rkj->rj", np.take(full, st[:, :-1], axis=0)) + last[lo:hi]
-        h = np.take(windows, st[:, head_blocks], axis=0).reshape(
-            hi - lo, n_pieces, n_blocks - 1, 2, w)
-        h[:, past_end[0], past_end[1], :, past_end[2]] = 0.0
-        # the tails: each row's two halves gathered as items in swapped
-        # order, (b, a), then the a half negated
-        tail_rows = 2 * ((st[:, :-1] + (block_len - w)) % n)
-        t = np.take(halves, np.stack((tail_rows + 1, tail_rows), axis=-1)).view(np.float64)
-        np.negative(t[:, :, w:], out=t[:, :, w:])
+        # heads and tails by fancy indexing, several times faster than np.take
+        # on void items; its result keeps its index's memory order, so the
+        # head index is made C-ordered (np.take's order) for the float view
+        head_rows = np.take(st, head_blocks, axis=1)
+        tail_rows = (st[:, :-1] + (block_len - w)) % n
+        head_a, head_b = (x[head_rows].view(np.float64).reshape(hi - lo, n_pieces, -1, w)
+                          for x in (a_win, b_win))
+        for h in (head_a, head_b):
+            h[:, past_end[0], past_end[1], past_end[2]] = 0.0
+        tail_a, tail_b = (x[tail_rows].view(np.float64).reshape(hi - lo, 1, -1, w)
+                          for x in (a_win, b_win))
         # stays on BLAS: as an einsum the kernel takes 3x as long (module docstring)
-        cross = np.matmul(h.reshape(hi - lo, n_pieces, -1, w).transpose(0, 1, 3, 2),
-                          t.reshape(hi - lo, 1, -1, w)).reshape(hi - lo, -1, w)
+        cross = np.matmul(head_a.transpose(0, 1, 3, 2), tail_b)
+        cross -= np.matmul(head_b.transpose(0, 1, 3, 2), tail_a)
+        cross = cross.reshape(hi - lo, -1, w)
         d = np.stack(
             [np.trace(cross, offset=w - lag, axis1=1, axis2=2) for lag in lags], axis=1)
         d[:, :w] += sums[:, :w]
         edge_b = b[(st[:, edge_block] + edge_off) % n]
-        head_b = np.cumsum(edge_b[:, :n_lags], axis=1)
-        tail_b = np.cumsum(edge_b[:, n_lags:][:, ::-1], axis=1)
+        head_sum_b = np.cumsum(edge_b[:, :n_lags], axis=1)
+        tail_sum_b = np.cumsum(edge_b[:, n_lags:][:, ::-1], axis=1)
         sa, saa, sb, sbb = (sums[:, w + i] / n for i in range(4))
         a_var = saa - sa * sa
         b_var = sbb - sb * sb
@@ -449,6 +472,6 @@ def zumbach_boot(a, b, starts, block_len, n_lags):
         undefined = (a_var <= a_floor) | (b_var <= b_floor)
         astd = np.sqrt(np.where(undefined, np.nan, a_var))
         bstd = np.sqrt(np.where(undefined, np.nan, b_var))
-        num = d - (a_mean + sa)[:, None] * (head_b - tail_b)
+        num = d - (a_mean + sa)[:, None] * (head_sum_b - tail_sum_b)
         out[lo:hi] = num / ((n - lags) * (astd * bstd)[:, None])
     return out

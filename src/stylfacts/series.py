@@ -249,24 +249,41 @@ _EPOCH_ROW = np.dtype([(name, np.int64 if name == "timestamp" else np.float64)
 # ASCII separators that numpy's number parser skips as whitespace and
 # Python's float() rejects
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+# characters per read of the body scan in `_c_parser_reads`
+_SCAN_CHARS = 1 << 16
+
+
+def _has_empty_cell(text: str) -> bool:
+    """Whether text holds an empty cell: two adjacent delimiters (a comma or
+    a line end) of which one is a comma.  The check runs on the UTF-8 bytes,
+    where no byte of a non-ASCII character is a delimiter."""
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    comma = buf == ord(",")
+    delim = comma | (buf == ord("\n")) | (buf == ord("\r"))
+    return bool((delim[:-1] & delim[1:] & (comma[:-1] | comma[1:])).any())
 
 
 def _c_parser_reads(header: str, f) -> bool:
     """Whether numpy's C parser may read f, positioned after its header line:
     the header is the expected one and holds no quote, which could open a
     field that csv.reader carries onto later lines; a first row follows
-    (loadtxt warns when it finds none); and no cell holds a character the
-    two parsers read differently."""
+    (loadtxt warns when it finds none); no cell holds a character the two
+    parsers read differently; and no cell is empty, which loadtxt rejects
+    only once it reaches that row, after parsing every row before it."""
     if '"' in header or [c.strip().lower() for c in header.split(",")] != list(CSV_COLUMNS):
         return False
     body = f.tell()
     if not f.readline().strip():
         return False
     f.seek(body)
-    for chunk in iter(lambda: f.read(1 << 20), ""):
-        if any(c in chunk for c in _SEPARATORS):
+    # each chunk is scanned after the character before it, so an empty cell
+    # split across two chunks is found
+    prev = "\n"
+    for chunk in iter(lambda: f.read(_SCAN_CHARS), ""):
+        if any(c in chunk for c in _SEPARATORS) or _has_empty_cell(prev + chunk):
             return False
-    return True
+        prev = chunk[-1]
+    return prev != ","
 
 
 def _read_epoch_columns(f):

@@ -288,6 +288,48 @@ class TestZumbach:
         assert zr.band_low.tobytes() == np.quantile(dev, tail, axis=0).tobytes()
         assert zr.band_high.tobytes() == np.quantile(dev, 1.0 - tail, axis=0).tobytes()
 
+    def test_batches_give_the_bits_of_one_call(self, aligned, monkeypatch):
+        # at most 1,024 drawn resamples per kernel call, the identity row
+        # with the last batch; the default n_boot is one call
+        r, v, _, _ = aligned
+        calls = []
+        boot = kernels.zumbach_boot
+
+        def counted(a, b, starts, block_len, n_lags):
+            calls.append(starts.shape[0])
+            return boot(a, b, starts, block_len, n_lags)
+
+        monkeypatch.setattr(kernels, "zumbach_boot", counted)
+        zumbach_statistic(r, v, config=FactConfig())
+        assert calls == [1001]
+        cfg = FactConfig(f11_n_boot=2500, seed=9)
+        calls.clear()
+        batched = zumbach_statistic(r, v, config=cfg)
+        assert calls == [1024, 1024, 453]
+        monkeypatch.setattr(facts, "_F11_BATCH_ROWS", 2512)
+        calls.clear()
+        one = zumbach_statistic(r, v, config=cfg)
+        assert calls == [2501]
+        assert batched.n_boot == one.n_boot
+        for got, want in ((batched.z, one.z), (batched.band_low, one.band_low),
+                          (batched.band_high, one.band_high)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_memory_does_not_grow_with_n_boot(self, aligned):
+        # the starts of all resamples would be 4 n_boot n / block_len bytes,
+        # 11.4 MB at 4,000 resamples of 2e4 bars
+        r, v, _, _ = aligned
+        peaks = []
+        for n_boot in (1000, 4000):
+            tracemalloc.start()
+            try:
+                zumbach_statistic(r, v, config=FactConfig(f11_n_boot=n_boot))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(v) > 19_000
+        assert peaks[1] - peaks[0] <= 5e6
+
     def test_degenerate_inputs_raise(self):
         rng = np.random.default_rng(14)
         v = np.abs(rng.standard_normal(2000)) + 0.1

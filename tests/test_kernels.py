@@ -236,3 +236,39 @@ def test_zumbach_boot_int32_starts_give_the_int64_bits(shape):
     want = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
     got = kernels.zumbach_boot(a, b, starts.astype(np.int32), block_len, n_lags)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_pass", [1, 3, None], ids=["one", "three", "all"])
+@pytest.mark.parametrize("shape", list(ZUMBACH_SHAPES.values()), ids=list(ZUMBACH_SHAPES))
+def test_zumbach_boot_bits_do_not_depend_on_its_blocking(monkeypatch, shape, per_pass):
+    # the block table is written over the prefix sums a row block at a
+    # time, here one row at a time (shorter than any block), and each
+    # resample's row is computed alone, in passes of any size
+    a, b, starts, block_len, n_lags = _zumbach_case(*shape, wrap=True)
+    want = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 1)
+    monkeypatch.setattr(kernels, "_resamples_per_pass",
+                        lambda *args: per_pass or starts.shape[0])
+    got = kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_zumbach_boot_memory_is_one_table_of_the_series():
+    # F11 at 1e5 bars: the prefix table (n + block_len + 1) x (w + 4) is
+    # 11.2 MB, and a pass of 8 or more resamples gathers about 8 MB more;
+    # a table of the windows of every start would add 16 MB
+    n, n_lags = 100_000, 10
+    rng = np.random.default_rng(29)
+    a = np.abs(rng.standard_normal(n)) + 0.1
+    b = np.abs(rng.standard_normal(n)) + 0.1
+    block_len = math.ceil(n ** (1 / 3))
+    n_blocks = math.ceil(n / block_len)
+    starts = rng.integers(0, n, size=(1001, n_blocks)).astype(np.int32)
+    assert kernels._resamples_per_pass(n_blocks, 1, n_lags) >= 8
+    tracemalloc.start()
+    try:
+        kernels.zumbach_boot(a, b, starts, block_len, n_lags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 26e6

@@ -490,6 +490,28 @@ class TestCsvParsers:
             warnings.simplefilter("error")
             assert _read_outcome(io.StringIO(text)) == _read_outcome(_Unseekable(text))
 
+    @pytest.mark.parametrize("scan_chars", [1, 2, 3, 7, 1 << 20])
+    @pytest.mark.parametrize("text", [
+        _perfbench_style(2000, 9)[:-len("\n")].rsplit(",", 1)[0] + ",\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n2,1,,0.5,1.5,4\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n,1,2,0.5,1.5,4\n",
+        _HEAD + "1,1,2,0.5,1.5,3\r\n2,1,2,0.5,1.5,\r\n",
+        _HEAD + "1,1,2,0.5,1.5,3\n2,1,2,0.5,1.5,",
+    ], ids=["last_volume", "middle", "first_cell", "crlf", "end_of_file"])
+    def test_an_empty_cell_skips_the_c_parser(self, monkeypatch, tmp_path, text, scan_chars):
+        # the body is scanned for empty cells before loadtxt runs, in chunks
+        # of any size; the file reads as csv.reader reads it
+        want = _read_outcome(_Unseekable(text))
+        p = tmp_path / "bars.csv"
+        p.write_text(text, newline="")
+
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("np.loadtxt entered")
+
+        monkeypatch.setattr(series_module, "_SCAN_CHARS", scan_chars)
+        monkeypatch.setattr(series_module.np, "loadtxt", loadtxt)
+        assert _read_outcome(str(p)) == want
+
     def test_messages_are_the_csv_readers(self):
         for text, message in ((_HEAD, "CSV has a header but no rows"),
                               (_HEAD + "1,1,2,0.5,1.5,3\n2,1,2\n", "row 2: expected 6 fields, got 3"),
