@@ -26,8 +26,10 @@ it.
 The I/O section times the two CSV writers at --n rows, `series.write_csv` on
 a simulated series and `report.write_curve_csv` on a curve shaped like
 `volatility.csv` (an int64 column and three float columns), next to the
-row-at-a-time oracles in tests/test_series.py, after checking at n=2000
-that each writer's bytes equal its oracle's.  Then it times
+row-at-a-time oracles in tests/test_series.py at min(--n, 200000) rows,
+after checking at n=2000 that each writer's bytes equal its oracle's, and
+prints the share of each input's cells that `kernels.csv_lines` hands to
+`repr` or `str` instead of its vectorized digits.  Then it times
 `import stylfacts` in a fresh interpreter against a bare interpreter start,
 and the first call of each scientific function on `analyze`'s path that
 imports scipy (`garch_filter`, `ks_test_normal`, `anderson_darling_normal`,
@@ -42,8 +44,9 @@ objective gap per return.  It times `fit_power_law` on the |r| ACF of the
 GARCH series (lags 1..100, as F2 fits it) next to the general
 Levenberg-Marquardt fit it replaced (also kept in tests/test_fitting.py).
 Last, it times `adf_test` on the 21-bar volatility of the GARCH series next
-to its design-matrix form (kept in tests/test_stats.py), each with its
-`tracemalloc` peak.
+to its design-matrix form (kept in tests/test_stats.py) on the first
+min(--n, 200000) points, each with its `tracemalloc` peak; the drift is
+taken on those points.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
 """
@@ -80,6 +83,9 @@ from test_stats import _adf_design_matrix  # noqa: E402
 
 ZUMBACH_LAGS = 10
 CHECK_N = 2000  # input length for the check against the loop twins
+# longest input of the three slow oracles (the row-at-a-time CSV writers,
+# the design-matrix ADF test): at 1e6 the ADF oracle peaks near 2 GB
+ORACLE_N = 200_000
 
 
 def best_of(fn, repeat):
@@ -285,20 +291,44 @@ def bench_first_calls(repeat):
               f"{best['rss_mb']:>6.1f} MB  {', '.join(loaded) or 'none'}")
 
 
+def fallback_share(columns):
+    """Share of the non-empty cells of the columns that `kernels.csv_lines`
+    formats by `repr` or `str` rather than by its vectorized digits."""
+    sent = cells = 0
+    for c in columns:
+        c = np.asarray(c)
+        if c.dtype.kind == "f":
+            filled = ~np.isnan(c)
+            sent += int(np.count_nonzero(~kernels._shortest(c.astype(np.float64))[3] & filled))
+            cells += int(np.count_nonzero(filled))
+        else:
+            sent += int(np.count_nonzero((c >= 10 ** 17) | (c <= -10 ** 17)))
+            cells += c.size
+    return sent / max(cells, 1)
+
+
 def bench_io(n, repeat):
     small_series = simulate(GbmSpec(n_steps=CHECK_N - 1, seed=1))
     big_series = simulate(GbmSpec(n_steps=n - 1, seed=0))
+    big_curve = curve_columns(n, 0)
+    oracle_n = min(n, ORACLE_N)
     rows = [
-        ("write_csv", write_series, write_csv, _write_csv_loop, small_series, big_series),
+        ("write_csv", write_series, write_csv, _write_csv_loop, small_series, big_series,
+         simulate(GbmSpec(n_steps=oracle_n - 1, seed=0)),
+         [getattr(big_series, c) for c in ("timestamps", "open", "high", "low", "close",
+                                           "volume")]),
         ("write_curve_csv", write_curve, write_curve_csv, _write_curve_csv_loop,
-         curve_columns(CHECK_N, 1), curve_columns(n, 0)),
+         curve_columns(CHECK_N, 1), big_curve, curve_columns(oracle_n, 0),
+         list(big_curve.values())),
     ]
-    print(f"\n{'I/O, ' + str(n) + ' rows':<20} {'time':>11} {'row oracle':>11}  bytes vs oracle")
-    for name, run, write, oracle, small, big in rows:
+    print(f"\n{'I/O, ' + str(n) + ' rows':<20} {'time':>11} {'row oracle':>11}  "
+          f"bytes vs oracle; share of cells sent to repr/str (row oracle at {oracle_n} rows)")
+    for name, run, write, oracle, small, big, for_oracle, columns in rows:
         same = "identical" if run(write, small) == run(oracle, small) else "DIFFER"
         t_new = best_of(lambda: run(write, big), repeat)
-        t_old = best_of(lambda: run(oracle, big), repeat)
-        print(f"{name:<20} {t_new * 1e3:>9.1f}ms {t_old * 1e3:>9.1f}ms  {same}")
+        t_old = best_of(lambda: run(oracle, for_oracle), repeat)
+        print(f"{name:<20} {t_new * 1e3:>9.1f}ms {t_old * 1e3:>9.1f}ms  {same}; "
+              f"{fallback_share(columns):.2%}")
     bare = start_up("pass", repeat)
     pkg = start_up("import stylfacts", repeat)
     print(f"{'import stylfacts':<20} {pkg * 1e3:>9.1f}ms  (fresh interpreter; "
@@ -330,14 +360,15 @@ def bench_fits(n, repeat):
           f"{abs(fit.beta - oracle.beta) / abs(oracle.beta):.1e}")
 
     vol = rolling_volatility(series["garch"], "basic", VolatilityWindow(21, 1)).values
-    got, (want, want_lag) = adf_test(vol), _adf_design_matrix(vol)
+    head = vol[:ORACLE_N]
+    got, (want, want_lag) = adf_test(head), _adf_design_matrix(head)
     t_new = best_of(lambda: adf_test(vol), repeat)
-    t_old = best_of(lambda: _adf_design_matrix(vol), repeat)
+    t_old = best_of(lambda: _adf_design_matrix(head), repeat)
     mb_new = traced_peak(lambda: adf_test(vol))
-    mb_old = traced_peak(lambda: _adf_design_matrix(vol))
+    mb_old = traced_peak(lambda: _adf_design_matrix(head))
     print(f"{'adf_test':<20} {t_new * 1e3:>9.1f}ms {'':>6} {t_old * 1e3:>9.1f}ms {'':>6}  "
-          f"(design matrix) lag {got.lag} vs {want_lag}, statistic drift "
-          f"{abs(got.statistic - want) / abs(want):.1e}; tracemalloc peak "
+          f"(design matrix at {head.size} points) lag {got.lag} vs {want_lag}, statistic "
+          f"drift {abs(got.statistic - want) / abs(want):.1e}; tracemalloc peak "
           f"{mb_new:.1f} MB vs {mb_old:.1f} MB")
 
 

@@ -26,13 +26,13 @@ Conventions
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Optional
 
 import numpy as np
 
+from . import kernels
 from .errors import DataQualityError, InsufficientDataError, RejectedInputError
 
 MAX_MISSING_FRACTION = 0.20
@@ -237,10 +237,12 @@ def _parse_timestamp(text: str) -> int:
 
 def read_csv(path_or_file) -> PriceSeries:
     """Read `timestamp,open,high,low,close,volume` (ISO-8601 or epoch seconds;
-    volume may be empty)."""
+    volume may be empty).  A path is read as UTF-8; a leading byte-order
+    mark, which spreadsheet exports write, is dropped from a path or a text
+    file."""
     if hasattr(path_or_file, "read"):
         return _read_csv_file(path_or_file)
-    with open(path_or_file, "r", newline="") as f:
+    with open(path_or_file, "r", encoding="utf-8-sig", newline="") as f:
         return _read_csv_file(f)
 
 
@@ -251,6 +253,8 @@ _EPOCH_ROW = np.dtype([(name, np.int64 if name == "timestamp" else np.float64)
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
 # characters per read of the body scan in `_c_parser_reads`
 _SCAN_CHARS = 1 << 16
+# the byte-order mark as a decoded character
+_BOM = "\ufeff"
 
 
 def _has_empty_cell(text: str) -> bool:
@@ -296,7 +300,7 @@ def _read_epoch_columns(f):
         start = f.tell()
     except (AttributeError, OSError):
         return None
-    header = f.readline()
+    header = f.readline().removeprefix(_BOM)
     body = f.tell()
     if _c_parser_reads(header, f):
         f.seek(body)
@@ -318,6 +322,8 @@ def _read_csv_file(f) -> PriceSeries:
     header = next(reader, None)
     if header is None:
         raise RejectedInputError("empty CSV")
+    if header:
+        header[0] = header[0].removeprefix(_BOM)
     cols = [c.strip().lower() for c in header]
     if cols != list(CSV_COLUMNS):
         raise RejectedInputError(f"expected header {','.join(CSV_COLUMNS)}, got {','.join(cols)}")
@@ -347,62 +353,29 @@ def _read_csv_file(f) -> PriceSeries:
 def write_csv(series: PriceSeries, path_or_file) -> None:
     """Write the series as `timestamp,open,high,low,close,volume`: integer
     timestamps, floats by `repr` (they read back bit-equal), NaN volume as
-    an empty cell.  The rows are formatted and written a block at a time
-    (`_write_rows`), so a 1e5-bar series never exists as one string."""
+    an empty cell, in UTF-8 (the bytes are ASCII).  The rows are formatted
+    by `kernels.csv_lines` and written a block at a time (`_write_rows`),
+    so a 1e5-bar series never exists as one string."""
     columns = dict(zip(CSV_COLUMNS, (series.timestamps, series.open, series.high,
                                      series.low, series.close, series.volume)))
     if hasattr(path_or_file, "write"):
         _write_rows(path_or_file, columns)
     else:
-        with open(path_or_file, "w", newline="") as f:
+        with open(path_or_file, "w", encoding="utf-8", newline="") as f:
             _write_rows(f, columns)
 
 
-# rows formatted per write: a block's cell strings stay near 1 MB
-_WRITE_BLOCK_ROWS = 4096
+# cells formatted per write: a block's temporaries in `kernels.csv_lines`
+# stay a few MB whatever the number of columns
+_WRITE_BLOCK_CELLS = 1 << 15
 
 
 def _write_rows(f, columns: dict) -> None:
     """The header line of column names, then one line per row of the
-    equal-length columns, formatted and written to the text file f
-    _WRITE_BLOCK_ROWS rows at a time."""
+    equal-length columns, written to the text file f.  `kernels.csv_lines`
+    formats _WRITE_BLOCK_CELLS cells (whole rows, at least one) at a time."""
     arrays = [np.asarray(c) for c in columns.values()]
     f.write(",".join(columns) + "\n")
-    for lo in range(0, len(arrays[0]), _WRITE_BLOCK_ROWS):
-        f.write(_csv_rows([a[lo:lo + _WRITE_BLOCK_ROWS] for a in arrays]))
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return ""
-    return repr(f)
-
-
-def _column_cells(a: np.ndarray) -> list:
-    """One column as CSV cells: integers by `str`, floats up to 64 bits by
-    `repr` with NaN as "", both over `tolist()` a column at a time.  Any
-    other dtype (bool, object, longdouble) goes cell by cell through
-    `_fmt_cell`, the rule the two fast paths reproduce."""
-    if a.ndim == 1 and a.dtype.kind in "iu":
-        return list(map(str, a.tolist()))
-    if a.ndim == 1 and a.dtype.kind == "f" and a.dtype.itemsize <= 8:
-        cells = list(map(repr, a.tolist()))
-        for i in np.flatnonzero(np.isnan(a)).tolist():
-            cells[i] = ""
-        return cells
-    return list(map(_fmt_cell, a))
-
-
-def _csv_rows(arrays) -> str:
-    """One line per row of equal-length columns, every line ending in a
-    newline.
-
-    Columns are formatted one at a time and zipped into rows, which halves
-    the cost of formatting cell by cell; most of what is left is `repr` of
-    each float."""
-    lines = list(map(",".join, zip(*map(_column_cells, arrays))))
-    lines.append("")
-    return "\n".join(lines)
+    step = max(1, _WRITE_BLOCK_CELLS // len(arrays))
+    for lo in range(0, len(arrays[0]), step):
+        f.write(kernels.csv_lines([a[lo:lo + step] for a in arrays]))

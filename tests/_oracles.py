@@ -5,6 +5,8 @@ Each spells out its kernel's arithmetic one element at a time.
 `benchmarks/bench_kernels.py` checks and times the kernels against them.
 """
 
+import math
+
 import numpy as np
 
 from stylfacts import kernels
@@ -156,3 +158,19 @@ def zumbach_boot_loop(a, b, starts, block_len, n_lags):
             c_futr = (s_ab_futr - abar * s_b_futr)
             out[r, lag - 1] = (c_past - c_futr) / ((n - lag) * astd * bstd)
     return out
+
+
+def fmt_cell_loop(v):
+    """One CSV cell: integers by `str`, anything else through float, NaN as
+    an empty cell and others by `repr`."""
+    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
+        return str(int(v))
+    f = float(v)
+    if math.isnan(f):
+        return ""
+    return repr(f)
+
+
+def csv_lines_loop(arrays):
+    return "".join(",".join(fmt_cell_loop(a[i]) for a in arrays) + "\n"
+                   for i in range(len(arrays[0])))

@@ -4,12 +4,15 @@ Tolerances come from float64 roundoff, not from the observed error.  The
 filters, the simulators' scans and the rolling moments reorder short sums.
 The Zumbach kernels decompose the statistic another way (prefix sums over
 the whole series, boundary products), so they are held to 1e-10 of the
-largest |Z| of the reference.
+largest |Z| of the reference.  `csv_lines` is held to its twin byte for
+byte.
 """
 
+import io
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -272,3 +275,168 @@ def test_zumbach_boot_memory_is_one_table_of_the_series():
     finally:
         tracemalloc.stop()
     assert peak < 26e6
+
+
+# ---------------------------------------------------------------------------
+# CSV cells: `csv_lines` against the cell-by-cell rule, byte for byte
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def vectorized(monkeypatch):
+    """Blocks of any length through the whole-column passes, which blocks
+    shorter than kernels._VECTOR_ROWS skip."""
+    monkeypatch.setattr(kernels, "_VECTOR_ROWS", 1)
+
+
+def _assert_lines_match_loop(arrays):
+    got, want = kernels.csv_lines(arrays), _oracles.csv_lines_loop(arrays)
+    if got != want:
+        g, w = got.split("\n"), want.split("\n")
+        k = next(i for i, (a, b) in enumerate(zip(g, w)) if a != b)
+        pytest.fail(f"line {k} differs: {g[k]!r} != {w[k]!r}")
+
+
+def _with_neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)])
+    return np.concatenate([x, -x])
+
+
+def _certified(x):
+    return kernels._shortest(np.asarray(x, dtype=np.float64))[3]
+
+
+def test_csv_lines_match_loop_on_random_bit_patterns():
+    # every float64 bit pattern is as likely: both signs, subnormals, huge
+    # values, infinities and NaNs; next to them float32 patterns and plain
+    # normal draws, four columns to a line
+    rng = np.random.default_rng(0)
+    bits = rng.integers(0, 2 ** 64, size=(2, 100_000), dtype=np.uint64).view(np.float64)
+    f32 = rng.integers(0, 2 ** 32, size=100_000, dtype=np.uint64).astype(np.uint32).view(
+        np.float32)
+    _assert_lines_match_loop([bits[0], f32, bits[1], rng.standard_normal(100_000)])
+
+
+def test_csv_lines_match_loop_on_random_patterns_in_the_certified_range():
+    rng = np.random.default_rng(1)
+    lo, hi = np.array([1e-6, 1e16]).view(np.int64)
+    v = rng.integers(lo, hi, size=200_000).view(np.float64) * rng.choice([-1.0, 1.0], 200_000)
+    _assert_lines_match_loop([v])
+    assert _certified(v).mean() > 0.95
+
+
+def test_csv_lines_match_loop_at_powers_of_two_and_ten():
+    _assert_lines_match_loop([_with_neighbours(
+        [2.0 ** i for i in range(-40, 70)] + [10.0 ** i for i in range(-12, 20)])])
+
+
+def test_csv_lines_match_loop_on_short_decimals(vectorized):
+    # k 10^j for k < 10^4, the halfway decimals (k + 0.5) 10^-3, and the
+    # values just below a power of ten, such as 9.999999999999999e-06
+    k = np.arange(1, 10_000, dtype=np.float64)
+    powers = 10.0 ** np.arange(-12, 20)
+    below = np.nextafter(powers, 0.0)
+    _assert_lines_match_loop([(k[:, None] * 10.0 ** np.arange(-8, 18)).ravel()])
+    _assert_lines_match_loop([(np.arange(200_000) + 0.5) * 1e-3])
+    _assert_lines_match_loop([np.concatenate([below, np.nextafter(below, 0.0), -below])])
+
+
+def test_csv_lines_match_loop_on_integers_of_every_length():
+    rng = np.random.default_rng(2)
+    digits = np.arange(1, 20)
+    edges = np.concatenate([10 ** (digits - 1), 10 ** digits - 1]).astype(np.int64)
+    drawn = rng.integers(1, 10, size=(50, 1)) * 10 ** (digits - 1) \
+        + rng.integers(0, 10 ** (digits - 1), size=(50, digits.size), dtype=np.int64)
+    signed = np.concatenate([edges, drawn.ravel(), [0, 2 ** 63 - 1, -2 ** 63]])
+    signed = np.concatenate([signed, -signed[signed > -2 ** 63]])
+    _assert_lines_match_loop([signed])
+    unsigned = np.concatenate([np.abs(signed[signed > -2 ** 63]).astype(np.uint64),
+                               np.array([10 ** 19, 2 ** 64 - 1], dtype=np.uint64)])
+    _assert_lines_match_loop([unsigned, unsigned.astype(np.int32), unsigned.astype(np.uint8)])
+
+
+@pytest.mark.parametrize("vector_rows", [1, kernels._VECTOR_ROWS])
+def test_csv_lines_keep_every_dtype_rule(monkeypatch, vector_rows):
+    # NaN as an empty cell, -0.0, float16, and the dtypes written cell by
+    # cell (bool, object, longdouble) in one block with the whole-column
+    # ones, which a block this short skips by default
+    monkeypatch.setattr(kernels, "_VECTOR_ROWS", vector_rows)
+    cols = [np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5]),
+            np.array([1.5, np.nan, -2.0, 65504.0, 1e-3, 0.1], dtype=np.float16),
+            np.array([True, False] * 3),
+            np.array([1, 2.5, True, np.nan, 10 ** 20, -3], dtype=object),
+            np.array([0.1, 1.0, np.nan, 1e300, -2.5, 3.0], dtype=np.longdouble),
+            np.arange(-3, 3)]
+    _assert_lines_match_loop(cols)
+    assert kernels.csv_lines([np.array([]), np.array([], dtype=np.int64)]) == ""
+
+
+def _scaled(v):
+    """v 10^k as an exact fraction, for the k that puts it in [1e16, 1e17),
+    and half its gaps to the neighbouring doubles, scaled alike."""
+    v = Fraction(v)
+    k = 16 - math.floor(math.log10(v))
+    k -= v * 10 ** k >= 10 ** 17
+    up, down = (Fraction(np.nextafter(float(v), t)) for t in (np.inf, 0.0))
+    return v * 10 ** k, (up - v) / 2 * 10 ** k, (v - down) / 2 * 10 ** k
+
+
+def test_every_fallback_reason_goes_to_repr(vectorized):
+    # out of the certified magnitudes [1e-6, 1e16); 1e-6 itself, whose double
+    # lies just below 10^-6; zero and the infinities
+    out_of_range = [5e-324, 1e-300, 9.99e-7, 1e-6, 1e16, 1.5e17, 1.7976931348623157e308,
+                    0.0, -0.0, np.inf, -np.inf]
+    # an end of the rounding interval on an integer: 2^53 + 2 has gaps of 2
+    v = 2.0 ** 53 + 2
+    x, up, down = _scaled(v)
+    assert (x + up).denominator == 1 and (x - down).denominator == 1
+    interval_end = [v, -v]
+    # a tie between the two nearest candidates: 2^50 + 0.25 reads
+    # 11258999068426242.5 at 10^k, with 11258999068426242 and ...243 inside
+    w = 2.0 ** 50 + 0.25
+    x, up, down = _scaled(w)
+    assert x - math.floor(x) == Fraction(1, 2) and up > Fraction(1, 2) and down > Fraction(1, 2)
+    tie = [w, -w]
+    for values in (out_of_range, interval_end, tie):
+        assert not _certified(values).any(), values
+        _assert_lines_match_loop([np.array(values)])
+    # integers of 18 digits and more go to str
+    _assert_lines_match_loop([np.array([10 ** 17, -10 ** 17, 10 ** 17 - 1, 2 ** 63 - 1])])
+
+
+def test_simulated_columns_are_certified():
+    # the fast path, not repr, formats real columns: every simulated price,
+    # and every nonzero volume
+    from stylfacts.simulate import GjrSpec, simulate
+    s = simulate(GjrSpec(n_steps=20_000, seed=3))
+    for col in (s.open, s.high, s.low, s.close, s.volume[s.volume > 0]):
+        assert _certified(col).all()
+
+
+@pytest.mark.parametrize("vector_rows", [1, kernels._VECTOR_ROWS])
+@pytest.mark.parametrize("rows", [1, 7])
+def test_written_bytes_do_not_depend_on_the_block(monkeypatch, tmp_path, rows, vector_rows):
+    # 301 rows: one block by default; blocks of 1 and 7 rows go cell by
+    # cell unless every block takes the whole-column passes
+    from stylfacts import series
+    from stylfacts.report import write_curve_csv
+    from stylfacts.simulate import GbmSpec, simulate
+    s = simulate(GbmSpec(n_steps=300, seed=5))
+    v = s.volume.copy()
+    v[::4] = np.nan
+    s = series.PriceSeries(s.timestamps, s.open, s.high, s.low, s.close, v)
+    curve = {"lag": np.arange(len(s)), "value": s.close - 1.0, "flag": s.close > 1.0}
+
+    def written():
+        buf = io.StringIO()
+        series.write_csv(s, buf)
+        write_curve_csv(str(tmp_path / "c.csv"), curve)
+        return buf.getvalue(), (tmp_path / "c.csv").read_bytes()
+
+    default = written()
+    monkeypatch.setattr(kernels, "_VECTOR_ROWS", vector_rows)
+    # write_csv's six columns and the curve's three
+    monkeypatch.setattr(series, "_WRITE_BLOCK_CELLS", 6 * rows)
+    series_blocks = written()[0]
+    monkeypatch.setattr(series, "_WRITE_BLOCK_CELLS", 3 * rows)
+    assert (series_blocks, written()[1]) == default

@@ -19,12 +19,15 @@ from stylfacts.series import (PriceSeries, SamplingGrid, _read_epoch_columns, bl
                               write_csv)
 from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 
+from _oracles import fmt_cell_loop
+
 DAY = 86400
 
 
 # Row-at-a-time writers: the cell-by-cell spelling of the formats that
-# write_csv and write_curve_csv produce a column at a time.  They are the
-# oracles the writers must match byte for byte.
+# write_csv and write_curve_csv produce by whole-column passes
+# (`kernels.csv_lines`).  They are the oracles the writers must match byte
+# for byte.
 
 def _write_csv_loop(series, f):
     w = csv.writer(f, lineterminator="\n")
@@ -41,15 +44,6 @@ def _write_csv_loop(series, f):
         ])
 
 
-def _fmt_cell_loop(v):
-    if isinstance(v, (np.integer, int)) and not isinstance(v, bool):
-        return str(int(v))
-    f = float(v)
-    if math.isnan(f):
-        return ""
-    return repr(f)
-
-
 def _write_curve_csv_loop(path, columns):
     names = list(columns)
     arrays = [np.asarray(columns[k]) for k in names]
@@ -58,7 +52,7 @@ def _write_curve_csv_loop(path, columns):
         raise ValueError("curve columns differ in length")
     lines = [",".join(names)]
     for i in range(n):
-        lines.append(",".join(_fmt_cell_loop(a[i]) for a in arrays))
+        lines.append(",".join(fmt_cell_loop(a[i]) for a in arrays))
     with open(path, "wb") as f:
         f.write(("\n".join(lines) + "\n").encode("utf-8"))
 
@@ -355,6 +349,18 @@ class TestCsv:
         write_csv(s, str(p))
         back = read_csv(str(p))
         np.testing.assert_array_equal(back.close, s.close)
+
+    @pytest.mark.parametrize("iso", [False, True], ids=["epoch", "iso"])
+    def test_a_byte_order_mark_is_dropped(self, tmp_path, iso):
+        # spreadsheet "CSV UTF-8" exports start with the UTF-8 byte-order
+        # mark EF BB BF, which read_csv once kept in the first header cell
+        text = _perfbench_style(50, 4, iso=iso)
+        want = _read_outcome(io.StringIO(text))
+        assert isinstance(want, tuple)
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for source in (str(p), io.StringIO("\ufeff" + text), _Unseekable("\ufeff" + text)):
+            assert _read_outcome(source) == want
 
 
 class _Unseekable(io.StringIO):
@@ -689,7 +695,8 @@ class TestWritersMatchRowOracles:
 
     @pytest.mark.parametrize("extra", [-1, 0, 1])
     def test_write_csv_bytes_at_the_block_edge(self, extra):
-        n = series_module._WRITE_BLOCK_ROWS + extra
+        # write_csv's six columns: rows per block
+        n = series_module._WRITE_BLOCK_CELLS // 6 + extra
         s = make_series(n=n)
         volume = s.volume.copy()
         volume[::3] = np.nan
