@@ -17,7 +17,6 @@ import sys
 from typing import Optional, get_type_hints
 
 from .errors import StylfactsError
-from .report import load_config, merge_reports, run_analyze
 from .series import write_csv
 from .simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 
@@ -80,6 +79,8 @@ def _spec_from_args(args) -> object:
 
 
 def _cmd_analyze(args) -> int:
+    from .report import load_config, run_analyze
+
     config = load_config(args.config)
     if args.asset:
         known = {a.asset_id for a in config.assets}
@@ -112,8 +113,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    path = merge_reports(args.merge)
-    print(f"wrote {path}")
+    from .report import merge_reports
+
+    print(f"wrote {merge_reports(args.merge)}")
     return 0
 
 

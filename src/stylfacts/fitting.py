@@ -406,10 +406,6 @@ class OuParams:
         if self.sigma < 0.0:
             raise ValueError("sigma must be >= 0")
 
-    @property
-    def stationary_variance(self) -> float:
-        return self.sigma ** 2 / (2.0 * self.theta)
-
 
 @dataclass(frozen=True)
 class OuFit:

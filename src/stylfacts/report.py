@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import StylfactsError
+from .errors import RejectedInputError, StylfactsError
 from .facts import FACT_LABELS, FactConfig, FactId, check_knobs, knob, run_all_facts
 from .series import SamplingGrid, _write_rows, read_csv, validate_and_gapfill
 from .volatility import VolatilityWindow, default_window, rolling_volatility
@@ -332,15 +332,16 @@ class AssetOutcome:
 
 def _analyze_one(config: RunConfig, asset: AssetInput) -> AssetOutcome:
     """Read, analyze and write one asset: its curve CSVs, then volatility.csv,
-    then its report JSON.  A data error writes nothing and is returned as the
-    outcome's error."""
+    then its report JSON.  A data error or an unreadable asset file writes
+    nothing and is returned as the outcome's error; a write error aborts the
+    run."""
     try:
         series = read_csv(asset.path)
         series = validate_and_gapfill(series, SamplingGrid(step=config.step_seconds),
                                       policy=config.gap_policy)
         fcfg = fact_config_for(config, asset.asset_id)
         verdicts = run_all_facts(series, fcfg, facts=config.facts)
-    except StylfactsError as e:
+    except (StylfactsError, OSError) as e:
         return AssetOutcome(asset_id=asset.asset_id, report=None,
                             error=f"{type(e).__name__}: {e}")
 
@@ -459,15 +460,27 @@ def run_analyze(config: RunConfig) -> RunResult:
 
 
 def merge_reports(out_dir: str) -> str:
-    """Rebuild summary.csv from the asset report JSONs found in out_dir."""
+    """Rebuild summary.csv from the asset report JSONs found in out_dir.
+    JSONs that are not objects or hold another schema version are skipped;
+    an unparsable one, or one of this version without a string asset_id and
+    a facts object of objects, is a RejectedInputError naming the file."""
     rows = []
     for name in sorted(os.listdir(out_dir)):
         if not name.endswith(".json"):
             continue
-        with open(os.path.join(out_dir, name), "r", encoding="utf-8") as f:
-            rep = json.load(f)
+        path = os.path.join(out_dir, name)
+        with open(path, "r", encoding="utf-8") as f:
+            try:
+                rep = json.load(f)
+            except ValueError as e:
+                raise RejectedInputError(f"{path}: not a JSON document: {e}") from e
         if not isinstance(rep, dict) or rep.get("schema_version") != REPORT_SCHEMA_VERSION:
             continue
+        facts = rep.get("facts", {})
+        if not (isinstance(rep.get("asset_id"), str) and isinstance(facts, dict)
+                and all(isinstance(v, dict) for v in facts.values())):
+            raise RejectedInputError(f"{path}: a schema version {REPORT_SCHEMA_VERSION} report "
+                                     f"needs a string asset_id and a facts object of objects")
         rows.append(_summary_row(rep["asset_id"], rep))
     rows.sort(key=lambda r: r[0])
     summary_path = os.path.join(out_dir, "summary.csv")

@@ -64,7 +64,6 @@ class GapReport:
     n_expected: int
     n_missing: int
     n_filled: int
-    n_off_grid: int
     missing_fraction: float
     policy: str
 
@@ -190,7 +189,7 @@ def validate_and_gapfill(series: PriceSeries, grid: SamplingGrid,
 
     if policy == "drop" or n_missing == 0:
         report = GapReport(n_input=len(ts), n_expected=n_expected, n_missing=n_missing,
-                           n_filled=0, n_off_grid=0, missing_fraction=frac, policy=policy)
+                           n_filled=0, missing_fraction=frac, policy=policy)
         return PriceSeries(ts, series.open, series.high, series.low, series.close,
                            series.volume, gap_report=report)
 
@@ -207,7 +206,7 @@ def validate_and_gapfill(series: PriceSeries, grid: SamplingGrid,
     o, h, l = (np.where(have, col[bar], c) for col in (series.open, series.high, series.low))
     v = np.where(have, series.volume[bar], 0.0)
     report = GapReport(n_input=len(ts), n_expected=len(expected), n_missing=n_missing,
-                       n_filled=n_missing, n_off_grid=0, missing_fraction=frac, policy=policy)
+                       n_filled=n_missing, missing_fraction=frac, policy=policy)
     return PriceSeries(expected, o, h, l, c, v, gap_report=report)
 
 
@@ -239,11 +238,15 @@ def read_csv(path_or_file) -> PriceSeries:
     """Read `timestamp,open,high,low,close,volume` (ISO-8601 or epoch seconds;
     volume may be empty).  A path is read as UTF-8; a leading byte-order
     mark, which spreadsheet exports write, is dropped from a path or a text
-    file."""
-    if hasattr(path_or_file, "read"):
-        return _read_csv_file(path_or_file)
-    with open(path_or_file, "r", encoding="utf-8-sig", newline="") as f:
-        return _read_csv_file(f)
+    file.  Text that does not decode is a RejectedInputError."""
+    try:
+        if hasattr(path_or_file, "read"):
+            return _read_csv_file(path_or_file)
+        with open(path_or_file, "r", encoding="utf-8-sig", newline="") as f:
+            return _read_csv_file(f)
+    except UnicodeDecodeError as e:
+        raise RejectedInputError(f"not {e.encoding} text: byte 0x{e.object[e.start]:02x} "
+                                 f"({e.reason})") from e
 
 
 _EPOCH_ROW = np.dtype([(name, np.int64 if name == "timestamp" else np.float64)

@@ -266,6 +266,28 @@ class TestAnalyze:
         assert "beyond int64" in rows["big"]["error"]
         assert rows["ok"]["error"] == ""
 
+    def test_undecodable_or_directory_asset_fails_only_itself(self, tmp_path, capsys):
+        write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
+        (tmp_path / "latin.csv").write_bytes(b"timestamp,open,high,low,close,volume\n"
+                                             b"0,1,1,1,1,1\n60,1,1,1,1,caf\xe9\n")
+        (tmp_path / "dir.csv").mkdir()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"assets": [{"id": "ok", "path": "ok.csv"},
+                                              {"id": "latin", "path": "latin.csv"},
+                                              {"id": "dir", "path": "dir.csv"}],
+                                   "out_dir": "out"}))
+        assert main(["analyze", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "latin: RejectedInputError: not utf-8 text: byte 0xe9" in err
+        assert "dir: IsADirectoryError: " in err
+        with open(tmp_path / "out" / "summary.csv", newline="") as f:
+            rows = {r["asset"]: r for r in csv.DictReader(f)}
+        assert sorted(rows) == ["dir", "latin", "ok"]
+        assert rows["ok"]["error"] == ""
+        assert rows["latin"]["error"].startswith("RejectedInputError: not utf-8 text")
+        assert rows["dir"]["error"].startswith("IsADirectoryError: ")
+        assert sorted(os.listdir(tmp_path / "out")) == ["ok", "ok.json", "summary.csv"]
+
     def test_summary_cells_are_quoted(self, tmp_path):
         write_csv(simulate(GbmSpec(n_steps=300, seed=8)), str(tmp_path / "ok.csv"))
         (tmp_path / "hdr.csv").write_text("time,open,high,low,close,volume\n0,1,1,1,1,1\n")
@@ -538,6 +560,28 @@ class TestReportMerge:
         assert main(["report", "--merge", str(tmp_path / "absent")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("text, problem", [
+        ('{"schema_version": 1, "facts": {}}', "needs a string asset_id"),
+        ('{"schema_version": 1, "asset_id": "x", "facts": []}', "needs a string asset_id"),
+        ('{"schema_version": 1, "asset_id": "x"', "not a JSON document"),
+    ])
+    def test_bad_report_exits_2_naming_the_file(self, tmp_path, capsys, text, problem):
+        (tmp_path / "a.json").write_text(text)
+        assert main(["report", "--merge", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'a.json'}: ")
+        assert problem in err
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_other_versions_and_non_objects_are_skipped(self, tmp_path):
+        (tmp_path / "a.json").write_text('{"schema_version": 2}')
+        (tmp_path / "b.json").write_text("[1, 2]")
+        (tmp_path / "c.json").write_text(
+            '{"schema_version": 1, "asset_id": "c", "facts": {"F1": {"status": "supported"}}}')
+        assert main(["report", "--merge", str(tmp_path)]) == 0
+        rows = (tmp_path / "summary.csv").read_text().splitlines()
+        assert rows[1:] == ["c,supported" + ",skipped" * 10 + ","]
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -561,6 +605,17 @@ class TestReadme:
         assert config.facts == tuple(example["facts"])
         assert config.fact_params == example["fact_params"]
         assert (config.seed, config.workers) == (example["seed"], example["workers"])
+
+    def test_library_examples_run(self):
+        # in a fresh interpreter, where each name loads its module on first read
+        code = "\n".join(_readme_blocks("python")).replace("50_000", "2_000")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert [line.split()[0] for line in out.stdout.splitlines()] == \
+            [f"F{i}" for i in range(1, 12)]
 
     def test_simulate_examples_run(self, tmp_path):
         lines = [line.split("#")[0].split()[1:] for block in _readme_blocks("sh")

@@ -2,9 +2,11 @@
 and the package's exported surface.
 
 Importing scipy takes most of a second, so the package imports it inside the
-functions that call it.  These tests run a fresh interpreter each, because
-the test process itself has loaded scipy long before they run.  Every name
-the package exports must be read by some module of the package.
+functions that call it.  The package root resolves each exported name on
+first read, through one table of submodule -> names, so `simulate` loads no
+fact code.  These tests run a fresh interpreter each, because the test
+process itself has loaded scipy and every submodule long before they run.
+Every name the package exports must be read by some module of the package.
 """
 
 import ast
@@ -25,6 +27,7 @@ _SRC = os.path.dirname(os.path.dirname(os.path.abspath(stylfacts.__file__)))
 
 _REPORT = ("import inspect, json, sys; print(json.dumps({"
            "'scipy': sorted(m for m in sys.modules if m.startswith('scipy')), "
+           "'stylfacts': sorted(m for m in sys.modules if m.startswith('stylfacts')), "
            "'simulate_is_function': inspect.isfunction(stylfacts.simulate)}))")
 
 
@@ -59,6 +62,74 @@ def test_simulate_loads_no_scipy(model, tmp_path):
     got = _fresh(_simulate(model, str(tmp_path / "out.csv")) + _REPORT)
     assert got["scipy"] == []
     assert got["simulate_is_function"]
+
+
+@pytest.mark.parametrize("model", ["gbm", "ou", "garch", "gjr"])
+def test_simulate_loads_only_what_it_runs(model, tmp_path):
+    # no facts, fitting, stats, volatility or report
+    got = _fresh(_simulate(model, str(tmp_path / "out.csv")) + _REPORT)
+    assert got["stylfacts"] == ["stylfacts", "stylfacts.cli", "stylfacts.errors",
+                                "stylfacts.kernels", "stylfacts.series", "stylfacts.simulate"]
+
+
+# Each line reads the package in a fresh state, before the lines after it
+# load more of it.
+_SURFACE = """
+import importlib, json, stylfacts
+out = {"not_in_dir": sorted(set(stylfacts.__all__) - set(dir(stylfacts)))}
+out["stats_loaded"] = "stylfacts.stats" in __import__("sys").modules
+out["stats_is_module"] = stylfacts.stats is importlib.import_module("stylfacts.stats")
+out["unknown_raises"] = not hasattr(stylfacts, "no_such_name")
+
+def resolves_home(module, name):
+    try:
+        return getattr(stylfacts, name) is getattr(
+            importlib.import_module("stylfacts." + module), name)
+    except AttributeError:
+        return False
+
+out["wrong_home"] = [f"{m}.{n}" for m, names in stylfacts._EXPORTS.items() for n in names
+                     if not resolves_home(m, n)]
+out["declared"] = [n for names in stylfacts._EXPORTS.values() for n in names]
+out["all"] = stylfacts.__all__
+namespace = {}
+exec("from stylfacts import *", namespace)
+out["unbound"] = [n for n in stylfacts.__all__ if n not in namespace]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def surface():
+    return _fresh(_SURFACE)
+
+
+def test_every_export_is_its_home_modules_attribute(surface):
+    assert surface["wrong_home"] == []
+
+
+def test_each_export_is_declared_once(surface):
+    assert len(surface["declared"]) == len(set(surface["declared"]))
+    assert surface["all"] == ["__version__", *surface["declared"]]
+
+
+def test_star_import_binds_every_export(surface):
+    assert surface["unbound"] == []
+
+
+def test_dir_lists_every_export(surface):
+    assert surface["not_in_dir"] == []
+
+
+def test_unknown_attribute_raises_attribute_error(surface):
+    assert surface["unknown_raises"]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        stylfacts.no_such_name
+
+
+def test_submodule_is_an_attribute_after_a_bare_import(surface):
+    assert not surface["stats_loaded"]
+    assert surface["stats_is_module"]
 
 
 def test_analyze_loads_only_scipy_linalg_and_special(tmp_path):
