@@ -38,15 +38,17 @@ imports scipy (`garch_filter`, `ks_test_normal`, `anderson_darling_normal`,
 and the scipy subpackages loaded after it.
 
 The fit section times `fit_garch11` on a simulated GARCH and a GBM series of
---n returns, with its likelihood evaluations, next to the Nelder-Mead fit
-it replaced (kept in tests/test_fitting.py as an oracle), and prints the
-objective gap per return.  It times `fit_power_law` on the |r| ACF of the
-GARCH series (lags 1..100, as F2 fits it) next to the general
+--n returns, with the Newton descents it ran (counted through a wrapped
+`fitting._newton_fit`) and the variance-path filters they used, next to
+the five-start fit (`_oracles.fit_garch11_five_starts`) and the Nelder-Mead
+fit before it (kept in tests/test_fitting.py as an oracle), and prints the
+objective gap per return to each.  It times `fit_power_law` on the |r| ACF
+of the GARCH series (lags 1..100, as F2 fits it) next to the general
 Levenberg-Marquardt fit it replaced (also kept in tests/test_fitting.py).
-Last, it times `adf_test` on the 21-bar volatility of the GARCH series next
-to its design-matrix form (kept in tests/test_stats.py) on the first
-min(--n, 200000) points, each with its `tracemalloc` peak; the drift is
-taken on those points.
+Last, it times `adf_test` at --n on the 21-bar volatility of the GARCH
+series next to the same test with the prefix-sum Gram matrix
+(`_oracles.lag_gram_prefix_sums`), each with its `tracemalloc` peak, and
+prints the drift of the statistic between them.
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 100000] [--repeat 3] [--boot 1000]
 """
@@ -66,7 +68,7 @@ import numpy as np
 import scipy
 
 import stylfacts
-from stylfacts import facts, kernels
+from stylfacts import facts, fitting, kernels, stats
 from stylfacts.facts import SeriesContext
 from stylfacts.fitting import fit_garch11, fit_power_law
 from stylfacts.report import write_curve_csv
@@ -79,12 +81,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import _oracles  # noqa: E402
 from test_fitting import _fit_garch11_nelder_mead, _fit_power_law_lm  # noqa: E402
 from test_series import _write_csv_loop, _write_curve_csv_loop  # noqa: E402
-from test_stats import _adf_design_matrix  # noqa: E402
 
 ZUMBACH_LAGS = 10
 CHECK_N = 2000  # input length for the check against the loop twins
-# longest input of the three slow oracles (the row-at-a-time CSV writers,
-# the design-matrix ADF test): at 1e6 the ADF oracle peaks near 2 GB
+# longest input of the row-at-a-time CSV writers, the slow oracles
 ORACLE_N = 200_000
 
 
@@ -336,40 +336,72 @@ def bench_io(n, repeat):
     bench_first_calls(repeat)
 
 
+def descents_run(r):
+    """`fit_garch11(r)` and the Newton descents it ran, counted through a
+    wrapped `fitting._newton_fit`."""
+    newton_fit, runs = fitting._newton_fit, []
+
+    def counted(*args):
+        runs.append(args)
+        return newton_fit(*args)
+
+    fitting._newton_fit = counted
+    try:
+        return fit_garch11(r), len(runs)
+    finally:
+        fitting._newton_fit = newton_fit
+
+
+def adf_prefix_sums(x):
+    """`adf_test` with the prefix-sum Gram matrix it had before it read full
+    lag sums (`_oracles.lag_gram_prefix_sums`)."""
+    lag_sums, lag_gram = stats._lag_sums, stats._lag_gram
+    stats._lag_sums = lambda x, dy, pmax: None
+    stats._lag_gram = lambda x, dy, p, start, full: _oracles.lag_gram_prefix_sums(x, dy, p, start)
+    try:
+        return adf_test(x)
+    finally:
+        stats._lag_sums, stats._lag_gram = lag_sums, lag_gram
+
+
 def bench_fits(n, repeat):
     sim = dict(n_steps=n, seed=0, substeps=1, extremes="substep", volume_mode="none")
     series = {"garch": simulate(GarchSpec(**sim)), "gbm": simulate(GbmSpec(**sim))}
-    print(f"\n{'fit, ' + str(n) + ' returns':<20} {'time':>11} {'evals':>6} {'old form':>11} "
-          f"{'evals':>6}  objective gap per return")
+    print(f"\n{'fit, ' + str(n) + ' returns':<20} {'time':>11} {'starts':>6} {'evals':>6} "
+          f"{'five starts':>11} {'evals':>6} {'Nelder-Mead':>11} {'evals':>6}  "
+          "objective gap per return to each")
     for name, ps in series.items():
         r = compute_log_returns(ps).values
-        fit, oracle = fit_garch11(r), _fit_garch11_nelder_mead(r)
+        (fit, starts), twin = descents_run(r), _oracles.fit_garch11_five_starts(r)
+        oracle = _fit_garch11_nelder_mead(r)
         t_new = best_of(lambda: fit_garch11(r), repeat)
+        t_twin = best_of(lambda: _oracles.fit_garch11_five_starts(r), repeat)
         t_old = best_of(lambda: _fit_garch11_nelder_mead(r), repeat)
-        gap = (oracle.log_likelihood - fit.log_likelihood) / len(r)
-        print(f"{'fit_garch11 ' + name:<20} {t_new * 1e3:>9.1f}ms {fit.n_evaluations:>6} "
-              f"{t_old * 1e3:>9.1f}ms {oracle.n_evaluations:>6}  {gap:+.1e}")
+        gaps = [(other.log_likelihood - fit.log_likelihood) / len(r) for other in (twin, oracle)]
+        print(f"{'fit_garch11 ' + name:<20} {t_new * 1e3:>9.1f}ms {starts:>6} "
+              f"{fit.n_evaluations:>6} {t_twin * 1e3:>9.1f}ms {twin.n_evaluations:>6} "
+              f"{t_old * 1e3:>9.1f}ms {oracle.n_evaluations:>6}  "
+              f"{gaps[0]:+.1e} {gaps[1]:+.1e}")
     r = compute_log_returns(series["garch"]).values
     lags = np.arange(1, 101, dtype=float)
     values = acf(np.abs(r), 100).values
     fit, oracle = fit_power_law(lags, values), _fit_power_law_lm(lags, values)
     t_new = best_of(lambda: fit_power_law(lags, values), repeat)
     t_old = best_of(lambda: _fit_power_law_lm(lags, values), repeat)
-    print(f"{'fit_power_law':<20} {t_new * 1e3:>9.2f}ms {fit.n_iter:>6} {t_old * 1e3:>9.2f}ms "
-          f"{oracle.n_iter:>6}  (evals: iterations; old form: Levenberg-Marquardt) beta drift "
-          f"{abs(fit.beta - oracle.beta) / abs(oracle.beta):.1e}")
+    print(f"{'fit_power_law':<20} {t_new * 1e3:>9.2f}ms {'':>6} {fit.n_iter:>6} "
+          f"{t_old * 1e3:>9.2f}ms {oracle.n_iter:>6}  (evals: iterations; old form: "
+          f"Levenberg-Marquardt) beta drift {abs(fit.beta - oracle.beta) / abs(oracle.beta):.1e}")
 
     vol = rolling_volatility(series["garch"], "basic", VolatilityWindow(21, 1)).values
-    head = vol[:ORACLE_N]
-    got, (want, want_lag) = adf_test(head), _adf_design_matrix(head)
+    got, want = adf_test(vol), adf_prefix_sums(vol)
     t_new = best_of(lambda: adf_test(vol), repeat)
-    t_old = best_of(lambda: _adf_design_matrix(head), repeat)
+    t_old = best_of(lambda: adf_prefix_sums(vol), repeat)
     mb_new = traced_peak(lambda: adf_test(vol))
-    mb_old = traced_peak(lambda: _adf_design_matrix(head))
-    print(f"{'adf_test':<20} {t_new * 1e3:>9.1f}ms {'':>6} {t_old * 1e3:>9.1f}ms {'':>6}  "
-          f"(design matrix at {head.size} points) lag {got.lag} vs {want_lag}, statistic "
-          f"drift {abs(got.statistic - want) / abs(want):.1e}; tracemalloc peak "
-          f"{mb_new:.1f} MB vs {mb_old:.1f} MB")
+    mb_old = traced_peak(lambda: adf_prefix_sums(vol))
+    print(f"{'adf_test':<20} {t_new * 1e3:>9.1f}ms {'':>6} {'':>6} {t_old * 1e3:>9.1f}ms  "
+          f"(prefix-sum Gram) lag {got.lag} vs {want.lag}, statistic drift "
+          f"{abs(got.statistic - want.statistic) / abs(want.statistic):.1e}; tracemalloc "
+          f"peak {mb_new:.1f} MB vs {mb_old:.1f} MB")
 
 
 def main():

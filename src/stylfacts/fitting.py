@@ -12,16 +12,25 @@ Numerics pinned here:
   rather than raising.  beta_se = sqrt(SSE/n / J'J), the ML normalization.
 - fit_garch11 maximizes the Gaussian quasi-likelihood by projected Newton
   descent on the box omega > 0, alpha, beta >= 0, alpha + beta <= 0.9995,
-  restarted from a fixed 5-point grid (deterministic; plus the ARCH(1)
-  corner when the fit is weak), with the mean fixed at the sample mean and
-  omega scaled by the sample variance so all coordinates are O(1).  The
-  score and Hessian are exact: the derivatives of the variance path obey the
-  same first-order recursion as the path itself (Fiorentini, Calzolari &
-  Panattoni 1996) and run as banded triangular solves
-  (`kernels.garch_score`).  A fit with alpha = 0, whose variance path is
-  the same constant for every beta, is reported at beta = 0.
-  n_evaluations counts variance-path filters: one per line-search trial,
-  none for the score.
+  with the mean fixed at the sample mean.  The descent runs in standardized
+  units: the deviations from the mean are divided by their largest
+  magnitude, and their squares by their mean, so the series has variance 1
+  and all coordinates are O(1) at any scale of the returns; omega is
+  reported times the sample variance, and a variance outside the normal
+  float range raises DegenerateInputError.  The descent starts from the
+  first point of a fixed 5-point grid and keeps that fit when it converged
+  with alpha >= 0.01 and alpha + beta <= 0.999, as on every series with
+  volatility clustering, where the other starts reach the same optimum.
+  Otherwise it also starts from the rest of the grid, and from the ARCH(1)
+  corner when the best of those is weak, and keeps the best (deterministic;
+  the first on ties).  The score and Hessian are exact: the first
+  derivatives of the variance path obey the same first-order recursion as
+  the path itself (Fiorentini, Calzolari & Panattoni 1996), and the second
+  derivatives enter through one adjoint recursion; all run as banded
+  triangular solves (`kernels.garch_score`).  A fit with alpha = 0, whose
+  variance path is the same constant for every beta, is reported at
+  beta = 0.  n_evaluations counts variance-path filters: one per
+  line-search trial, none for the score.
 - fit_ou regresses x_{t+1} on x_t and refuses to report mean reversion unless
   b lies in (0,1) *and* the unit root is rejected at 5% (Dickey-Fuller
   constant-case critical value); plain random walks must error here.
@@ -38,6 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -171,20 +181,24 @@ class GarchFit:
     converged: bool
     n_evaluations: int
     near_igarch: bool
-    trace: tuple  # accepted (improving) objective values, negative avg LL
+    # accepted (improving) objective values: the negative average LL of the
+    # standardized series, without its constant
+    trace: tuple
 
 
-# (alpha, beta) starting points; omega/var starts at 1 - alpha - beta, the
-# sample variance as unconditional variance
+# (alpha, beta) starting points; omega starts at 1 - alpha - beta, the
+# standardized series' unit variance as unconditional variance
 _RESTART_GRID = ((0.05, 0.90), (0.10, 0.85), (0.20, 0.70), (0.02, 0.95), (0.15, 0.50))
 # A series with little clustering can have its best fit in the ARCH(1)
 # corner beta = 0, outside every grid start's basin; when the grid's best
 # alpha is below _WEAK_ALPHA the descent also starts from that corner.
 _CORNER_START = (0.01, 0.0)
 _WEAK_ALPHA = 0.01
+# alpha + beta above this is reported as near-IGARCH
+_NEAR_IGARCH = 0.999
 
-# The feasible box of x = (omega/var, alpha, beta) as rows of A x >= c:
-# omega/var >= 1e-10, alpha >= 0, beta >= 0, alpha + beta <= 0.9995.
+# The feasible box of x = (omega, alpha, beta) in standardized units as rows
+# of A x >= c: omega >= 1e-10, alpha >= 0, beta >= 0, alpha + beta <= 0.9995.
 _A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, -1.0]])
 _C = np.array([1e-10, 0.0, 0.0, -0.9995])
 _ALPHA, _BETA, _CAP = 1, 2, 3  # rows of _A; the first three are also coordinates
@@ -197,23 +211,13 @@ _MAX_HALVINGS = 30      # backtracking halvings per iteration
 _LAST_STEP = 1e-11      # see _newton_fit
 
 
-def _garch_objective(eps2, var, x):
+def _garch_objective(eps2, x):
     """Negative mean Gaussian log-likelihood without its constant,
-    0.5 * mean(log h + eps2/h), at x = (omega/var, alpha, beta); also
-    returns the variance path h."""
-    w, a, b = x
-    omega = w * var
+    0.5 * mean(log h + eps2/h), at x = (omega, alpha, beta) on the
+    standardized eps2; also returns the variance path h."""
+    omega, a, b = x
     h = kernels.garch_filter(eps2, omega, a, b, omega / (1.0 - a - b))
     return 0.5 * float(np.mean(np.log(h) + eps2 / h)), h
-
-
-def _garch_derivatives(eps2, var, x, h):
-    """Score, Hessian and Fisher information of `_garch_objective` at x,
-    given its variance path h (`kernels.garch_score`, in x's coordinates)."""
-    w, a, b = x
-    score, hess, fisher = kernels.garch_score(eps2, h, w * var, a, b)
-    scale = np.array([var, 1.0, 1.0])  # d omega / d x[0]
-    return score * scale, hess * np.outer(scale, scale), fisher * np.outer(scale, scale)
 
 
 def _feasible(x):
@@ -304,7 +308,7 @@ def _curvature(x, hess, fisher):
     return fisher + 1e-8 * np.trace(fisher) * np.eye(3)
 
 
-def _newton_fit(eps2, var, x, trace):
+def _newton_fit(eps2, x, trace):
     """Projected Newton descent from x on the box, with backtracking.
 
     Each step minimizes the local quadratic model (`_curvature`) over the box
@@ -315,12 +319,12 @@ def _newton_fit(eps2, var, x, trace):
     beta = 0, where raising alpha may still pay.  Returns (x, objective,
     converged, variance-path evaluations).
     """
-    f, h = _garch_objective(eps2, var, x)
+    f, h = _garch_objective(eps2, x)
     nfev = 1
     for _ in range(_MAX_ITER):
         if not trace or f < trace[-1]:
             trace.append(f)
-        g, hess, fisher = _garch_derivatives(eps2, var, x, h)
+        g, hess, fisher = kernels.garch_score(eps2, h, *x)
         B = _curvature(x, hess, fisher)
         d, ws = _newton_step(x, g, B)
         slope = float(g @ d)
@@ -328,7 +332,7 @@ def _newton_fit(eps2, var, x, trace):
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = _onto_box(x + t * d, ws if t == 1.0 else ())
-            f_trial, h_trial = _garch_objective(eps2, var, trial)
+            f_trial, h_trial = _garch_objective(eps2, trial)
             nfev += 1
             if f_trial <= f + 1e-4 * t * slope:
                 x, f, h = trial, f_trial, h_trial
@@ -344,50 +348,76 @@ def _newton_fit(eps2, var, x, trace):
                     trace.append(f)
                 return x, f, True, nfev
             x = np.array([x[0] / (1.0 - x[2]), 0.0, 0.0])
-            f, h = _garch_objective(eps2, var, x)
+            f, h = _garch_objective(eps2, x)
             nfev += 1
     return x, f, False, nfev
 
 
-def fit_garch11(returns) -> GarchFit:
-    """Gaussian quasi-MLE of GARCH(1,1) by projected Newton descent,
-    restarted from each point of `_RESTART_GRID` (and from `_CORNER_START`
-    when the fit is weak); the start reaching the lowest objective is kept,
-    the first on ties.  A fit with alpha = 0 has the constant variance path
-    omega/(1 - beta) for every beta and is reported at beta = 0."""
+def _standardized(returns):
+    """(returns, mean, variance, eps2) for a fit: eps2 = u^2 / mean(u^2)
+    with u = (r - mean) / max|r - mean|, the squared deviations in units of
+    their mean, computed without squaring r itself, so the descent sees the
+    same numbers at any scale of r whose variance is a normal float."""
     r = np.asarray(returns, dtype=float).reshape(-1)
-    n = len(r)
-    if n < 500:
+    if len(r) < 500:
         raise InsufficientDataError("GARCH fit needs at least 500 returns")
     if not np.all(np.isfinite(r)):
         raise DegenerateInputError("non-finite returns")
     mu = float(r.mean())
-    eps2 = (r - mu) ** 2
-    var = float(eps2.mean())
-    if var <= 0.0:
+    dev = r - mu
+    top = float(np.max(np.abs(dev)))
+    if top == 0.0:
         raise DegenerateInputError("constant returns")
+    u2 = (dev / top) ** 2
+    mean_u2 = float(u2.mean())
+    var = mean_u2 * top * top
+    if not sys.float_info.min <= var <= sys.float_info.max:
+        raise DegenerateInputError(f"return variance {var:.3g} outside the normal float range")
+    return r, mu, var, u2 / mean_u2
 
-    trace: list = []
 
-    def descend(a0, b0):
-        return _newton_fit(eps2, var, np.array([1.0 - a0 - b0, a0, b0]), trace)
-
-    fits = [descend(a0, b0) for a0, b0 in _RESTART_GRID]
-    if min(fits, key=lambda fit: fit[1])[0][_ALPHA] < _WEAK_ALPHA:
-        fits.append(descend(*_CORNER_START))
-    (w, a, b), _, converged, _ = min(fits, key=lambda fit: fit[1])  # the first on ties
+def _garch_result(r, mu, var, fits, trace):
+    """The GarchFit of the descent with the lowest objective, the first on
+    ties, with omega back in the units of r."""
+    (w, a, b), _, converged, _ = min(fits, key=lambda fit: fit[1])
     nfev = sum(fit[3] for fit in fits)
     omega = float(w * var)
     if a == 0.0:
         omega, b = omega / (1.0 - b), 0.0
     params = GarchParams(mean=mu, omega=omega, alpha=float(a), beta=float(b))
-    near = params.alpha + params.beta > 0.999
+    near = params.alpha + params.beta > _NEAR_IGARCH
     if near:
         warnings.warn(f"alpha + beta = {params.alpha + params.beta:.4f}: near-IGARCH, "
                       "unconditional variance ill-determined", RuntimeWarning)
     return GarchFit(params=params, log_likelihood=gaussian_log_likelihood(r, params),
                     converged=converged, n_evaluations=nfev, near_igarch=near,
                     trace=tuple(trace))
+
+
+def fit_garch11(returns) -> GarchFit:
+    """Gaussian quasi-MLE of GARCH(1,1) by projected Newton descent on the
+    standardized squared deviations (`_standardized`).
+
+    The descent starts from the first point of `_RESTART_GRID`, and that fit
+    is kept when it converged with clustering (alpha >= _WEAK_ALPHA) and
+    away from the persistence cap (alpha + beta <= _NEAR_IGARCH).  Otherwise
+    the descent also starts from the rest of the grid, and from
+    `_CORNER_START` when the best of those is weak; the start reaching the
+    lowest objective is kept, the first on ties.  A fit with alpha = 0 has the constant variance path
+    omega/(1 - beta) for every beta and is reported at beta = 0."""
+    r, mu, var, eps2 = _standardized(returns)
+    trace: list = []
+
+    def descend(a0, b0):
+        return _newton_fit(eps2, np.array([1.0 - a0 - b0, a0, b0]), trace)
+
+    fits = [descend(*_RESTART_GRID[0])]
+    (_, a, b), _, converged, _ = fits[0]
+    if not (converged and a >= _WEAK_ALPHA and a + b <= _NEAR_IGARCH):
+        fits += [descend(a0, b0) for a0, b0 in _RESTART_GRID[1:]]
+        if min(fits, key=lambda fit: fit[1])[0][_ALPHA] < _WEAK_ALPHA:
+            fits.append(descend(*_CORNER_START))
+    return _garch_result(r, mu, var, fits, trace)
 
 
 # ---------------------------------------------------------------------------

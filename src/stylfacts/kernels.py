@@ -1,8 +1,8 @@
 """Hot numeric kernels, one implementation each.
 
 Kernels live here because they are the measured hot spots: the GARCH
-likelihood filter runs once per likelihood evaluation (a few dozen per fit)
-and the score, with its derivative recursions, once per Newton step; the
+likelihood filter runs once per likelihood evaluation (about ten per fit of
+a clustered series) and the score once per Newton step; the
 simulators are sequential recursions, rolling window estimators touch every
 bar, and the Zumbach null band resamples the series a thousand times.
 `benchmarks/bench_kernels.py` times each kernel and checks it against its
@@ -71,7 +71,16 @@ a fresh interpreter's first `garch_filter` call took 0.6-0.7 s and peaked
 at 104 MB of RSS through `lfilter`, and takes 0.23-0.26 s and 57 MB
 through `dtbtrs` (`benchmarks/bench_kernels.py`, 2-vCPU host).  The solve
 is slower per step: 0.8-1.0 ms against 0.5-0.6 ms on one 1e5 row, about
-the same on the score's 3 x 4096 blocks.  `dgttrs`, the tridiagonal solve,
+the same on the score's 3 x 4096 blocks.  A Newton step solves four
+recursion rows: the three first derivatives of the variance path, forward
+in blocks of 4,096 steps, and one adjoint row backwards over the whole
+series, which carries every second derivative (`garch_score`).  The
+adjoint's forcing is written straight into its one (n + 1)-value buffer:
+with whole-series temporaries for 1/h, eps2/h and the reversed forcing,
+the fresh pages of each call cost more than the rows the adjoint saves
+(a 1e5-step score took 6.1 ms against 4.2-4.5 ms, one BLAS thread,
+2-vCPU host).
+`dgttrs`, the tridiagonal solve,
 gives `lfilter`'s bits but takes about three times as long.  `dtbtrs`
 differs from `lfilter` by at most about 1e-15 relative at beta = 0.85 and
 9e-15 at beta = 0.9995 over 1e5 steps (its update may fuse the multiply
@@ -185,31 +194,42 @@ def garch_score(eps2, h, omega, alpha, beta):
     beta), given the variance path h from `garch_filter` started at the
     unconditional variance omega/(1-alpha-beta).
 
-    With d = dh/dtheta, q = d/h and z = eps2/h, the score is
-    0.5*mean(q (1 - z)), the Hessian 0.5*mean((1 - z) (d2h/dtheta2)/h +
-    (2z - 1) q q') and the Fisher information 0.5*mean(q q').
-    Differentiating h[t] = omega + alpha*eps2[t-1] + beta*h[t-1] gives
-    recursions with the same pole at beta: d is forced by (1, eps2[t-1],
-    h[t-1]), and the second derivatives (omega beta, alpha beta, beta beta)
-    by (d_omega, d_alpha, 2 d_beta)[t-1]; each runs as one first-order
-    recursion over stacked rows (`_first_order_recursion`), block by block,
-    with each block's first forcing carrying beta times the previous block's
-    last value.
-    (omega alpha) and (alpha alpha) are unforced, beta^t times their start,
-    and enter as one weighted sum: a recursion would decay them into
-    subnormal numbers that never reach zero, which slows every later step.
-    d2h/domega2 is zero.
+    With d = dh/dtheta, q = d/h, z = eps2/h and w = (1 - z)/h, the score is
+    0.5*mean(d w), the Hessian 0.5*mean(w d2h/dtheta2 + (2z - 1) q q') and
+    the Fisher information 0.5*mean(q q').  Differentiating
+    h[t] = omega + alpha*eps2[t-1] + beta*h[t-1] gives recursions with the
+    same pole at beta: d is forced by (1, eps2[t-1], h[t-1]) and runs as one
+    first-order recursion over stacked rows (`_first_order_recursion`),
+    block by block, with each block's first forcing carrying beta times the
+    previous block's last value.  The second derivatives enter only through
+    their sums against w, so they are never formed: each is beta^t times its
+    start dd_start plus a recursion forced by c d[t-1], and with the adjoint
+    v[t] = w[t] + beta*v[t+1] (Griewank & Walther 2008), one backward
+    recursion,
+
+        sum_t w[t] d2h[t] = dd_start v[0] + c sum_{t>=1} d[t-1] v[t]
+
+    with c = 1, 1, 2 for (omega beta), (alpha beta), (beta beta); (omega
+    alpha) and (alpha alpha) are unforced, their start times v[0], and
+    d2h/domega2 is zero.  A Newton step so solves four recursion rows: the
+    three of d and v.
     """
     n = eps2.shape[0]
     s = 1.0 - alpha - beta
     u = omega / (s * s)  # dh[0]/dalpha = dh[0]/dbeta
-    d_prev = dd_prev = None
-    dd_start = (1.0 / (s * s), 2.0 * u / s, 2.0 * u / s)
-    score = np.zeros(3)
+    # the adjoint, written back to front: rev[k] = v[n - k], with v[n] = 0,
+    # so v[t + 1] over a block t = lo..hi-1 is rev[n-hi:n-lo] reversed
+    rev = np.empty(n + 1)
+    rev[0] = 0.0
+    w = rev[1:]
+    np.divide(eps2[::-1], h[::-1], out=w)
+    np.subtract(1.0, w, out=w)
+    np.divide(w, h[::-1], out=w)
+    rev = _first_order_recursion(rev, beta)
+    d_prev = None
+    sums = np.zeros((3, 2))  # d against w and against v[t + 1]
     fisher = np.zeros((3, 3))
     curv = np.zeros((3, 3))
-    dd_sums = np.zeros(3)  # (omega beta, alpha beta, beta beta) against (1 - z)/h
-    decay_sum = 0.0        # beta^t against (1 - z)/h
     for lo in range(0, n, _SCORE_BLOCK):
         hi = min(lo + _SCORE_BLOCK, n)
         forcing = np.empty((3, hi - lo))
@@ -223,31 +243,26 @@ def garch_score(eps2, h, omega, alpha, beta):
             forcing[2] = h[lo - 1:hi - 1]
             forcing[:, 0] += beta * d_prev
         d = _first_order_recursion(forcing, beta)
-        forcing = np.empty((3, hi - lo))
-        forcing[:, 0] = dd_start if lo == 0 else d_prev * (1.0, 1.0, 2.0) + beta * dd_prev
-        forcing[:2, 1:] = d[:2, :-1]
-        np.multiply(d[2, :-1], 2.0, out=forcing[2, 1:])
-        dd = _first_order_recursion(forcing, beta)
-        d_prev, dd_prev = d[:, -1], dd[:, -1]
+        d_prev = d[:, -1]
 
         inv_h = 1.0 / h[lo:hi]
         z = eps2[lo:hi] * inv_h
         q = d * inv_h
-        score += np.einsum("it,t->i", q, 1.0 - z)
+        wv = np.empty((2, hi - lo))
+        np.multiply(1.0 - z, inv_h, out=wv[0])
+        wv[1] = rev[n - hi:n - lo][::-1]
+        sums += np.einsum("it,jt->ij", d, wv)
         fisher += np.einsum("it,jt->ij", q, q)
         curv += np.einsum("it,jt->ij", q * (2.0 * z - 1.0), q)
-        w = (1.0 - z) * inv_h
-        dd_sums += np.einsum("it,t->i", dd, w)
-        if beta > 0.0 and lo * np.log(beta) > -690.0:
-            decay_sum += float(np.einsum("t,t->", np.exp(np.arange(lo, hi) * np.log(beta)), w))
-        elif lo == 0:
-            decay_sum += w[0]
 
-    wa, aa = decay_sum / (s * s), decay_sum * 2.0 * u / s
-    wb, ab, bb = dd_sums
+    v0 = rev[n]
+    # (omega alpha, alpha alpha); the starts of (omega beta, alpha beta,
+    # beta beta) are the same two values
+    wa, aa = v0 / (s * s), v0 * 2.0 * u / s
+    wb, ab, bb = np.array([wa, aa, aa]) + sums[:, 1] * (1.0, 1.0, 2.0)
     curv += np.array([[0.0, wa, wb], [wa, aa, ab], [wb, ab, bb]])
     half_mean = 0.5 / n
-    return (half_mean * score, half_mean * 0.5 * (curv + curv.T),
+    return (half_mean * sums[:, 0], half_mean * 0.5 * (curv + curv.T),
             half_mean * 0.5 * (fisher + fisher.T))
 
 

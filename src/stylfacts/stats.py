@@ -18,9 +18,11 @@ Conventions pinned here:
   the Schwert bound floor(12 * (N/100)^(1/4)) on the common sample, and the
   chosen model runs on every row it can; critical values come from the
   standard response-surface constants for the constant-only case.  Both
-  steps solve normal equations built from sums and prefix sums of shifted
-  slices (`_lag_gram`: O(N * lags) time, O(N) memory).  A singular model or
-  a residual sum of squares <= 0 raises DegenerateInputError.
+  steps solve normal equations built from one set of full-range lag
+  product sums, two dot products over the series per lag (`_lag_sums`),
+  less short head and tail pieces (`_lag_gram`: O(N * lags) time once,
+  then O(lags^2) per build, O(N) memory).  A singular model or a residual
+  sum of squares <= 0 raises DegenerateInputError.
 
 scipy.special is imported inside the three functions that call it (KS, AD,
 QQ), at first use, so that importing the package loads no scipy (see
@@ -212,26 +214,49 @@ def anderson_darling_normal(x) -> GofTestResult:
                          note="mean and variance estimated; finite-N correction applied to thresholds")
 
 
-def _lag_gram(x, dy, p, start):
+def _lag_sums(x, dy, pmax):
+    """The full-range lag product sums of dy with itself and with the level
+    x, as rows: sum_u dy[u] dy[u+d] and sum_u dy[u] x[u+d] over every u,
+    d = 0..pmax; one `dot` each."""
+    n1 = len(dy)
+    return np.array([[dot(dy[:n1 - d], dy[d:]) for d in range(pmax + 1)],
+                     [dot(dy[:n1 - d], x[d:n1]) for d in range(pmax + 1)]])
+
+
+def _lag_gram(x, dy, p, start, full):
     """Gram matrix of [1, x_t, dy_{t-1}, ..., dy_{t-p}, dy_t] over the rows
-    t = start..n-2 (start >= p), with no design matrix.  Column dy_{t-j} is
-    the slice dy[start-j : n-1-j].  The dy entry at lags (i, j) sums
-    dy[u] dy[u+d], d = |i-j|, over u = start-m..n-2-m, m = max(i, j): a range
-    of one prefix sum per d, each written into the same buffer."""
+    t = start..n-2 (start >= p), with no design matrix; `full` holds
+    `_lag_sums(x, dy, pmax)` for some pmax >= p.
+
+    Column dy_{t-j} is the slice dy[start-j : n-1-j].  The dy entry at lags
+    (i, j) sums dy[u] dy[u+d], d = |i-j|, over u = start-m..n-2-m,
+    m = max(i, j): the full sum less its head, the first start - m products,
+    and its tail, the last m - d.  The x entry at lag j sums dy[u] x[u+j]
+    over u = start-j..n-2-j: the full sum less its first start - j products.
+    The heads and tails are read off cumulative sums of at most start and p
+    products.  The constant's entry at lag j telescopes to
+    x[n-1-j] - x[start-j]."""
     n = len(x)
     lags = np.r_[1:p + 1, 0]  # the lag of each dy column; dy_t last
-    head = np.stack((np.ones(n - 1 - start), x[start:n - 1]))
     G = np.empty((p + 3, p + 3))
-    G[:2, :2] = np.einsum("it,jt->ij", head, head)
-    G[:2, 2:] = np.array([np.einsum("it,t->i", head, dy[start - j:n - 1 - j]) for j in lags]).T
+    level = x[start:n - 1]
+    total = level.sum()
+    G[:2, :2] = ((n - 1 - start, total), (total, dot(level, level)))
+    ahead = np.arange(p + 1)[:, None] + np.arange(start)  # [d, u]: u + d
+    # [0 or 1, d, k]: the first k products of dy with dy or x at lag d
+    first = np.zeros((2, p + 1, start + 1))
+    np.cumsum(np.stack((dy[ahead], x[ahead])) * dy[:start], axis=2, out=first[:, :, 1:])
+    G[0, 2:] = x[n - 1 - lags] - x[start - lags]
+    G[1, 2:] = full[1, lags] - first[1, lags, start - lags]
     G[2:, :2] = G[:2, 2:].T
+    back = np.arange(1, p + 1)
+    # [d, k]: the last k products of dy with dy at lag d
+    last = np.zeros((p + 1, p + 1))
+    np.cumsum(dy[n - 1 - np.arange(p + 1)[:, None] - back] * dy[n - 1 - back], axis=1,
+              out=last[:, 1:])
     m = np.maximum.outer(lags, lags)
     d = np.abs(np.subtract.outer(lags, lags))
-    prefix = np.zeros(n)
-    for k in range(p + 1):
-        np.multiply(dy[:n - 1 - k], dy[k:], out=prefix[1:n - k])
-        np.cumsum(prefix[1:n - k], out=prefix[1:n - k])
-        G[2:, 2:][d == k] = prefix[n - 1 - m[d == k]] - prefix[start - m[d == k]]
+    G[2:, 2:] = full[0, d] - first[0, d, start - m] - last[d, m - d]
     return G
 
 
@@ -258,7 +283,8 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
     # lag selection on the common sample t = pmax..n-2: the candidate models
     # are nested, so each is a leading block of one Gram matrix, with the
     # regressand's products in its last column
-    G = _lag_gram(x, dy, pmax, pmax)
+    full = _lag_sums(x, dy, pmax)
+    G = _lag_gram(x, dy, pmax, pmax, full)
     neff_sel = n - 1 - pmax
     best = None
     for p in range(pmax + 1):
@@ -279,7 +305,7 @@ def adf_test(x, max_lag: Optional[int] = None) -> AdfResult:
 
     # the chosen model runs on all the rows it can, t = p..n-2
     k = 2 + p
-    G = _lag_gram(x, dy, p, p)
+    G = _lag_gram(x, dy, p, p, full)
     gram, rhs = G[:k, :k], G[:k, -1]
     neff = n - 1 - p
     scale = np.sqrt(np.diag(gram))

@@ -1,15 +1,23 @@
-"""Element-by-element loop twins of the numeric kernels in `stylfacts.kernels`.
+"""Twins of the package's numeric kernels and of two primitives.
 
-Each spells out its kernel's arithmetic one element at a time.
-`tests/test_kernels.py` holds the kernels to them, and
-`benchmarks/bench_kernels.py` checks and times the kernels against them.
+Each `*_loop` function spells out its kernel's arithmetic in
+`stylfacts.kernels` one element at a time.  `tests/test_kernels.py` holds
+the kernels to them, and `benchmarks/bench_kernels.py` checks and times the
+kernels against them.
+
+`fit_garch11_five_starts` is `fitting.fit_garch11` descending from every
+restart start, as it did before the first start's fit was kept when it
+clusters; `lag_gram_prefix_sums` is `stats._lag_gram` as it was before it
+read full-range lag sums, with one multiply and one prefix sum over the
+series per lag.  The tests hold the fit and the Gram matrix to them, and
+the benchmark times them as the baselines.
 """
 
 import math
 
 import numpy as np
 
-from stylfacts import kernels
+from stylfacts import fitting, kernels
 
 
 def garch_filter_loop(eps2, omega, alpha, beta, h1):
@@ -42,6 +50,40 @@ def garch_score_loop(eps2, h, omega, alpha, beta):
         fisher += np.outer(q, q)
         hess += (1.0 - z) * second / h[t] + (2.0 * z - 1.0) * np.outer(q, q)
     return 0.5 * score / n, 0.5 * hess / n, 0.5 * fisher / n
+
+
+def fit_garch11_five_starts(returns):
+    """`fitting.fit_garch11` from every `_RESTART_GRID` start, plus the
+    corner when the best of them is weak; the best start is kept, the
+    first on ties."""
+    r, mu, var, eps2 = fitting._standardized(returns)
+    trace = []
+    fits = [fitting._newton_fit(eps2, np.array([1.0 - a0 - b0, a0, b0]), trace)
+            for a0, b0 in fitting._RESTART_GRID]
+    if min(fits, key=lambda fit: fit[1])[0][fitting._ALPHA] < fitting._WEAK_ALPHA:
+        a0, b0 = fitting._CORNER_START
+        fits.append(fitting._newton_fit(eps2, np.array([1.0 - a0 - b0, a0, b0]), trace))
+    return fitting._garch_result(r, mu, var, fits, trace)
+
+
+def lag_gram_prefix_sums(x, dy, p, start):
+    """`stats._lag_gram` with each dy-by-dy entry as a range of one prefix
+    sum per lag difference: p + 1 multiplies and cumsums over the series."""
+    n = len(x)
+    lags = np.r_[1:p + 1, 0]
+    head = np.stack((np.ones(n - 1 - start), x[start:n - 1]))
+    G = np.empty((p + 3, p + 3))
+    G[:2, :2] = np.einsum("it,jt->ij", head, head)
+    G[:2, 2:] = np.array([np.einsum("it,t->i", head, dy[start - j:n - 1 - j]) for j in lags]).T
+    G[2:, :2] = G[:2, 2:].T
+    m = np.maximum.outer(lags, lags)
+    d = np.abs(np.subtract.outer(lags, lags))
+    prefix = np.zeros(n)
+    for k in range(p + 1):
+        np.multiply(dy[:n - 1 - k], dy[k:], out=prefix[1:n - k])
+        np.cumsum(prefix[1:n - k], out=prefix[1:n - k])
+        G[2:, 2:][d == k] = prefix[n - 1 - m[d == k]] - prefix[start - m[d == k]]
+    return G
 
 
 def garch_sim_loop(z, omega, alpha, gamma, beta, h1, burn):

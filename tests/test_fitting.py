@@ -16,6 +16,8 @@ from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 from stylfacts.series import compute_log_returns
 from stylfacts.stats import acf
 
+import _oracles
+
 _SIM = dict(substeps=1, extremes="substep", volume_mode="none")
 
 
@@ -435,17 +437,90 @@ class TestFitGarch:
         assert a_resid.alpha == pytest.approx(a_raw.alpha, rel=1e-12)
 
 
+class TestFirstStartRule:
+    """The fit against its five-start twin (`_oracles.fit_garch11_five_starts`)
+    on a seeded sweep: clustered series, where the first start's fit is kept,
+    and GBM, whose likelihood is flat and at seeds 1 and 9 has two optima
+    the grid decides between."""
+
+    SPECS = {
+        "gjr": lambda seed: GjrSpec(n_steps=20_000, seed=seed, **_SIM),
+        "gbm": lambda seed: GbmSpec(n_steps=20_000, seed=seed, **_SIM),
+        "student_t": lambda seed: GarchSpec(n_steps=5_000, seed=seed, innovation="student_t",
+                                            df=5.0, **_SIM),
+        "persistent": lambda seed: GarchSpec(n_steps=20_000, seed=seed, alpha=0.05, beta=0.94,
+                                             **_SIM),
+        "gbm_short": lambda seed: GbmSpec(n_steps=3_000, seed=seed, **_SIM),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 9])
+    @pytest.mark.parametrize("kind", SPECS)
+    def test_matches_five_start_twin(self, kind, seed, monkeypatch):
+        r = _returns(self.SPECS[kind](seed))
+        descents = []
+        newton_fit = fitting._newton_fit
+
+        def counted(*args):
+            descents.append(args)
+            return newton_fit(*args)
+
+        monkeypatch.setattr(fitting, "_newton_fit", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = fit_garch11(r)
+        monkeypatch.undo()
+        twin = _oracles.fit_garch11_five_starts(r)
+
+        a0, b0 = fitting._RESTART_GRID[0]
+        (_, a, b), _, converged, _ = fitting._newton_fit(
+            fitting._standardized(r)[3], np.array([1.0 - a0 - b0, a0, b0]), [])
+        kept = converged and a >= 0.01 and a + b <= 0.999
+        assert len(descents) in ((1,) if kept else (5, 6))
+        if kind == "gjr" or (kind == "gbm" and seed in (1, 9)):
+            assert kept == (kind == "gjr")
+        assert fit.converged and twin.converged
+        assert fit.log_likelihood == pytest.approx(twin.log_likelihood, rel=1e-14, abs=0.0)
+        p, q = fit.params, twin.params
+        if q.alpha >= 0.01 and q.beta > 0.0 and q.alpha + q.beta <= 0.999:
+            assert abs(p.alpha - q.alpha) < 1e-7 and abs(p.beta - q.beta) < 1e-7
+            assert p.omega == pytest.approx(q.omega, rel=1e-7)
+
+
+class TestScaleEquivariance:
+    """The fit of c * r is the fit of r with omega times c^2, for every c
+    whose return variance is a normal float, with no float warning."""
+
+    @pytest.mark.parametrize("spec", [GjrSpec(n_steps=2_001, seed=3, **_SIM),
+                                      GbmSpec(n_steps=2_001, seed=3, **_SIM)],
+                             ids=["gjr", "gbm"])
+    def test_fit_scales_with_the_returns(self, spec):
+        r = _returns(spec)
+        r = r / r.std()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base = fit_garch11(r)
+            for c in (1e-150, 1e-100, 1e-20, 1e20, 1e100, 1e150, 1e153):
+                fit = fit_garch11(c * r)
+                assert fit.converged
+                assert abs(fit.params.alpha - base.params.alpha) < 1e-15
+                assert abs(fit.params.beta - base.params.beta) < 1e-15
+                assert fit.params.omega / c ** 2 == pytest.approx(base.params.omega, rel=1e-12)
+                assert fit.log_likelihood == pytest.approx(
+                    base.log_likelihood - len(r) * math.log(c), rel=1e-13)
+            for c in (1e-160, 1e160):
+                with pytest.raises(DegenerateInputError, match="normal float range"):
+                    fit_garch11(c * r)
+
+
 class TestGarchScore:
     """The analytic score and Hessian of the fit's objective against central
     differences, inside the box and next to each of its bounds."""
 
     @pytest.fixture(scope="class")
     def data(self):
-        r = _returns(GjrSpec(n_steps=3000, seed=30, **_SIM))
-        eps2 = (r - r.mean()) ** 2
-        return eps2, float(eps2.mean())
+        return fitting._standardized(_returns(GjrSpec(n_steps=3000, seed=30, **_SIM)))[3]
 
-    # x = (omega/var, alpha, beta)
+    # x = (omega, alpha, beta) in the standardized units
     POINTS = {
         "interior": (0.05, 0.10, 0.85),
         "alpha_near_0": (0.20, 1e-4, 0.80),
@@ -462,32 +537,30 @@ class TestGarchScore:
 
     @pytest.mark.parametrize("point", POINTS)
     def test_score_matches_central_differences(self, data, point):
-        eps2, var = data
+        eps2 = data
         x = np.array(self.POINTS[point])
-        _, h = fitting._garch_objective(eps2, var, x)
-        score, _, _ = fitting._garch_derivatives(eps2, var, x, h)
+        _, h = fitting._garch_objective(eps2, x)
+        score, _, _ = kernels.garch_score(eps2, h, *x)
         fd = np.empty(3)
         for i, step in enumerate(self._steps(x)):
             e = np.zeros(3)
             e[i] = step
-            fd[i] = (fitting._garch_objective(eps2, var, x + e)[0]
-                     - fitting._garch_objective(eps2, var, x - e)[0]) / (2 * step)
+            fd[i] = (fitting._garch_objective(eps2, x + e)[0]
+                     - fitting._garch_objective(eps2, x - e)[0]) / (2 * step)
         np.testing.assert_allclose(score, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
 
     @pytest.mark.parametrize("point", POINTS)
     def test_hessian_matches_central_differences(self, data, point):
-        eps2, var = data
+        eps2 = data
         x = np.array(self.POINTS[point])
-        _, h = fitting._garch_objective(eps2, var, x)
-        _, hess, _ = fitting._garch_derivatives(eps2, var, x, h)
+        _, h = fitting._garch_objective(eps2, x)
+        _, hess, _ = kernels.garch_score(eps2, h, *x)
         fd = np.empty((3, 3))
         for i, step in enumerate(self._steps(x)):
             e = np.zeros(3)
             e[i] = step
-            plus = fitting._garch_derivatives(eps2, var, x + e,
-                                              fitting._garch_objective(eps2, var, x + e)[1])[0]
-            minus = fitting._garch_derivatives(eps2, var, x - e,
-                                               fitting._garch_objective(eps2, var, x - e)[1])[0]
+            plus = kernels.garch_score(eps2, fitting._garch_objective(eps2, x + e)[1], *(x + e))[0]
+            minus = kernels.garch_score(eps2, fitting._garch_objective(eps2, x - e)[1], *(x - e))[0]
             fd[i] = (plus - minus) / (2 * step)
         np.testing.assert_allclose(hess, fd, rtol=1e-6, atol=1e-6 * np.abs(fd).max())
         np.testing.assert_array_equal(hess, hess.T)

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylfacts.errors import DegenerateInputError, InsufficientDataError
-from stylfacts.stats import (_lag_gram, acf, adf_test, anderson_darling_normal,
+from stylfacts.stats import (_lag_gram, _lag_sums, acf, adf_test, anderson_darling_normal,
                              autocovariance, cross_correlation, edf_exceedance,
                              ks_test_normal, qq_data)
+
+import _oracles
 
 
 def naive_acf(x, max_lag):
@@ -38,8 +40,7 @@ def _adf_design_matrix(x, max_lag=None):
     """The ADF statistic as `adf_test` computed it before it took the chosen
     model from the lag-selection Gram matrix: an uncentred Gram matrix for
     the lag search, then a fresh design matrix at the chosen lag and lstsq.
-    Returns (statistic, lag).  Kept as an oracle and as the baseline that
-    benchmarks/bench_kernels.py times."""
+    Returns (statistic, lag).  Kept as an oracle."""
     x = np.asarray(x, dtype=float)
     n = len(x)
     pmax = int(12 * (n / 100.0) ** 0.25) if max_lag is None else int(max_lag)
@@ -374,21 +375,27 @@ class TestAdf:
     @pytest.mark.parametrize("kind", ["random", "near_constant", "near_unit_root"])
     def test_lag_gram_equals_design_matrix_gram(self, kind):
         # X.T @ X of [1, x_t, dy_{t-1..t-p}, dy_t] over t = start..n-2, at
-        # the lag-selection start (pmax) and the chosen model's (start = p);
-        # each entry to 1e-12 of its Cauchy-Schwarz bound sqrt(G_ii G_jj)
-        x = (np.random.default_rng(28).standard_normal(2000) if kind == "random"
-             else self._hard_series(kind))
-        x = x - x.mean()
-        dy = np.diff(x)
-        n, pmax = len(x), 25
-        for p, start in ((pmax, pmax), (7, 7), (0, 0), (3, 11)):
-            rows = np.arange(start, n - 1)
-            X = np.column_stack([np.ones(len(rows)), x[rows]]
-                                + [dy[rows - j] for j in range(1, p + 1)] + [dy[rows]])
-            want = X.T @ X
-            bound = np.sqrt(np.outer(np.diag(want), np.diag(want)))
-            err = np.abs(_lag_gram(x, dy, p, start) - want) / bound
-            assert err.max() < 1e-12, (p, start, err.max())
+        # the lag-selection start (pmax), the chosen model's (start = p) and
+        # starts past p, every build from one set of full lag sums; on the
+        # whole series and on its first 50 points, the shortest an ADF takes
+        # (pmax 10); each entry to 1e-12 of its Cauchy-Schwarz bound
+        # sqrt(G_ii G_jj), as is the prefix-sum form it replaced
+        series = (np.random.default_rng(28).standard_normal(2000) if kind == "random"
+                  else self._hard_series(kind))
+        for n, pmax in ((2000, 25), (50, 10)):
+            x = series[:n] - series[:n].mean()
+            dy = np.diff(x)
+            full = _lag_sums(x, dy, pmax)
+            for p, start in ((pmax, pmax), (7, 7), (0, 0), (3, 11), (0, 5), (pmax, pmax + 3)):
+                rows = np.arange(start, n - 1)
+                X = np.column_stack([np.ones(len(rows)), x[rows]]
+                                    + [dy[rows - j] for j in range(1, p + 1)] + [dy[rows]])
+                want = X.T @ X
+                bound = np.sqrt(np.outer(np.diag(want), np.diag(want)))
+                for got in (_lag_gram(x, dy, p, start, full),
+                            _oracles.lag_gram_prefix_sums(x, dy, p, start)):
+                    err = np.abs(got - want) / bound
+                    assert err.max() < 1e-12, (n, p, start, err.max())
 
     def test_no_design_matrix(self):
         # a 1e5 x 69 design matrix alone is 55 MB; the Gram builder needs a
