@@ -28,18 +28,16 @@ Conventions shared by all tests:
 
 from __future__ import annotations
 
-import functools
 import math
-import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, get_type_hints
+from typing import Optional
 
 import numpy as np
 
 from . import kernels
 from .errors import (DegenerateInputError, InsufficientDataError,
-                     NonMeanRevertingError, StylfactsError)
+                     NonMeanRevertingError, StylfactsError, check_knobs, knob)
 from .fitting import (GarchFit, fit_garch11, fit_ou, fit_power_law,
                       fit_tail_exponent, garch_filter)
 from .series import PriceSeries, block_sums, compute_log_returns
@@ -114,45 +112,6 @@ class ZumbachResult:
 
 
 EXCURSION_LEVELS = (1, 5, 25, 50, 90, 95, 99)
-
-
-def knob(default, low=None, high=None):
-    """A config field whose kind (int, finite real, or int or None) is its
-    annotation and whose range is [low, high] for ints and the open
-    interval (low, high) for reals; None leaves a side unbounded."""
-    return field(default=default, metadata={"range": (low, high)})
-
-
-_KIND_NAMES = {int: "an int", Optional[int]: "an int or None", float: "a number"}
-
-
-@functools.cache
-def _knob_rules(cls) -> tuple:
-    hints = get_type_hints(cls)
-    return tuple((f.name, hints[f.name], *f.metadata["range"])
-                 for f in fields(cls) if "range" in f.metadata)
-
-
-def check_knobs(config) -> None:
-    """Raise ValueError unless every knob of the dataclass `config` has its
-    annotated kind (bools are never numbers) and lies in its range."""
-    for name, kind, low, high in _knob_rules(type(config)):
-        value = getattr(config, name)
-        if value is None and kind == Optional[int]:
-            continue
-        wanted = numbers.Real if kind is float else numbers.Integral
-        if isinstance(value, bool) or not isinstance(value, wanted):
-            raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
-        if kind is float:
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            ok = (low is None or value > low) and (high is None or value < high)
-            bounds = f"lie in ({low}, {high})"
-        else:
-            ok = (low is None or value >= low) and (high is None or value <= high)
-            bounds = f"be >= {low}" if high is None else f"lie in [{low}, {high}]"
-        if not ok:
-            raise ValueError(f"{name} must {bounds}")
 
 
 @dataclass(frozen=True)
@@ -333,8 +292,7 @@ def excursion_lengths(vol, levels=EXCURSION_LEVELS) -> ExcursionProfile:
         raise InsufficientDataError("excursion profile needs >= 100 volatility points")
     means = []
     counts = []
-    for q in levels:
-        thr = np.quantile(v, q / 100.0)
+    for thr in np.quantile(v, np.asarray(levels) / 100.0):
         above = np.concatenate(([0], (v > thr).astype(np.int8), [0]))
         d = np.diff(above)
         starts = np.flatnonzero(d == 1)

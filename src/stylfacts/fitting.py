@@ -54,8 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import DegenerateInputError, InsufficientDataError, NonMeanRevertingError
-from .stats import adf_critical_value
+from .errors import (DegenerateInputError, InsufficientDataError, NonMeanRevertingError,
+                     check_knobs, knob)
+from .stats import adf_critical_value, edf_exceedance
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -141,16 +142,13 @@ def fit_power_law(lags, values) -> PowerLawFit:
 
 @dataclass(frozen=True)
 class GarchParams:
-    mean: float
-    omega: float
-    alpha: float
-    beta: float
+    mean: float = knob()
+    omega: float = knob(low=0)
+    alpha: float = knob(low=0, closed=True)
+    beta: float = knob(low=0, closed=True)
 
     def __post_init__(self):
-        if not (self.omega > 0.0):
-            raise ValueError("omega must be > 0")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be >= 0")
+        check_knobs(self)
         if self.alpha + self.beta >= 1.0:
             raise ValueError("stationarity requires alpha + beta < 1")
 
@@ -426,15 +424,12 @@ def fit_garch11(returns) -> GarchFit:
 
 @dataclass(frozen=True)
 class OuParams:
-    theta: float
-    mu: float
-    sigma: float
+    theta: float = knob(low=0)
+    mu: float = knob()
+    sigma: float = knob(low=0, closed=True)
 
     def __post_init__(self):
-        if not (self.theta > 0.0):
-            raise ValueError("theta must be > 0")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+        check_knobs(self)
 
 
 @dataclass(frozen=True)
@@ -518,10 +513,9 @@ def fit_tail_exponent(x, side: str = "right", tail_fraction: float = 0.05) -> Ta
     m = len(sample)
     if m < n_tail:
         raise InsufficientDataError(f"only {m} {side}-side values for n_tail={n_tail}")
-    sample = np.sort(sample)
     # top n_tail order statistics; the maximum has exceedance 0 and drops out
-    top = sample[m - n_tail:]
-    exceed = (m - np.arange(m - n_tail + 1, m + 1)) / m
+    sample, exceed = edf_exceedance(sample)
+    top, exceed = sample[m - n_tail:], exceed[m - n_tail:]
     keep = exceed > 0.0
     values, exceedance = top[keep], exceed[keep]
     lx = np.log(values)

@@ -42,9 +42,8 @@ through views whose items are the overlapping w-value windows at every
 start (`_windows`), and runs as many resamples per pass as keep a pass's
 gathers near 8 MB (9 at 1e5 bars, 1 at 1e6).  At 1e5 bars and 1,000
 resamples it peaks at 22.5 MB of allocations (the table is 11.2 MB) and
-takes 0.28-0.41 s on one BLAS thread, against 36 MB and 0.40-0.53 s with
-an n x 2w table of windows and a second n x (w + 4) block table; at 1e6
-bars, 136 MB and 2.5-3.5 s against 313 MB and 3.8-4.0 s (2-vCPU host).
+takes 0.28-0.41 s on one BLAS thread; at 1e6 bars, 136 MB and 2.5-3.5 s
+(2-vCPU host).
 
 `dot` is the one dot product for every sum over a series whose result
 reaches a report (`stats`, `fitting`).  `np.dot` on 1-D
@@ -65,13 +64,13 @@ The GARCH filter and score run their first-order recursions
 y[t] = beta y[t-1] + f[t] as one triangular solve each: y solves the unit
 lower bidiagonal system (I - beta L) y = f, and LAPACK's banded triangular
 solve `dtbtrs` takes stacked rows as its right-hand sides
-(`_first_order_recursion`).  It replaced `scipy.signal.lfilter`, whose
-import also loads scipy.stats, optimize, interpolate, spatial and sparse:
-a fresh interpreter's first `garch_filter` call took 0.6-0.7 s and peaked
-at 104 MB of RSS through `lfilter`, and takes 0.23-0.26 s and 57 MB
-through `dtbtrs` (`benchmarks/bench_kernels.py`, 2-vCPU host).  The solve
-is slower per step: 0.8-1.0 ms against 0.5-0.6 ms on one 1e5 row, about
-the same on the score's 3 x 4096 blocks.  A Newton step solves four
+(`_first_order_recursion`).  `dgttrs`, the tridiagonal solve, takes about
+three times as long.  Both need only scipy.linalg; the signal module's
+filter would also load scipy.stats, optimize, interpolate, spatial and
+sparse.  A fresh interpreter's first `garch_filter` call takes
+0.23-0.26 s and peaks at 57 MB of RSS (`benchmarks/bench_kernels.py`,
+2-vCPU host), and the solve takes 0.8-1.0 ms on one 1e5 row.  A Newton
+step solves four
 recursion rows: the three first derivatives of the variance path, forward
 in blocks of 4,096 steps, and one adjoint row backwards over the whole
 series, which carries every second derivative (`garch_score`).  The
@@ -80,12 +79,9 @@ with whole-series temporaries for 1/h, eps2/h and the reversed forcing,
 the fresh pages of each call cost more than the rows the adjoint saves
 (a 1e5-step score took 6.1 ms against 4.2-4.5 ms, one BLAS thread,
 2-vCPU host).
-`dgttrs`, the tridiagonal solve,
-gives `lfilter`'s bits but takes about three times as long.  `dtbtrs`
-differs from `lfilter` by at most about 1e-15 relative at beta = 0.85 and
-9e-15 at beta = 0.9995 over 1e5 steps (its update may fuse the multiply
-and the add), and it sweeps each right-hand side in one sequential pass,
-so its bits do not depend on the BLAS thread count.  scipy.linalg is
+`dtbtrs` sweeps each right-hand side in one sequential pass, so its bits
+do not depend on the BLAS thread count; its update may fuse the multiply
+and the add, which moves results at roundoff.  scipy.linalg is
 imported inside the helper, at first use, and stats imports scipy.special
 the same way, so `import stylfacts`, and `simulate` for any model, load no
 scipy at all.

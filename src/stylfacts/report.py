@@ -33,9 +33,9 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .errors import RejectedInputError, StylfactsError
-from .facts import FACT_LABELS, FactConfig, FactId, check_knobs, knob, run_all_facts
-from .series import SamplingGrid, _write_rows, read_csv, validate_and_gapfill
+from .errors import RejectedInputError, StylfactsError, check_knobs, knob
+from .facts import FACT_LABELS, FactConfig, FactId, run_all_facts
+from .series import GAP_POLICIES, SamplingGrid, _write_rows, read_csv, validate_and_gapfill
 from .volatility import VolatilityWindow, default_window, rolling_volatility
 
 ALL_FACTS = tuple(f.value for f in FactId)
@@ -73,7 +73,7 @@ class RunConfig:
     facts: tuple = ALL_FACTS
     fact_params: dict = field(default_factory=dict)
     seed: int = knob(0, 0)
-    gap_policy: str = "drop"
+    gap_policy: str = knob("drop", choices=GAP_POLICIES)
     workers: int = knob(1, 1)
 
     def __post_init__(self):
@@ -95,8 +95,6 @@ class RunConfig:
             FactId(f)
             if f in self.facts[:i]:
                 raise ValueError(f"facts lists {f!r} twice")
-        if self.gap_policy not in ("drop", "ffill"):
-            raise ValueError(f"unknown gap policy {self.gap_policy!r}")
         for k in self.fact_params:
             if k not in _TUNABLE:
                 raise ValueError(f"unknown fact parameter {k!r}")

@@ -33,9 +33,11 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import DataQualityError, InsufficientDataError, RejectedInputError
+from .errors import (DataQualityError, InsufficientDataError, RejectedInputError,
+                     check_knobs, knob)
 
 MAX_MISSING_FRACTION = 0.20
+GAP_POLICIES = ("drop", "ffill")
 
 CSV_COLUMNS = ("timestamp", "open", "high", "low", "close", "volume")
 
@@ -49,11 +51,10 @@ def _row(mask) -> int:
 class SamplingGrid:
     """Expected bar spacing: every step seconds (no calendar convention)."""
 
-    step: int
+    step: int = knob(low=1)
 
     def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError("grid step must be positive")
+        check_knobs(self)
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def validate_and_gapfill(series: PriceSeries, grid: SamplingGrid,
     MAX_MISSING_FRACTION of expected slots missing raises DataQualityError.
     Idempotent: validating a validated series finds zero gaps.
     """
-    if policy not in ("drop", "ffill"):
+    if policy not in GAP_POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     ts = series.timestamps
     first, last, step = int(ts[0]), int(ts[-1]), grid.step

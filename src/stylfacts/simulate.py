@@ -21,8 +21,9 @@ model, which treats volatility (GARCH) and drift pull (OU) as constant inside
 one bar.
 
 Each spec class (GbmSpec, OuSpec, GarchSpec, GjrSpec) is the one declaration
-of its model: its fields are the model's parameters, and its `_path` method
-draws the log-price path and the per-step volatilities.  `simulate(spec)` is
+of its model: its fields are the model's parameters, each with its kind and
+range (`errors.knob`), and its `_path` method draws the log-price path and
+the per-step volatilities.  `simulate(spec)` is
 the one entry point.
 
 Determinism: all draws come from a single numpy Generator seeded by
@@ -51,6 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
+from .errors import check_knobs, knob
 from .series import PriceSeries
 
 EXTREME_MODES = ("bridge", "substep")
@@ -66,25 +68,16 @@ _BLOCK_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class _SimCommon:
-    n_steps: int
-    seed: int = 0
-    substeps: int = 16
-    extremes: str = "bridge"
-    step_seconds: int = 86400
-    t0: int = 0
-    volume_mode: str = "proportional"
+    n_steps: int = knob(low=1)
+    seed: int = knob(0, 0)
+    substeps: int = knob(16, 1)
+    extremes: str = knob("bridge", choices=EXTREME_MODES)
+    step_seconds: int = knob(86400, 1)
+    t0: int = knob(0)
+    volume_mode: str = knob("proportional", choices=VOLUME_MODES)
 
-    def _check_common(self):
-        if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
-        if self.extremes not in EXTREME_MODES:
-            raise ValueError(f"extremes must be one of {EXTREME_MODES}")
-        if self.volume_mode not in VOLUME_MODES:
-            raise ValueError(f"volume_mode must be one of {VOLUME_MODES}")
-        if self.step_seconds < 1:
-            raise ValueError("step_seconds must be >= 1")
+    def __post_init__(self):
+        check_knobs(self)
         if not -2**63 <= self.t0 <= 2**63 - 1 - self.step_seconds * self.n_steps:
             raise ValueError("timestamps t0 + k * step_seconds must fit in int64")
 
@@ -96,16 +89,9 @@ class GbmSpec(_SimCommon):
     mu is the drift of the log price itself (per step); no sigma^2/2
     adjustment is applied.
     """
-    mu: float = 0.0
-    sigma: float = 0.01
-    p0: float = 1.0
-
-    def __post_init__(self):
-        self._check_common()
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
-        if not (self.p0 > 0.0):
-            raise ValueError("p0 must be > 0")
+    mu: float = knob(0.0)
+    sigma: float = knob(0.01, 0, closed=True)
+    p0: float = knob(1.0, 0)
 
     def _path(self, rng):
         r = self.mu + self.sigma * rng.standard_normal(self.n_steps)
@@ -116,17 +102,10 @@ class GbmSpec(_SimCommon):
 class OuSpec(_SimCommon):
     """dX = theta (mu - X) dt + sigma dW on the log price, exact one-step
     discretization x_{t+1} = mu + (x_t - mu) e^-theta + eta_t."""
-    theta: float = 0.05
-    mu: float = 0.0
-    sigma: float = 0.01
-    x0: Optional[float] = None  # defaults to mu
-
-    def __post_init__(self):
-        self._check_common()
-        if not (self.theta > 0.0):
-            raise ValueError("theta must be > 0")
-        if self.sigma < 0.0:
-            raise ValueError("sigma must be >= 0")
+    theta: float = knob(0.05, 0)
+    mu: float = knob(0.0)
+    sigma: float = knob(0.01, 0, closed=True)
+    x0: Optional[float] = knob(None)  # defaults to mu
 
     def _path(self, rng):
         z = rng.standard_normal(self.n_steps)
@@ -140,34 +119,25 @@ class OuSpec(_SimCommon):
 @dataclass(frozen=True)
 class GarchSpec(_SimCommon):
     """r_t = mean + sqrt(h_t) z_t, h_{t+1} = omega + alpha (r_t - mean)^2 + beta h_t."""
-    omega: float = 1e-6
-    alpha: float = 0.10
-    beta: float = 0.85
-    mean: float = 0.0
-    innovation: str = "normal"
-    df: Optional[float] = None
-    burn_in: int = 1000
-    p0: float = 1.0
+    omega: float = knob(1e-6, 0)
+    alpha: float = knob(0.10, 0, closed=True)
+    beta: float = knob(0.85, 0, closed=True)
+    mean: float = knob(0.0)
+    innovation: str = knob("normal", choices=INNOVATIONS)
+    df: Optional[float] = knob(None, 2)  # student_t: unit variance needs df > 2
+    burn_in: int = knob(1000, 0)
+    p0: float = knob(1.0, 0)
 
     gamma = 0.0  # the leverage term: a GjrSpec field, fixed at 0 here
 
     def __post_init__(self):
-        self._check_common()
-        if not (self.omega > 0.0):
-            raise ValueError("omega must be > 0")
-        if self.alpha < 0.0 or self.beta < 0.0 or self.alpha + self.gamma < 0.0:
-            raise ValueError("ARCH coefficients must stay non-negative")
+        super().__post_init__()
+        if self.alpha + self.gamma < 0.0:
+            raise ValueError("alpha + gamma must be >= 0")
         if self.alpha + 0.5 * self.gamma + self.beta >= 1.0:
             raise ValueError("stationarity requires alpha + gamma/2 + beta < 1")
-        if self.innovation not in INNOVATIONS:
-            raise ValueError(f"innovation must be one of {INNOVATIONS}")
-        if self.innovation == "student_t":
-            if self.df is None or not (self.df > 2.0):
-                raise ValueError("student_t innovations need df > 2 for unit variance")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if not (self.p0 > 0.0):
-            raise ValueError("p0 must be > 0")
+        if self.innovation == "student_t" and self.df is None:
+            raise ValueError("student_t innovations need df > 2 for unit variance")
 
     @property
     def unconditional_variance(self) -> float:
@@ -188,8 +158,9 @@ class GarchSpec(_SimCommon):
 class GjrSpec(GarchSpec):
     """GARCH(1,1) with the leverage term gamma active on negative returns:
     h_{t+1} = omega + (alpha + gamma 1[r_t < mean]) (r_t - mean)^2 + beta h_t."""
-    alpha: float = 0.05  # half of gamma moves from alpha so the default stays stationary
-    gamma: float = 0.10
+    # half of gamma moves from alpha so the default stays stationary
+    alpha: float = knob(0.05, 0, closed=True)
+    gamma: float = knob(0.10)
 
 
 def _bars_from_steps(x, step_vols, rng, spec) -> PriceSeries:

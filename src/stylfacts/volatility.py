@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import InsufficientDataError
+from .errors import InsufficientDataError, check_knobs, knob
 from .series import PriceSeries
 
 FOUR_LN2 = 4.0 * math.log(2.0)
@@ -38,14 +38,11 @@ _KINDS = ("basic", "parkinson", "rogers_satchell")
 class VolatilityWindow:
     """n intervals per window, windows every `stride` bars."""
 
-    n: int
-    stride: int = 1
+    n: int = knob(low=1)
+    stride: int = knob(1, 1)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("window n must be >= 1")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        check_knobs(self)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,20 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,field", [
+        (["--model", "gbm", "--sigma", "nan"], "sigma"),
+        (["--model", "gbm", "--p0", "inf"], "p0"),
+        (["--model", "gbm", "--seed", "-1"], "seed"),
+        (["--model", "ou", "--x0=-inf"], "x0"),
+        (["--model", "garch", "--omega", "inf"], "omega"),
+        (["--model", "garch", "--innovation", "student_t", "--df", "2"], "df"),
+    ], ids=["sigma-nan", "p0-inf", "seed-negative", "x0-minus-inf", "omega-inf", "df-2"])
+    def test_bad_number_exits_2_naming_its_field(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "x.csv"
+        assert main(["simulate", *argv, "--n", "5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_summary_and_reports(self, workspace):
@@ -544,6 +558,13 @@ class TestConfig:
             "assets": [], "out_dir": "out",
             "fact_params": {"not_a_knob": 1}}))
         with pytest.raises(ValueError, match="unknown fact parameter"):
+            load_config(str(cfg))
+
+    def test_gap_policy_takes_the_choice_rule(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"assets": [], "out_dir": "out", "gap_policy": "interpolate"}))
+        with pytest.raises(ValueError, match=re.escape(
+                "gap_policy must be one of ('drop', 'ffill'), got 'interpolate'")):
             load_config(str(cfg))
 
 

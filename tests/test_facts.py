@@ -740,6 +740,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FactConfig(**kwargs)
 
+    def test_int_beyond_the_float_range_is_not_finite(self):
+        # a JSON config reads such a literal as an int; it used to escape
+        # as an OverflowError
+        with pytest.raises(ValueError, match="f1_band_mult must be finite"):
+            FactConfig(f1_band_mult=10**400)
+
     def test_number_kinds_accepted(self):
         cfg = FactConfig(f1_band_mult=2, f6_window=None, f11_lags=np.int64(5), tail_fraction=0.1)
         assert cfg.f11_lags == 5

@@ -9,8 +9,8 @@ import pytest
 from stylfacts import fitting, kernels
 from stylfacts.errors import (DegenerateInputError, InsufficientDataError,
                               NonMeanRevertingError)
-from stylfacts.fitting import (GarchFit, GarchParams, PowerLawFit, fit_garch11, fit_ou,
-                               fit_power_law, fit_tail_exponent, garch_filter,
+from stylfacts.fitting import (GarchFit, GarchParams, OuParams, PowerLawFit, fit_garch11,
+                               fit_ou, fit_power_law, fit_tail_exponent, garch_filter,
                                gaussian_log_likelihood)
 from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, OuSpec, simulate
 from stylfacts.series import compute_log_returns
@@ -331,6 +331,19 @@ class TestGarchParams:
             GarchParams(mean=0.0, omega=1e-6, alpha=-0.1, beta=0.8)
         with pytest.raises(ValueError):
             GarchParams(mean=0.0, omega=1e-6, alpha=0.3, beta=0.7)
+        with pytest.raises(ValueError, match="omega must be finite"):
+            GarchParams(mean=0.0, omega=math.inf, alpha=0.1, beta=0.8)
+        with pytest.raises(ValueError, match="mean must be finite"):
+            GarchParams(mean=math.nan, omega=1e-6, alpha=0.1, beta=0.8)
+        white_noise = GarchParams(mean=0.0, omega=1e-6, alpha=0.0, beta=0.0)
+        assert white_noise.unconditional_variance == 1e-6
+
+    @pytest.mark.parametrize("kw,message", [({"theta": 0.0}, "theta must be > 0"),
+                                            ({"sigma": -1.0}, "sigma must be >= 0"),
+                                            ({"mu": math.inf}, "mu must be finite")])
+    def test_ou_params_validation(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            OuParams(**{"theta": 0.1, "mu": 0.0, "sigma": 0.01, **kw})
 
     def test_unconditional_variance(self):
         p = GarchParams(mean=0.0, omega=1e-6, alpha=0.1, beta=0.85)

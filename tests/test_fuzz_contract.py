@@ -1,22 +1,33 @@
-"""The README contract under every valid config: fact tests never raise on
-data problems.
+"""The README contract under every valid config and any series content:
+fact tests never raise on data problems.
 
-Each example draws every FactConfig knob inside the range its field
+The config test draws every FactConfig knob inside the range its field
 declares, with counts, lags and bootstrap sizes capped small so that no
 example allocates much or runs long, and runs all eleven facts on a short,
 a flat, a gappy (forward-filled) and a volume-less series, both directly on
 a SeriesContext and through run_all_facts.
+
+The content test draws the series instead (flat stretches, jumps, ticks,
+high = low bars, any price scale, huge or missing volumes) and runs it
+through run_all_facts and through run_analyze on its written CSV, with
+small bootstrap counts.
 """
 
+import csv
 import functools
+import math
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylfacts import facts
+from stylfacts.errors import _knob_rules
 from stylfacts.facts import FactConfig, FactId, FactStatus, SeriesContext, run_all_facts
-from stylfacts.series import PriceSeries, SamplingGrid, validate_and_gapfill
+from stylfacts.report import ALL_FACTS, AssetInput, RunConfig, run_analyze
+from stylfacts.series import PriceSeries, SamplingGrid, validate_and_gapfill, write_csv
 from stylfacts.simulate import GarchSpec, GbmSpec, GjrSpec, simulate
 
 DAY = 86400
@@ -30,7 +41,7 @@ _CAPS = {"seed": 2**64, "step_seconds": 10**6, "f3_min_segment": 1000,
 _CAP = 80
 
 
-def _knob(name, kind, low, high):
+def _knob(name, kind, low, high, *_):
     if kind is float:
         return st.floats(-10.0 if low is None else low, 10.0 if high is None else high,
                          exclude_min=low is not None, exclude_max=high is not None)
@@ -40,7 +51,7 @@ def _knob(name, kind, low, high):
 
 
 configs = st.builds(FactConfig, **{rule[0]: _knob(*rule)
-                                   for rule in facts._knob_rules(FactConfig)})
+                                   for rule in _knob_rules(FactConfig)})
 
 
 @functools.cache
@@ -73,3 +84,62 @@ def test_no_fact_raises_under_any_valid_config(name, config):
     out = run_all_facts(ps, config)
     assert list(out) == list(FactId)
     assert all(v.status in FactStatus for v in out.values())
+
+
+# Series content: a random walk with the shapes that have broken facts
+# before, at any price scale a float holds.
+LN10 = math.log(10.0)
+FUZZ_CONFIG = FactConfig(f6_n_boot=20, f11_n_boot=20)
+
+
+@st.composite
+def contents(draw):
+    n = draw(st.integers(600, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    r = rng.standard_normal(n - 1) * draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.02, 0.3]))
+    for _ in range(draw(st.integers(0, 3))):  # flat stretches
+        start = draw(st.integers(0, n - 2))
+        r[start:start + draw(st.integers(1, n))] = 0.0
+    for _ in range(draw(st.integers(0, 2))):  # single jumps
+        r[draw(st.integers(0, n - 2))] = draw(st.floats(-20.0, 20.0))
+    x = np.concatenate(([0.0], np.cumsum(r))) + draw(st.integers(-300, 300)) * LN10
+    # keep every price inside [1e-300, 1e300], whatever the walk did
+    x -= max(0.0, x.max() - 300 * LN10)
+    x += max(0.0, -300 * LN10 - x.min())
+    close = np.exp(x)
+    open_ = np.concatenate((close[:1], close[:-1]))
+    wick = np.exp(np.abs(rng.standard_normal(n)) * draw(st.sampled_from([0.0, 1e-4, 0.01])))
+    high = np.maximum(open_, close) * wick
+    low = np.minimum(open_, close) / wick
+    flat = rng.random(n) < draw(st.sampled_from([0.0, 0.05, 1.0]))  # high = low bars
+    open_, high, low = (np.where(flat, close, col) for col in (open_, high, low))
+    ticks = draw(st.sampled_from([None, 1e-4, 0.05]))
+    if ticks is not None:  # quantize to ticks of the first price's scale
+        tick = ticks * close[0]
+        open_, high, low, close = (np.maximum(tick, np.round(p / tick) * tick)
+                                   for p in (open_, high, low, close))
+    top = draw(st.sampled_from([None, 0.0, 1.0, 1e12, 1e308]))
+    volume = None if top is None else rng.random(n) * top
+    return PriceSeries(np.arange(n, dtype=np.int64) * DAY, open_, high, low, close, volume)
+
+
+def _assert_eleven(statuses):
+    assert list(statuses) == [f.value for f in FactId]
+    assert set(statuses.values()) <= {s.value for s in FactStatus}
+
+
+@given(ps=contents())
+@settings(max_examples=90, deadline=None)
+def test_any_series_content_gives_eleven_verdicts(ps):
+    _assert_eleven({f.value: v.status.value for f, v in run_all_facts(ps, FUZZ_CONFIG).items()})
+    with tempfile.TemporaryDirectory() as tmp:
+        write_csv(ps, os.path.join(tmp, "a.csv"))
+        config = RunConfig(assets=(AssetInput("a", os.path.join(tmp, "a.csv")),),
+                           out_dir=os.path.join(tmp, "out"),
+                           fact_params={"f6_n_boot": 20, "f11_n_boot": 20})
+        result = run_analyze(config)
+        assert [o.error for o in result.outcomes] == [None]
+        with open(result.summary_path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [row["asset"] for row in rows] == ["a"]
+        _assert_eleven({fact: rows[0][fact] for fact in ALL_FACTS})

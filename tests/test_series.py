@@ -249,6 +249,12 @@ class TestGapfill:
         with pytest.raises(ValueError):
             validate_and_gapfill(make_series(), self.grid(), policy="interpolate")
 
+    @pytest.mark.parametrize("step,message", [(0, "step must be >= 1"),
+                                              (86400.0, "step must be an int")])
+    def test_grid_step_is_a_positive_int(self, step, message):
+        with pytest.raises(ValueError, match=message):
+            SamplingGrid(step)
+
     def test_sparse_span_is_rejected_before_the_grid_is_built(self):
         # two bars 2e6 days apart: the grid alone would take 16 MB
         s = PriceSeries([0, 2_000_000 * DAY], [1] * 2, [1] * 2, [1] * 2, [1] * 2)

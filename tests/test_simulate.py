@@ -1,5 +1,7 @@
 import importlib
 import io
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -83,6 +85,33 @@ class TestCommon:
             GbmSpec(n_steps=10, extremes="exact")
         with pytest.raises(ValueError, match="volume_mode"):
             GbmSpec(n_steps=10, volume_mode="always")
+
+    @pytest.mark.parametrize("cls,kw,message", [
+        (GbmSpec, {"sigma": math.nan}, "sigma must be finite"),
+        (GbmSpec, {"p0": math.inf}, "p0 must be finite"),
+        (GbmSpec, {"p0": 10**400}, "p0 must be finite"),
+        (GbmSpec, {"p0": 0.0}, "p0 must be > 0"),
+        (GbmSpec, {"sigma": -0.01}, "sigma must be >= 0"),
+        (GbmSpec, {"n_steps": True}, "n_steps must be an int, got True"),
+        (GbmSpec, {"n_steps": 5.0}, "n_steps must be an int"),
+        (GbmSpec, {"seed": -1}, "seed must be >= 0"),
+        (GbmSpec, {"mu": "0"}, "mu must be a number"),
+        (GbmSpec, {"t0": 1.5}, "t0 must be an int"),
+        (OuSpec, {"theta": math.inf}, "theta must be finite"),
+        (OuSpec, {"theta": 0.0}, "theta must be > 0"),
+        (OuSpec, {"x0": math.nan}, "x0 must be finite"),
+        (GarchSpec, {"omega": math.inf}, "omega must be finite"),
+        (GarchSpec, {"beta": -0.1}, "beta must be >= 0"),
+        (GarchSpec, {"burn_in": -1}, "burn_in must be >= 0"),
+        (GarchSpec, {"df": math.inf}, "df must be finite"),
+        (GarchSpec, {"innovation": None}, "innovation must be one of"),
+        (GjrSpec, {"gamma": math.nan}, "gamma must be finite"),
+        (GjrSpec, {"alpha": -0.01, "gamma": 0.2}, "alpha must be >= 0"),
+    ])
+    def test_field_rules(self, cls, kw, message):
+        # refused where the spec is built, before simulate draws anything
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(**{"n_steps": 5, **kw})
 
     @pytest.mark.parametrize("kw", [{"t0": 2**63}, {"t0": -2**63 - 1},
                                     {"step_seconds": 2**62}, {"t0": 2**63 - 10, "step_seconds": 1}])
@@ -188,7 +217,7 @@ class TestGarchFamily:
             GjrSpec(n_steps=100, alpha=0.01, gamma=-0.05, beta=0.5)
 
     def test_student_t_needs_df(self):
-        with pytest.raises(ValueError, match="df > 2"):
+        with pytest.raises(ValueError, match="df must be > 2"):
             GarchSpec(n_steps=100, innovation="student_t", df=2.0)
         with pytest.raises(ValueError, match="df > 2"):
             GarchSpec(n_steps=100, innovation="student_t")

@@ -115,10 +115,12 @@ class TestRollingAgainstOracle:
             rolling_volatility(random_ohlc(30), "garman", VolatilityWindow(5, 1))
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             VolatilityWindow(0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
             VolatilityWindow(5, 0)
+        with pytest.raises(ValueError, match="n must be an int, got 2.5"):
+            VolatilityWindow(2.5)
 
 
 class TestCalibration:
