@@ -25,7 +25,8 @@ from .simulate import simulate
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "errors": ("StylfactsError", "RejectedInputError", "DataQualityError",
-               "DegenerateInputError", "InsufficientDataError", "NonMeanRevertingError"),
+               "DegenerateInputError", "InsufficientDataError", "NonMeanRevertingError",
+               "PriceRangeError"),
     "series": ("PriceSeries", "LogReturnSeries", "SamplingGrid", "GapReport",
                "compute_log_returns", "validate_and_gapfill", "read_csv", "write_csv"),
     "volatility": ("VolatilityWindow", "VolatilitySeries", "rolling_volatility",

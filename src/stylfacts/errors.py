@@ -42,6 +42,12 @@ class NonMeanRevertingError(StylfactsError):
     """OU fit rejected: the AR(1) coefficient does not indicate mean reversion."""
 
 
+class PriceRangeError(StylfactsError, ValueError):
+    """A simulation's prices would leave the float range.  A bad value to a
+    caller who wrote the spec; an analysis failure to one who fitted it to
+    data, as F3 does its matched benchmarks."""
+
+
 def knob(default=MISSING, low=None, high=None, *, closed=False, choices=None):
     """A validated dataclass field; without a default it is required.
 

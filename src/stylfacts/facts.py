@@ -11,8 +11,13 @@ for the life of the context, which run_all_facts creates per series.
 Conventions shared by all tests:
 
 - Data-quantity and data-quality problems never raise: they produce an
-  inconclusive verdict with a note saying what was missing.  Exceptions are
-  reserved for caller bugs (bad parameter values, wrong types).
+  inconclusive verdict with a note saying what was missing.  A test checks
+  the preconditions it can state itself; any library error
+  (StylfactsError) raised inside it becomes, in one wrapper every test_*
+  carries, an inconclusive verdict noted `<ErrorType>: <message>` with `n`
+  the series' return count.  So a test called on its own gives the verdict
+  run_all_facts gives.  Exceptions are reserved for caller bugs (bad
+  parameter values, wrong types).
 - Every random ingredient (bootstrap resamples, reference samples, matched
   simulations) draws from a generator derived from config.seed and a
   test-specific tag, so a (series, config) pair always maps to the same
@@ -28,6 +33,7 @@ Conventions shared by all tests:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -313,10 +319,7 @@ def test_absence_autocorrelation(ctx: SeriesContext) -> FactVerdict:
     config, r = ctx.config, ctx.returns
     if len(r) < 200:
         return _inconclusive(FactId.F1, "need at least 200 returns", n=len(r))
-    try:
-        a = acf(r, config.acf_lags)
-    except (DegenerateInputError, InsufficientDataError) as e:
-        return _inconclusive(FactId.F1, f"ACF undefined: {e}", n=len(r))
+    a = acf(r, config.acf_lags)
     band = config.f1_band_mult * a.se
     inside = np.abs(a.values) <= band
     frac = float(inside.mean())
@@ -342,10 +345,7 @@ def test_slow_decay(ctx: SeriesContext) -> FactVerdict:
     p = config.f2_alpha_power
     if len(r) < 1000:
         return _inconclusive(FactId.F2, "need at least 1000 returns", n=len(r))
-    try:
-        a = acf(np.abs(r) ** p, config.f2_max_lag)
-    except (DegenerateInputError, InsufficientDataError) as e:
-        return _inconclusive(FactId.F2, f"ACF undefined: {e}", n=len(r))
+    a = acf(np.abs(r) ** p, config.f2_max_lag)
     nonpos = a.values <= 0.0
     l_star = int(np.argmax(nonpos)) if nonpos.any() else len(a.values)
     metrics = {"n": a.n, "alpha_power": p, "positive_prefix": l_star}
@@ -423,10 +423,7 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
     seg_x = np.log(series.close[len(series.close) - (L_ret + 1):])
     data_vol = vol.values[len(vol.values) - L_vol:]
 
-    try:
-        gf = ctx.garch_fit if L_ret == len(r) else fit_garch11(seg_r)
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F3, f"GARCH fit failed: {e}", n=L_ret)
+    gf = ctx.garch_fit if L_ret == len(r) else fit_garch11(seg_r)
     if not gf.converged:
         return _inconclusive(FactId.F3, "GARCH fit did not converge", n=L_ret)
 
@@ -445,8 +442,6 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
             return _inconclusive(FactId.F3, "constant log price", n=L_ret)
         mu = float(np.mean(seg_x))
         sigma = dstd * math.sqrt(2.0 * theta / (1.0 - b * b))
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F3, f"OU fit failed: {e}", n=L_ret)
 
     sim_kw = dict(n_steps=L_ret, substeps=1, extremes="substep", volume_mode="none")
     g_ps = simulate(GarchSpec(omega=gf.params.omega, alpha=gf.params.alpha,
@@ -456,11 +451,8 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
                            seed=_child_seed(config.seed, 3, 2), **sim_kw))
     g_vol = rolling_volatility(g_ps, "basic", VolatilityWindow(w, 1)).values
     o_vol = rolling_volatility(o_ps, "basic", VolatilityWindow(w, 1)).values
-    try:
-        d_g = _cdf_distance_above_median(data_vol, g_vol)
-        d_ou = _cdf_distance_above_median(data_vol, o_vol)
-    except DegenerateInputError as e:
-        return _inconclusive(FactId.F3, str(e), n=L_ret)
+    d_g = _cdf_distance_above_median(data_vol, g_vol)
+    d_ou = _cdf_distance_above_median(data_vol, o_vol)
 
     prof_data = excursion_lengths(data_vol)
     prof_g = excursion_lengths(g_vol)
@@ -539,18 +531,12 @@ def test_leverage(ctx: SeriesContext) -> FactVerdict:
     """Corr(r_t, sigma_{t+delta}) must sit below the lower 90% band for most
     positive delta and not for negative delta."""
     config, r = ctx.config, ctx.returns
-    try:
-        vol = ctx.parkinson
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F5, f"volatility proxy failed: {e}", n=len(r))
+    vol = ctx.parkinson
     x = r[vol.positions - 1]
     y = vol.values
     if len(x) < 200:
         return _inconclusive(FactId.F5, "need at least 200 aligned points", n=len(x))
-    try:
-        cc = cross_correlation(x, y, config.f5_max_lag)
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F5, f"cross-correlation failed: {e}", n=len(x))
+    cc = cross_correlation(x, y, config.f5_max_lag)
     lower = -config.f5_band_mult * cc.se
     pos = cc.lags >= 1
     neg = cc.lags <= -1
@@ -603,10 +589,7 @@ def test_volume_volatility(ctx: SeriesContext) -> FactVerdict:
                              f"(need {config.f6_min_volume_fraction:.0%})",
                              volume_present_fraction=present)
     w = config.f6_window if config.f6_window is not None else default_window(config.step_seconds)
-    try:
-        vol = rolling_volatility(series, "basic", VolatilityWindow(w, w))
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F6, f"volatility failed: {e}", n=len(series))
+    vol = rolling_volatility(series, "basic", VolatilityWindow(w, w))
     v = series.volume
     # the sums run on volumes scaled by the power of two that puts the
     # largest finite one below 1, so neither they nor the correlation's
@@ -677,6 +660,26 @@ def _tail_curves(left, right) -> dict:
             "tail_right": {"value": right.values, "exceedance": right.exceedance}}
 
 
+def _heavy_tail_verdict(fact: FactId, z: np.ndarray, sides: tuple, reference: np.ndarray,
+                        config: FactConfig, **extra) -> FactVerdict:
+    """Supported when each tail of z (`sides`: its left and right fits) fits
+    well and is heavier, beyond the joint standard error, than the same tail
+    of `reference`, a Gaussian sample run through z's pipeline.  `extra`
+    metrics follow the shared ones."""
+    left, right = sides
+    ref_left, ref_right = _fit_both_sides(reference, config.tail_fraction)
+    heavy = (_tail_side_check(left, ref_left, config)
+             and _tail_side_check(right, ref_right, config))
+    return FactVerdict(
+        fact, FactStatus.SUPPORTED if heavy else FactStatus.NOT_SUPPORTED,
+        metrics={"n": len(z), "alpha_left": left.alpha, "alpha_right": right.alpha,
+                 "alpha_se_left": left.alpha_se, "alpha_se_right": right.alpha_se,
+                 "r2_left": left.r_squared, "r2_right": right.r_squared,
+                 "ref_alpha_left": ref_left.alpha, "ref_alpha_right": ref_right.alpha,
+                 **extra},
+        curves=_tail_curves(left, right))
+
+
 def test_unconditional_tail(ctx: SeriesContext) -> FactVerdict:
     """Tail exponents of volatility-standardized returns, both sides, against
     a Gaussian sample pushed through the identical pipeline."""
@@ -684,68 +687,30 @@ def test_unconditional_tail(ctx: SeriesContext) -> FactVerdict:
     if len(r) < config.f8_min_returns:
         return _inconclusive(FactId.F8, f"need at least {config.f8_min_returns} returns",
                              n=len(r))
-    try:
-        z = ctx.standardized
-        left, right = ctx.standardized_tails
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F8, f"tail fit failed: {e}", n=len(r))
+    sides = ctx.standardized_tails
     g = _child_rng(config.seed, 8).standard_normal(len(r))
-    try:
-        zg = standardized_returns(g, config.std_window)
-        ref_left, ref_right = _fit_both_sides(zg, config.tail_fraction)
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F8, f"reference tail fit failed: {e}", n=len(r))
-    ok_l = _tail_side_check(left, ref_left, config)
-    ok_r = _tail_side_check(right, ref_right, config)
-    status = FactStatus.SUPPORTED if (ok_l and ok_r) else FactStatus.NOT_SUPPORTED
-    return FactVerdict(
-        FactId.F8, status,
-        metrics={"n": len(z), "alpha_left": left.alpha, "alpha_right": right.alpha,
-                 "alpha_se_left": left.alpha_se, "alpha_se_right": right.alpha_se,
-                 "r2_left": left.r_squared, "r2_right": right.r_squared,
-                 "ref_alpha_left": ref_left.alpha, "ref_alpha_right": ref_right.alpha,
-                 "n_tail": left.n_tail},
-        curves=_tail_curves(left, right))
+    return _heavy_tail_verdict(FactId.F8, ctx.standardized, sides,
+                               standardized_returns(g, config.std_window), config,
+                               n_tail=sides[0].n_tail)
 
 
 def test_conditional_tail(ctx: SeriesContext) -> FactVerdict:
     """Tail exponents of GARCH-filter residuals: heavy tails that survive the
     clustering correction."""
-    config, r = ctx.config, ctx.returns
-    try:
-        garch_fit = ctx.garch_fit
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F7, f"GARCH fit failed: {e}", n=len(r))
+    config, garch_fit = ctx.config, ctx.garch_fit
     if not garch_fit.converged:
-        return _inconclusive(FactId.F7, "GARCH fit did not converge", n=len(r))
+        return _inconclusive(FactId.F7, "GARCH fit did not converge", n=len(ctx.returns))
     z = ctx.residuals
-    try:
-        left, right = _fit_both_sides(z, config.tail_fraction)
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F7, f"tail fit failed: {e}", n=len(z))
-    g = _child_rng(config.seed, 7).standard_normal(len(z))
-    try:
-        ref_left, ref_right = _fit_both_sides(g, config.tail_fraction)
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F7, f"reference tail fit failed: {e}", n=len(z))
-    ok_l = _tail_side_check(left, ref_left, config)
-    ok_r = _tail_side_check(right, ref_right, config)
-    status = FactStatus.SUPPORTED if (ok_l and ok_r) else FactStatus.NOT_SUPPORTED
-    metrics = {"n": len(z), "alpha_left": left.alpha, "alpha_right": right.alpha,
-               "alpha_se_left": left.alpha_se, "alpha_se_right": right.alpha_se,
-               "r2_left": left.r_squared, "r2_right": right.r_squared,
-               "ref_alpha_left": ref_left.alpha, "ref_alpha_right": ref_right.alpha,
-               "garch_alpha": garch_fit.params.alpha, "garch_beta": garch_fit.params.beta}
+    sides = _fit_both_sides(z, config.tail_fraction)
+    extra = {"garch_alpha": garch_fit.params.alpha, "garch_beta": garch_fit.params.beta}
     # the unconditional exponents alongside, when the series supports them
     try:
         ul, ur = ctx.standardized_tails
-        metrics["alpha_left_unconditional"] = ul.alpha
-        metrics["alpha_right_unconditional"] = ur.alpha
+        extra.update(alpha_left_unconditional=ul.alpha, alpha_right_unconditional=ur.alpha)
     except (InsufficientDataError, DegenerateInputError):
         pass
-    return FactVerdict(
-        FactId.F7, status, metrics,
-        curves=_tail_curves(left, right))
+    g = _child_rng(config.seed, 7).standard_normal(len(z))
+    return _heavy_tail_verdict(FactId.F7, z, sides, g, config, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -762,17 +727,10 @@ def test_gain_loss_asymmetry(ctx: SeriesContext) -> FactVerdict:
     GARCH-residual pipeline is reported alongside when the GARCH fit
     converges.
     """
-    config, r = ctx.config, ctx.returns
-    try:
-        z = ctx.standardized
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F9, f"standardization failed: {e}", n=len(r))
+    config = ctx.config
     k = config.f9_aggregate
-    zz = block_sums(z, k)
-    try:
-        left, right = _fit_both_sides(zz, config.tail_fraction)
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F9, f"tail fit failed: {e}", n=len(zz))
+    zz = block_sums(ctx.standardized, k)
+    left, right = _fit_both_sides(zz, config.tail_fraction)
     gap = right.alpha - left.alpha
     joint_se = math.hypot(left.alpha_se, right.alpha_se)
     status = FactStatus.SUPPORTED if (left.alpha < right.alpha
@@ -951,17 +909,11 @@ def test_time_scale_asymmetry(ctx: SeriesContext) -> FactVerdict:
     as on a series whose volatility is constant but for one jump.
     """
     config, r = ctx.config, ctx.returns
-    try:
-        vol = ctx.parkinson
-    except (InsufficientDataError, DegenerateInputError) as e:
-        return _inconclusive(FactId.F11, f"volatility proxy failed: {e}", n=len(ctx.series))
+    vol = ctx.parkinson
     if len(vol.values) < 10 * (config.f11_lags + 1):
         return _inconclusive(FactId.F11, "series too short for the lag range",
                              n=len(vol.values))
-    try:
-        zr = zumbach_statistic(r, vol, config=config)
-    except (DegenerateInputError, InsufficientDataError) as e:
-        return _inconclusive(FactId.F11, f"statistic undefined: {e}", n=len(vol.values))
+    zr = zumbach_statistic(r, vol, config=config)
     flat = zr.band_high - zr.band_low <= _BAND_FLOOR_ULPS * zr.n * np.finfo(float).eps
     if flat.any():
         return _inconclusive(FactId.F11, f"null band of zero width at lag {zr.lags[flat][0]}",
@@ -1004,6 +956,23 @@ _TESTS = {
 }
 
 
+def _inconclusive_on_error(fact: FactId, test):
+    """`test`, with any library error it raises turned into an inconclusive
+    verdict noted `<ErrorType>: <message>`, `n` the series' return count."""
+    @functools.wraps(test)
+    def run(ctx: SeriesContext) -> FactVerdict:
+        try:
+            return test(ctx)
+        except StylfactsError as e:
+            return _inconclusive(fact, f"{type(e).__name__}: {e}", n=len(ctx.series) - 1)
+    return run
+
+
+# every test is wrapped once, here: a direct call gives the driver's verdict
+globals().update({name: _inconclusive_on_error(fact, globals()[name])
+                  for fact, name in _TESTS.items()})
+
+
 def run_all_facts(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG,
                   facts=None) -> dict:
     """Run the selected facts (default all eleven) on one series through one
@@ -1013,10 +982,6 @@ def run_all_facts(series: PriceSeries, config: FactConfig = DEFAULT_CONFIG,
     ctx = SeriesContext(series, config)
     out = {}
     for fact in FactId:
-        if fact not in selected:
-            continue
-        try:
+        if fact in selected:
             out[fact] = globals()[_TESTS[fact]](ctx)
-        except StylfactsError as e:
-            out[fact] = _inconclusive(fact, f"{type(e).__name__}: {e}", n=len(series) - 1)
     return out

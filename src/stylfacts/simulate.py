@@ -52,7 +52,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .errors import check_knobs, knob
+from .errors import PriceRangeError, check_knobs, knob
 from .series import PriceSeries
 
 EXTREME_MODES = ("bridge", "substep")
@@ -211,6 +211,10 @@ def _bars_from_steps(x, step_vols, rng, spec) -> PriceSeries:
     # substep roundoff must not leave close/open outside [low, high]
     hi = np.maximum(hi, np.maximum(x[:-1], x[1:]))
     lo = np.minimum(lo, np.minimum(x[:-1], x[1:]))
+    # every price lies between exp(lo.min()) and exp(hi.max()); NaN fails too
+    if not (np.exp(lo.min()) > 0.0 and np.exp(hi.max()) < np.inf):
+        raise PriceRangeError(f"{type(spec).__name__} price path leaves the float range "
+                              f"(log prices from {lo.min():.4g} to {hi.max():.4g})")
 
     p0 = math.exp(x[0])
     open_ = np.concatenate(([p0], np.exp(x[:-1])))
@@ -242,7 +246,13 @@ def _cumulate(x0: float, r: np.ndarray) -> np.ndarray:
 
 
 def simulate(spec: _SimCommon) -> PriceSeries:
-    """Draw the spec's log-price path and step volatilities, then its bars."""
+    """Draw the spec's log-price path and step volatilities, then its bars.
+
+    A spec whose prices leave the float range, as a finite but huge sigma,
+    mu or omega makes them, raises PriceRangeError (a ValueError) before any
+    bar is built; the arithmetic that overflows on the way warns nothing.
+    """
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    x, step_vols = spec._path(rng)
-    return _bars_from_steps(x, step_vols, rng, spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, step_vols = spec._path(rng)
+        return _bars_from_steps(x, step_vols, rng, spec)

@@ -16,6 +16,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -166,6 +167,22 @@ class TestSimulate:
         out = tmp_path / "x.csv"
         assert main(["simulate", *argv, "--n", "5", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--model", "gbm", "--sigma", "1e300"],
+        ["--model", "gbm", "--mu", "1e300"],
+        ["--model", "garch", "--omega", "1e300", "--alpha", "0", "--beta", "0"],
+    ], ids=["sigma", "mu", "omega"])
+    def test_price_path_beyond_the_float_range_exits_2(self, tmp_path, capsys, argv):
+        # each value is finite and in its field's range; only the path it
+        # draws overflows
+        out = tmp_path / "x.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", *argv, "--n", "5", "--out", str(out)]) == 2
+        assert "price path leaves the float range" in capsys.readouterr().err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert not out.exists()
 
 

@@ -5,6 +5,8 @@ assert cells that are stable across neighboring seeds; the full 20-seed
 control matrix at N=1e5 lives in the acceptance suite.
 """
 
+import ast
+import inspect
 import math
 import threading
 import tracemalloc
@@ -121,6 +123,31 @@ class TestInconclusiveGates:
         out = run_all_facts(ps)
         for fact, v in out.items():
             assert v.status is INC, fact
+
+    def test_a_library_error_is_noted_by_its_type(self):
+        # every return 0: the ACF raises, alone or through the driver
+        one = np.ones(300)
+        ps = PriceSeries(86400 * np.arange(300), one, one, one, one)
+        note = ("DegenerateInputError: zero variance: ACF undefined",)
+        alone = facts.test_absence_autocorrelation(SeriesContext(ps))
+        driven = run_all_facts(ps, facts=[FactId.F1])[FactId.F1]
+        assert alone.notes == driven.notes == note
+        assert alone.metrics == driven.metrics == {"n": 299}
+
+    def test_a_benchmark_beyond_the_float_range_is_inconclusive(self):
+        # i.i.d. log prices of spread 100: the GARCH fitted to their returns
+        # draws a matched path whose prices no float holds
+        p = np.exp(100 * np.random.default_rng(4).standard_normal(3000))
+        open_ = np.concatenate((p[:1], p[:-1]))
+        ps = PriceSeries(86400 * np.arange(3000), open_, np.maximum(open_, p),
+                         np.minimum(open_, p), p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            v = facts.test_intermittency(SeriesContext(ps))
+        assert v.status is INC
+        assert v.notes[0].startswith(
+            "PriceRangeError: GarchSpec price path leaves the float range")
+        assert caught == []
 
     def test_missing_volume_only_blocks_volume_fact(self):
         ps = simulate(GbmSpec(n_steps=3000, seed=9, volume_mode="none"))
@@ -607,6 +634,27 @@ class TestRunAllFacts:
         assert first[FactId.F3].metrics["d_garch"] == \
             again[FactId.F3].metrics["d_garch"]
 
+    def test_data_errors_become_verdicts_in_one_place(self):
+        # a handler that only turns a data error into a verdict repeats the
+        # wrapper every test carries; F4's two name the failing estimator
+        tree = ast.parse(inspect.getsource(facts))
+        functions = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+        converting = []
+        for name, fn in functions.items():
+            if not name.startswith("test_"):
+                continue
+            for h in ast.walk(fn):
+                if not isinstance(h, ast.ExceptHandler) or h.type is None:
+                    continue
+                caught = {n.id for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+                only = h.body[0] if len(h.body) == 1 else None
+                if (caught & {"InsufficientDataError", "DegenerateInputError"}
+                        and isinstance(only, ast.Return) and isinstance(only.value, ast.Call)
+                        and getattr(only.value.func, "id", None) == "_inconclusive"):
+                    converting.append(name)
+        assert converting == ["test_volatility_clustering"] * 2
+        assert not any(isinstance(n, ast.Try) for n in ast.walk(functions["run_all_facts"]))
+
 
 def test_run_all_facts_memory_at_1e5_bars():
     # F11's tables, the rolling windows of F3 and F7/F8 and the shared
@@ -631,10 +679,20 @@ def context_case():
     return ps, cfg, run_all_facts(ps, cfg)
 
 
+@pytest.fixture(scope="module")
+def one_bar_case():
+    """A series with no return, where every fact but F4 and F6 fails inside."""
+    ps = PriceSeries([0], [1.0], [1.0], [1.0], [1.0])
+    cfg = FactConfig(seed=3)
+    return ps, cfg, run_all_facts(ps, cfg)
+
+
 class TestSeriesContext:
-    @pytest.mark.parametrize("fact", list(FactId))
-    def test_fact_alone_matches_the_driver(self, context_case, fact):
-        ps, cfg, out = context_case
+    @pytest.mark.parametrize(
+        "case, fact", [("context_case", f) for f in FactId] + [("one_bar_case", f) for f in FactId],
+        ids=[f.value for f in FactId] + [f"one-bar-{f.value}" for f in FactId])
+    def test_fact_alone_matches_the_driver(self, request, case, fact):
+        ps, cfg, out = request.getfixturevalue(case)
         alone = getattr(facts, facts._TESTS[fact])(SeriesContext(ps, cfg))
         driven = out[fact]
         assert alone.status is driven.status

@@ -3,14 +3,16 @@ fact tests never raise on data problems.
 
 The config test draws every FactConfig knob inside the range its field
 declares, with counts, lags and bootstrap sizes capped small so that no
-example allocates much or runs long, and runs all eleven facts on a short,
-a flat, a gappy (forward-filled) and a volume-less series, both directly on
-a SeriesContext and through run_all_facts.
+example allocates much or runs long, and runs all eleven facts on a one-bar,
+a two-bar, a short, a flat, a gappy (forward-filled) and a volume-less
+series, both directly on a SeriesContext and through run_all_facts.
 
 The content test draws the series instead (flat stretches, jumps, ticks,
 high = low bars, any price scale, huge or missing volumes) and runs it
 through run_all_facts and through run_analyze on its written CSV, with
-small bootstrap counts.
+small bootstrap counts.  No supported or not_supported verdict may rest on
+a NaN metric, and the series of faults fixed before run as explicit
+examples.
 """
 
 import csv
@@ -20,7 +22,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stylfacts import facts
@@ -56,6 +58,10 @@ configs = st.builds(FactConfig, **{rule[0]: _knob(*rule)
 
 @functools.cache
 def _series(name):
+    if name in ("one-bar", "two-bar"):
+        close = np.array([1.0, 1.01])[:1 if name == "one-bar" else 2]
+        return PriceSeries(np.arange(len(close), dtype=np.int64) * DAY, close, close, close,
+                           close, np.ones(len(close)))
     if name == "short":
         return simulate(GjrSpec(n_steps=600, seed=11))
     if name == "flat":
@@ -72,7 +78,8 @@ def _series(name):
     return simulate(GbmSpec(n_steps=1500, seed=13, volume_mode="none"))
 
 
-@given(name=st.sampled_from(["short", "flat", "gappy", "volumeless"]), config=configs)
+@given(name=st.sampled_from(["one-bar", "two-bar", "short", "flat", "gappy", "volumeless"]),
+       config=configs)
 @settings(max_examples=120, deadline=None)
 def test_no_fact_raises_under_any_valid_config(name, config):
     ps = _series(name)
@@ -123,15 +130,80 @@ def contents(draw):
     return PriceSeries(np.arange(n, dtype=np.int64) * DAY, open_, high, low, close, volume)
 
 
+def _huge_volumes():
+    ps = simulate(GarchSpec(n_steps=3000, seed=56))
+    return PriceSeries(ps.timestamps, ps.open, ps.high, ps.low, ps.close,
+                       ps.volume / ps.volume.max() * 1e308)
+
+
+def _drift_with_one_jump(jump_at, spike_at, centred):
+    """A log price drifting 1e-3 a bar with one 0.05 jump at `jump_at`, so the
+    squared returns are constant but there.  Each bar's log range is 0.06
+    around its open-close midpoint (`centred`: the Parkinson proxy is then
+    constant but at spike_at) or reaches 1e-3 beyond its open and close,
+    and is wider at `spike_at`."""
+    n = 6000
+    x = 1e-3 * np.arange(n)
+    x[jump_at:] += 0.05
+    x_open = np.concatenate(([x[0]], x[:-1]))
+    if centred:
+        half = np.full(n, 0.03)
+        half[spike_at] = 0.04
+        mid = 0.5 * (x_open + x)
+        high, low = mid + half, mid - half
+    else:
+        beyond = np.full(n, 1e-3)
+        beyond[spike_at] = 5e-3
+        high, low = np.maximum(x_open, x) + beyond, np.minimum(x_open, x) - beyond
+    return PriceSeries(DAY * np.arange(n), np.exp(x_open), np.exp(high), np.exp(low),
+                       np.exp(x), np.ones(n))
+
+
+# the metrics each fact's supported / not_supported status is decided by
+_DECIDING = {
+    FactId.F1: ("frac_in_band",),
+    FactId.F2: ("positive_prefix", "beta"),
+    FactId.F3: ("d_garch", "d_ou"),
+    FactId.F4: ("acf1_basic", "acf1_parkinson", "acf1_rogers_satchell"),
+    FactId.F5: ("frac_below_positive_lags", "frac_below_negative_lags"),
+    FactId.F6: ("pearson_r", "boot_ci_low"),
+    **dict.fromkeys((FactId.F7, FactId.F8), (
+        "alpha_left", "alpha_right", "alpha_se_left", "alpha_se_right", "r2_left",
+        "r2_right", "ref_alpha_left", "ref_alpha_right")),
+    FactId.F9: ("alpha_left", "alpha_right", "gap", "joint_se"),
+    FactId.F10: ("frac_decreasing_steps", "ad_k2"),
+    FactId.F11: ("frac_outside_band", "mean_z"),
+}
+
+
+def _nan_deciders(fact, verdict):
+    if verdict.status is FactStatus.INCONCLUSIVE:
+        return []
+    keys = _DECIDING[fact]
+    if fact is FactId.F2 and verdict.metrics["positive_prefix"] < FUZZ_CONFIG.f2_min_fit_lags:
+        keys = ("positive_prefix",)  # no decay to measure: beta is NaN by design
+    return [k for k in keys if math.isnan(verdict.metrics[k])]
+
+
 def _assert_eleven(statuses):
     assert list(statuses) == [f.value for f in FactId]
     assert set(statuses.values()) <= {s.value for s in FactStatus}
 
 
 @given(ps=contents())
+# the faults content fuzzing is after, as found before: window sums of
+# volumes near 1e308 overflowed; a proxy and squared returns each constant
+# but at one bar, far apart, leave most F11 resamples without a Z; with the
+# proxy varying only at the jump and one other bar, F11's null band has
+# zero width
+@example(ps=_huge_volumes())
+@example(ps=_drift_with_one_jump(1000, spike_at=4000, centred=True))
+@example(ps=_drift_with_one_jump(3000, spike_at=1000, centred=False))
 @settings(max_examples=90, deadline=None)
 def test_any_series_content_gives_eleven_verdicts(ps):
-    _assert_eleven({f.value: v.status.value for f, v in run_all_facts(ps, FUZZ_CONFIG).items()})
+    out = run_all_facts(ps, FUZZ_CONFIG)
+    _assert_eleven({f.value: v.status.value for f, v in out.items()})
+    assert {f.value: keys for f, v in out.items() if (keys := _nan_deciders(f, v))} == {}
     with tempfile.TemporaryDirectory() as tmp:
         write_csv(ps, os.path.join(tmp, "a.csv"))
         config = RunConfig(assets=(AssetInput("a", os.path.join(tmp, "a.csv")),),
