@@ -43,9 +43,9 @@ class NonMeanRevertingError(StylfactsError):
 
 
 class PriceRangeError(StylfactsError, ValueError):
-    """A simulation's prices would leave the float range.  A bad value to a
-    caller who wrote the spec; an analysis failure to one who fitted it to
-    data, as F3 does its matched benchmarks."""
+    """A simulation's prices would leave the float range: a bad value in the
+    spec given to `simulate`, the one function that raises it.  `log_path`
+    forms no prices and does not raise it."""
 
 
 def knob(default=MISSING, low=None, high=None, *, closed=False, choices=None):

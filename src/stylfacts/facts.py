@@ -21,7 +21,9 @@ Conventions shared by all tests:
 - Every random ingredient (bootstrap resamples, reference samples, matched
   simulations) draws from a generator derived from config.seed and a
   test-specific tag, so a (series, config) pair always maps to the same
-  verdict, bit for bit, regardless of which other tests ran.
+  verdict, bit for bit, regardless of which other tests ran.  A matched
+  simulation is a log-price path (`simulate.log_path`), not a set of bars:
+  the tests read only its returns.
 - The volatility proxy for the cross-correlation tests (F5, F11) is the
   single-bar Parkinson estimator: it is local in time (no window smearing
   across lags) and uses the bar's own high/low rather than the close-to-close
@@ -47,7 +49,7 @@ from .errors import (DegenerateInputError, InsufficientDataError,
 from .fitting import (GarchFit, fit_garch11, fit_ou, fit_power_law,
                       fit_tail_exponent, garch_filter)
 from .series import PriceSeries, block_sums, compute_log_returns
-from .simulate import GarchSpec, OuSpec, simulate
+from .simulate import GarchSpec, OuSpec, log_path
 from .stats import acf, adf_test, anderson_darling_normal, cross_correlation, \
     ks_test_normal, qq_data
 from .volatility import VolatilityWindow, default_window, rolling_volatility
@@ -406,22 +408,28 @@ def _stationary_vol_suffix(vol_values: np.ndarray, config: FactConfig):
 def test_intermittency(ctx: SeriesContext) -> FactVerdict:
     """Compare the data's high-volatility regime against matched fitted
     benchmarks: a clustering one (GARCH) and a continuously mean-reverting one
-    (OU on the log price).  Supported when the rolling-volatility distribution
-    above its median is closer to the GARCH benchmark's.
+    (OU on the log price), each drawn as a log-price path (`log_path`).
+    Supported when the rolling-volatility distribution above its median is
+    closer to the GARCH benchmark's.
     """
     series, config, r = ctx.series, ctx.config, ctx.returns
     w = config.f3_vol_window
     if len(r) < config.f3_min_segment + w - 1:
         return _inconclusive(FactId.F3, "series shorter than the minimum stationary segment",
                              n=len(r))
-    vol = rolling_volatility(series, "basic", VolatilityWindow(w, 1))
-    L_vol, adf_res = _stationary_vol_suffix(vol.values, config)
+
+    def rolling_sd(returns):
+        # rolling_volatility's basic estimator, from returns alone
+        return np.sqrt(kernels.rolling_var(returns, w, 1))
+
+    vol = rolling_sd(r)
+    L_vol, adf_res = _stationary_vol_suffix(vol, config)
     if L_vol is None:
         return _inconclusive(FactId.F3, "no stationary volatility segment at 5%", n=len(r))
     L_ret = L_vol + w - 1
     seg_r = r[len(r) - L_ret:]
     seg_x = np.log(series.close[len(series.close) - (L_ret + 1):])
-    data_vol = vol.values[len(vol.values) - L_vol:]
+    data_vol = vol[len(vol) - L_vol:]
 
     gf = ctx.garch_fit if L_ret == len(r) else fit_garch11(seg_r)
     if not gf.converged:
@@ -443,14 +451,12 @@ def test_intermittency(ctx: SeriesContext) -> FactVerdict:
         mu = float(np.mean(seg_x))
         sigma = dstd * math.sqrt(2.0 * theta / (1.0 - b * b))
 
-    sim_kw = dict(n_steps=L_ret, substeps=1, extremes="substep", volume_mode="none")
-    g_ps = simulate(GarchSpec(omega=gf.params.omega, alpha=gf.params.alpha,
-                              beta=gf.params.beta, mean=gf.params.mean,
-                              seed=_child_seed(config.seed, 3, 1), **sim_kw))
-    o_ps = simulate(OuSpec(theta=theta, mu=mu, sigma=sigma, x0=float(seg_x[0]),
-                           seed=_child_seed(config.seed, 3, 2), **sim_kw))
-    g_vol = rolling_volatility(g_ps, "basic", VolatilityWindow(w, 1)).values
-    o_vol = rolling_volatility(o_ps, "basic", VolatilityWindow(w, 1)).values
+    g_vol = rolling_sd(np.diff(log_path(GarchSpec(
+        n_steps=L_ret, omega=gf.params.omega, alpha=gf.params.alpha, beta=gf.params.beta,
+        mean=gf.params.mean, seed=_child_seed(config.seed, 3, 1)))))
+    o_vol = rolling_sd(np.diff(log_path(OuSpec(
+        n_steps=L_ret, theta=theta, mu=mu, sigma=sigma, x0=float(seg_x[0]),
+        seed=_child_seed(config.seed, 3, 2)))))
     d_g = _cdf_distance_above_median(data_vol, g_vol)
     d_ou = _cdf_distance_above_median(data_vol, o_vol)
 

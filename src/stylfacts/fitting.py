@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,6 +177,7 @@ class GarchFit:
     log_likelihood: float
     converged: bool
     n_evaluations: int
+    # alpha + beta above _NEAR_IGARCH: the unconditional variance is ill-determined
     near_igarch: bool
     # accepted (improving) objective values: the negative average LL of the
     # standardized series, without its constant
@@ -383,12 +383,9 @@ def _garch_result(r, mu, var, fits, trace):
     if a == 0.0:
         omega, b = omega / (1.0 - b), 0.0
     params = GarchParams(mean=mu, omega=omega, alpha=float(a), beta=float(b))
-    near = params.alpha + params.beta > _NEAR_IGARCH
-    if near:
-        warnings.warn(f"alpha + beta = {params.alpha + params.beta:.4f}: near-IGARCH, "
-                      "unconditional variance ill-determined", RuntimeWarning)
     return GarchFit(params=params, log_likelihood=gaussian_log_likelihood(r, params),
-                    converged=converged, n_evaluations=nfev, near_igarch=near,
+                    converged=converged, n_evaluations=nfev,
+                    near_igarch=params.alpha + params.beta > _NEAR_IGARCH,
                     trace=tuple(trace))
 
 

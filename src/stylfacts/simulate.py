@@ -23,8 +23,10 @@ one bar.
 Each spec class (GbmSpec, OuSpec, GarchSpec, GjrSpec) is the one declaration
 of its model: its fields are the model's parameters, each with its kind and
 range (`errors.knob`), and its `_path` method draws the log-price path and
-the per-step volatilities.  `simulate(spec)` is
-the one entry point.
+the per-step volatilities.  `simulate(spec)` is the entry point for bars;
+`log_path(spec)` returns the log-price path alone, the one `simulate(spec)`
+builds its closes on, for a caller that needs only returns (F3's matched
+benchmarks).
 
 Determinism: all draws come from a single numpy Generator seeded by
 SeedSequence(seed).  Draw order is fixed: model innovations, then substep
@@ -256,3 +258,12 @@ def simulate(spec: _SimCommon) -> PriceSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         x, step_vols = spec._path(rng)
         return _bars_from_steps(x, step_vols, rng, spec)
+
+
+def log_path(spec: _SimCommon) -> np.ndarray:
+    """The spec's log-price path (n_steps + 1 points), bit for bit the one
+    simulate(spec) builds its closes on, with no bars built; so no price is
+    formed and no PriceRangeError is raised."""
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return spec._path(rng)[0]

@@ -6,8 +6,10 @@ Three estimators over a window of n intervals:
   in the window (two-pass, window mean subtracted).
 - Parkinson: sqrt( (1/(4 n ln 2)) * sum ln(high_i/low_i)^2 ).  Std scale.
 - Rogers-Satchell: sqrt( (1/n) * sum [ln(h/c) ln(h/o) + ln(l/c) ln(l/o)] ).
-  Std scale.  The radicand can go negative in samples; it is clamped to 0,
-  with a warning when it falls below -1e-12 relative to the term magnitude.
+  Std scale.  On bars with low <= open, close <= high every term is >= 0 in
+  floats, and so is their window mean; a negative radicand comes only from
+  a bar whose open or close lies outside [low, high].  It is clamped to 0,
+  with a warning.
 
 All three are on the standard-deviation scale, so they compare directly.
 
@@ -68,15 +70,13 @@ def rs_terms(open_, high, low, close) -> np.ndarray:
     return np.log(h / c) * np.log(h / o) + np.log(l / c) * np.log(l / o)
 
 
-def _rs_finalize(radicand, term_scale) -> np.ndarray:
+def _rs_finalize(radicand) -> np.ndarray:
     rad = np.atleast_1d(np.asarray(radicand, dtype=float))
     neg = rad < 0.0
     if np.any(neg):
-        severe = rad < -1e-12 * np.maximum(term_scale, np.finfo(float).tiny)
-        if np.any(severe):
-            warnings.warn(
-                f"Rogers-Satchell radicand negative beyond rounding in {int(np.sum(severe))} "
-                "window(s); clamped to 0", RuntimeWarning)
+        warnings.warn(
+            f"Rogers-Satchell radicand negative in {int(np.sum(neg))} window(s), from bars "
+            "whose open or close lies outside [low, high]; clamped to 0", RuntimeWarning)
         rad = np.where(neg, 0.0, rad)
     return np.sqrt(rad)
 
@@ -101,9 +101,7 @@ def rolling_volatility(series: PriceSeries, kind: str,
         values = np.sqrt(kernels.rolling_mean(x * x, n, stride) / FOUR_LN2)
     else:
         t = rs_terms(series.open[1:], series.high[1:], series.low[1:], series.close[1:])
-        rad = kernels.rolling_mean(t, n, stride)
-        term_scale = kernels.rolling_mean(np.abs(t), n, stride)
-        values = _rs_finalize(rad, term_scale)
+        values = _rs_finalize(kernels.rolling_mean(t, n, stride))
 
     ends = n + stride * np.arange(len(values))
     return VolatilitySeries(values=values, timestamps=series.timestamps[ends].copy(),

@@ -134,19 +134,27 @@ class TestInconclusiveGates:
         assert alone.notes == driven.notes == note
         assert alone.metrics == driven.metrics == {"n": 299}
 
-    def test_a_benchmark_beyond_the_float_range_is_inconclusive(self):
-        # i.i.d. log prices of spread 100: the GARCH fitted to their returns
-        # draws a matched path whose prices no float holds
-        p = np.exp(100 * np.random.default_rng(4).standard_normal(3000))
-        open_ = np.concatenate((p[:1], p[:-1]))
-        ps = PriceSeries(86400 * np.arange(3000), open_, np.maximum(open_, p),
-                         np.minimum(open_, p), p)
+    @pytest.mark.parametrize("case", ["spread-100", "near-limit"])
+    def test_f3_on_extreme_log_prices_gives_a_verdict(self, case):
+        # F3's matched benchmarks are log-price paths: no price of theirs need
+        # be a float.  spread-100: i.i.d. log prices of spread 100, whose fitted
+        # GARCH path spans log prices from -1184 to 8549; near-limit: the
+        # highest log high at 709.0, the OU path pinned at that level
+        if case == "spread-100":
+            p = np.exp(100 * np.random.default_rng(4).standard_normal(3000))
+            open_ = np.concatenate((p[:1], p[:-1]))
+            ps = PriceSeries(86400 * np.arange(3000), open_, np.maximum(open_, p),
+                             np.minimum(open_, p), p)
+        else:
+            g = simulate(GbmSpec(n_steps=2000, seed=1, sigma=0.05))
+            shift = 709.0 - np.log(g.high).max()
+            ps = PriceSeries(g.timestamps, *(np.exp(np.log(col) + shift)
+                                             for col in (g.open, g.high, g.low, g.close)))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             v = facts.test_intermittency(SeriesContext(ps))
-        assert v.status is INC
-        assert v.notes[0].startswith(
-            "PriceRangeError: GarchSpec price path leaves the float range")
+        assert v.status is not INC
+        assert math.isfinite(v.metrics["d_garch"]) and math.isfinite(v.metrics["d_ou"])
         assert caught == []
 
     def test_missing_volume_only_blocks_volume_fact(self):

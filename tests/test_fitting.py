@@ -432,7 +432,8 @@ class TestFitGarch:
         assert fit.converged
         assert fit.near_igarch
         assert 0.999 < fit.params.alpha + fit.params.beta < 0.9995
-        assert [w.category for w in caught] == [RuntimeWarning]
+        # the condition is data, not a warning
+        assert caught == []
 
     def test_repeat_calls_are_bit_identical(self):
         r = _returns(GjrSpec(n_steps=5_000, seed=32, **_SIM))

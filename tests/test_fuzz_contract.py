@@ -11,8 +11,9 @@ The content test draws the series instead (flat stretches, jumps, ticks,
 high = low bars, any price scale, huge or missing volumes) and runs it
 through run_all_facts and through run_analyze on its written CSV, with
 small bootstrap counts.  No supported or not_supported verdict may rest on
-a NaN metric, and the series of faults fixed before run as explicit
-examples.
+a NaN metric, a RuntimeWarning fails the test (a condition such as a
+near-IGARCH fit is reported as data), and the series of faults fixed before
+run as explicit examples.
 """
 
 import csv
@@ -22,6 +23,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -159,6 +161,12 @@ def _drift_with_one_jump(jump_at, spike_at, centred):
                        np.exp(x), np.ones(n))
 
 
+def _near_igarch():
+    """A GARCH series whose fit lies near the persistence cap: alpha + beta
+    above 0.999 (`GarchFit.near_igarch`)."""
+    return simulate(GarchSpec(n_steps=10_000, seed=1, omega=1e-7, alpha=0.05, beta=0.9485))
+
+
 # the metrics each fact's supported / not_supported status is decided by
 _DECIDING = {
     FactId.F1: ("frac_in_band",),
@@ -195,11 +203,13 @@ def _assert_eleven(statuses):
 # volumes near 1e308 overflowed; a proxy and squared returns each constant
 # but at one bar, far apart, leave most F11 resamples without a Z; with the
 # proxy varying only at the jump and one other bar, F11's null band has
-# zero width
+# zero width; a fit near the persistence cap warned
 @example(ps=_huge_volumes())
 @example(ps=_drift_with_one_jump(1000, spike_at=4000, centred=True))
 @example(ps=_drift_with_one_jump(3000, spike_at=1000, centred=False))
+@example(ps=_near_igarch())
 @settings(max_examples=90, deadline=None)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_any_series_content_gives_eleven_verdicts(ps):
     out = run_all_facts(ps, FUZZ_CONFIG)
     _assert_eleven({f.value: v.status.value for f, v in out.items()})

@@ -39,6 +39,27 @@ class TestCommon:
         np.testing.assert_array_equal(
             ps.timestamps, spec.t0 + spec.step_seconds * np.arange(301))
 
+    # log prices away from 0, where exp then log errs by under an ulp of |x|
+    @pytest.mark.parametrize("spec", [
+        GbmSpec(n_steps=300, seed=1, p0=100.0),
+        OuSpec(n_steps=300, seed=1, mu=3.0),
+        GarchSpec(n_steps=300, seed=1, p0=100.0),
+        GjrSpec(n_steps=300, seed=1, p0=100.0),
+    ])
+    def test_log_path_is_the_path_simulate_draws(self, monkeypatch, spec):
+        drawn = []
+        build = sim_module._bars_from_steps
+
+        def record(x, *args):
+            drawn.append(x.copy())
+            return build(x, *args)
+
+        monkeypatch.setattr(sim_module, "_bars_from_steps", record)
+        ps = simulate(spec)
+        x = sim_module.log_path(spec)
+        assert x.tobytes() == drawn[0].tobytes()
+        np.testing.assert_array_max_ulp(np.log(ps.close), x, maxulp=2)
+
     def test_deterministic(self):
         a = simulate(GarchSpec(n_steps=500, seed=42))
         b = simulate(GarchSpec(n_steps=500, seed=42))

@@ -57,13 +57,25 @@ class TestPointEstimators:
         t = rs_terms(s.open, s.high, s.low, s.close)
         assert np.all(t >= 0.0)
 
-    def test_rs_finalize_clamps_rounding_noise(self):
-        out = _rs_finalize(np.array([-1e-30]), np.array([1e-4]))
-        assert out[0] == 0.0
+    def test_rs_warns_on_a_close_above_its_high(self):
+        # bar 30 opens at its low and closes 0.2 above it, its high 0.01 above:
+        # its term 0.01 * (0.01 - 0.2) outweighs four ordinary ones
+        s = random_ohlc(60, seed=9)
+        k = 30
+        high, low, close = s.high.copy(), s.low.copy(), s.close.copy()
+        low[k], high[k], close[k] = s.open[k], s.open[k] * math.exp(0.01), \
+            s.open[k] * math.exp(0.2)
+        bad = PriceSeries(s.timestamps, s.open, high, low, close)
+        with pytest.warns(RuntimeWarning, match=r"outside \[low, high\]; clamped to 0"):
+            got = rolling_volatility(bad, "rogers_satchell", VolatilityWindow(5, 1))
+        clamped = got.values == 0.0
+        assert clamped.any() and set(got.positions[clamped]) <= set(range(k, k + 5))
+        np.testing.assert_allclose(got.values, naive_rolling(bad, "rogers_satchell", 5, 1),
+                                   rtol=1e-10, atol=1e-14)
 
     def test_rs_finalize_warns_on_severe_negative(self):
         with pytest.warns(RuntimeWarning, match="radicand negative"):
-            _rs_finalize(np.array([-1e-5]), np.array([1e-4]))
+            _rs_finalize(np.array([-1e-5]))
 
 
 class TestRollingAgainstOracle:
